@@ -25,30 +25,11 @@
 //! so the immutable tree can be shared across threads.
 
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
 
 use crate::infer::factor::{strides, Factor, QueryWorkspace};
 use crate::infer::ve::{elimination_ordering, EliminationHeuristic};
 use crate::network::BayesianNetwork;
 use crate::{BayesError, Result};
-
-/// Worker-pool width from the environment: `KERT_WORKERS` when set to a
-/// positive integer, otherwise the host's available parallelism. An empty
-/// or unparsable value falls back to the default, so CI can force the
-/// sequential path with `KERT_WORKERS=1` and keep the default with
-/// `KERT_WORKERS=` (unset/empty). Shared by the junction-tree collect pass
-/// here and the batch query front end in `kert-core`.
-pub fn configured_workers() -> usize {
-    std::env::var("KERT_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
 
 // Junction-tree telemetry. The compile/calibrate/incremental message split
 // is the number the paper's steady-state argument rests on: once the tree
@@ -113,8 +94,6 @@ pub struct JunctionTree {
     /// Per node: the smallest-table clique containing it (queries and
     /// evidence for the node route through this clique).
     node_home: Vec<usize>,
-    /// Worker-pool width for the parallel collect pass (≤ 1 = sequential).
-    workers: usize,
 }
 
 /// Mutable propagation state over one [`JunctionTree`]: current evidence,
@@ -133,20 +112,6 @@ pub struct JtState {
     ws: QueryWorkspace,
     /// Guard against mixing states across trees.
     n_cliques: usize,
-    /// Per-root-branch compute time of the last collect pass that did any
-    /// work — the Σ/max of these is the host-independent
-    /// `simulated_speedup` of subtree-parallel propagation.
-    branch_times: Vec<Duration>,
-}
-
-impl JtState {
-    /// Per-branch message-computation times of the most recent collect
-    /// pass that computed at least one message (one entry per root branch
-    /// with pending work, ascending branch order). Empty before the first
-    /// propagation.
-    pub fn last_branch_times(&self) -> &[Duration] {
-        &self.branch_times
-    }
 }
 
 fn is_subset(small: &[usize], big: &[usize]) -> bool {
@@ -331,7 +296,6 @@ impl JunctionTree {
             factors,
             factor_home,
             node_home,
-            workers: configured_workers(),
         })
     }
 
@@ -347,8 +311,8 @@ impl JunctionTree {
     /// identical** to a fresh compile of the updated network.
     ///
     /// Existing [`JtState`]s still hold potentials and messages derived
-    /// from the old bases; pass the returned cliques to
-    /// [`JunctionTree::refresh_state_cliques`] for every live state.
+    /// from the old bases; discard them and start from
+    /// [`JunctionTree::new_state`].
     pub fn refresh_cpds(&mut self, updates: &[(usize, crate::cpd::Cpd)]) -> Result<Vec<usize>> {
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
         for (node, cpd) in updates {
@@ -389,33 +353,6 @@ impl JunctionTree {
         Ok(dirty.into_iter().collect())
     }
 
-    /// Re-derive a state's evidence-adjusted potentials and invalidate the
-    /// message subtrees for cliques whose base potentials changed (the
-    /// output of [`JunctionTree::refresh_cpds`]). Evidence pins survive the
-    /// refresh; only the underlying tables are rebuilt.
-    pub fn refresh_state_cliques(&self, st: &mut JtState, cliques: &[usize]) -> Result<()> {
-        self.check_state(st)?;
-        for &c in cliques {
-            if c >= self.cliques.len() {
-                return Err(BayesError::InvalidNode(c));
-            }
-            self.refresh_clique(st, c);
-        }
-        Ok(())
-    }
-
-    /// Override the collect-pass worker count (compile reads
-    /// [`configured_workers`]). `1` forces the sequential path; results
-    /// are bitwise identical either way — only latency changes.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// Current collect-pass worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Number of cliques.
     pub fn n_cliques(&self) -> usize {
         self.cliques.len()
@@ -450,7 +387,6 @@ impl JunctionTree {
             messages: vec![None; 2 * self.edges.len()],
             ws: QueryWorkspace::new(),
             n_cliques: self.cliques.len(),
-            branch_times: Vec::new(),
         }
     }
 
@@ -580,143 +516,44 @@ impl JunctionTree {
 
     /// Ensure every message flowing toward clique `root` is valid,
     /// computing missing ones farthest-first (Shafer-Shenoy collect pass).
-    ///
-    /// The messages toward `root` partition by *root branch*: everything
-    /// in the subtree hanging off one of `root`'s neighbours depends only
-    /// on messages in that same subtree, so branches with pending work are
-    /// independent units. With `workers > 1` and ≥ 2 pending branches they
-    /// are computed by scoped threads, each with a private workspace and a
-    /// private message overlay (shared state — potentials, base tables,
-    /// still-valid cached messages — is read-only); the main thread then
-    /// installs the overlay messages. Every message's value depends only
-    /// on its own dependency cone, never on computation order, so the
-    /// parallel pass is **bitwise identical** to the sequential one.
+    /// Each message's value depends only on its own dependency cone, so
+    /// the result is a deterministic function of (tree, evidence) whatever
+    /// was cached before.
     fn ensure_messages_into(&self, st: &mut JtState, root: usize) {
-        // (from, edge-toward-root) orders, root-first, one per root branch.
-        let mut branches: Vec<Vec<(usize, usize)>> = Vec::with_capacity(self.neighbors[root].len());
-        for &Neighbor { clique: j, edge: e } in &self.neighbors[root] {
-            let mut order = vec![(j, e)];
-            let mut qi = 0;
-            while qi < order.len() {
-                let (i, from_edge) = order[qi];
-                qi += 1;
-                for &Neighbor {
-                    clique: k,
-                    edge: e2,
-                } in &self.neighbors[i]
-                {
-                    if e2 == from_edge {
-                        continue;
-                    }
-                    order.push((k, e2));
-                }
-            }
-            branches.push(order);
-        }
-        let total: usize = branches.iter().map(Vec::len).sum();
-        let pending: Vec<usize> = (0..branches.len())
-            .filter(|&b| {
-                branches[b]
-                    .iter()
-                    .any(|&(f, e)| st.messages[self.msg_id(e, f)].is_none())
-            })
+        // (from, edge-toward-root) in breadth-first order from the root.
+        let mut order: Vec<(usize, usize)> = self.neighbors[root]
+            .iter()
+            .map(|&Neighbor { clique, edge }| (clique, edge))
             .collect();
-        if pending.is_empty() {
-            return;
-        }
-
-        let workers = self.workers.min(pending.len());
-        let mut computed = 0u64;
-        st.branch_times.clear();
-        if workers < 2 {
-            let JtState {
-                potentials,
-                messages,
-                ws,
-                branch_times,
-                ..
-            } = st;
-            for &b in &pending {
-                let t0 = Instant::now();
-                for &(from, e) in branches[b].iter().rev() {
-                    let mid = self.msg_id(e, from);
-                    if messages[mid].is_some() {
-                        continue;
-                    }
-                    let msg = self.compute_message(potentials, messages, ws, from, e);
-                    messages[mid] = Some(msg);
-                    computed += 1;
+        let mut qi = 0;
+        while qi < order.len() {
+            let (i, from_edge) = order[qi];
+            qi += 1;
+            for &Neighbor { clique, edge } in &self.neighbors[i] {
+                if edge != from_edge {
+                    order.push((clique, edge));
                 }
-                branch_times.push(t0.elapsed());
             }
-        } else {
-            let JtState {
-                potentials,
-                messages,
-                branch_times,
-                ..
-            } = st;
-            let chunk_len = pending.len().div_ceil(workers);
-            // Each worker returns, per branch it handled: the branch index,
-            // its compute time, and the freshly computed (slot, message)
-            // pairs. Factors are plain owned buffers, so handing them back
-            // across the scope boundary is free.
-            type BranchResult = (usize, Duration, Vec<(usize, Factor)>);
-            let mut results: Vec<BranchResult> = std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(workers);
-                for chunk in pending.chunks(chunk_len) {
-                    let branches = &branches;
-                    let potentials: &[Option<Factor>] = potentials;
-                    let cached: &[Option<Factor>] = messages;
-                    handles.push(s.spawn(move || {
-                        let mut ws = QueryWorkspace::new();
-                        let mut overlay: Vec<Option<Factor>> = vec![None; cached.len()];
-                        let mut out: Vec<BranchResult> = Vec::with_capacity(chunk.len());
-                        for &b in chunk {
-                            let t0 = Instant::now();
-                            let mut fresh: Vec<usize> = Vec::new();
-                            for &(from, e) in branches[b].iter().rev() {
-                                let mid = self.msg_id(e, from);
-                                if overlay[mid].is_some() || cached[mid].is_some() {
-                                    continue;
-                                }
-                                let msg = self.compute_message_overlaid(
-                                    potentials, cached, &overlay, &mut ws, from, e,
-                                );
-                                overlay[mid] = Some(msg);
-                                fresh.push(mid);
-                            }
-                            // Branch subtrees are edge-disjoint, so moving
-                            // the overlay entries out per branch is safe.
-                            let fresh: Vec<(usize, Factor)> = fresh
-                                .into_iter()
-                                .map(|mid| (mid, overlay[mid].take().expect("just computed")))
-                                .collect();
-                            out.push((b, t0.elapsed(), fresh));
-                        }
-                        out
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("collect worker panicked"))
-                    .collect()
-            });
-            results.sort_by_key(|&(b, _, _)| b);
-            for (_, elapsed, fresh) in results {
-                branch_times.push(elapsed);
-                for (mid, msg) in fresh {
-                    debug_assert!(messages[mid].is_none());
-                    messages[mid] = Some(msg);
-                    computed += 1;
-                }
+        }
+        let JtState {
+            potentials,
+            messages,
+            ws,
+            ..
+        } = st;
+        let mut computed = 0u64;
+        for &(from, e) in order.iter().rev() {
+            let mid = self.msg_id(e, from);
+            if messages[mid].is_none() {
+                messages[mid] = Some(self.compute_message(potentials, messages, ws, from, e));
+                computed += 1;
             }
         }
         // A full collect pass (every toward-root message recomputed) is a
         // calibration; anything less is incremental re-propagation after an
         // evidence change.
         if computed > 0 {
-            if computed as usize == total {
+            if computed as usize == order.len() {
                 OBS_JT_MSGS_CALIBRATE.add(computed);
             } else {
                 OBS_JT_MSGS_INCREMENTAL.add(computed);
@@ -725,27 +562,13 @@ impl JunctionTree {
     }
 
     /// m_{from→to} = Σ_{C_from ∖ S} ψ_from · Π_{k ≠ to} m_{k→from}.
+    /// Message scopes are separators ⊆ the sending clique's scope, so
+    /// absorption runs through the in-place subset product — no
+    /// intermediate tables.
     fn compute_message(
         &self,
         potentials: &[Option<Factor>],
         messages: &[Option<Factor>],
-        ws: &mut QueryWorkspace,
-        from: usize,
-        edge: usize,
-    ) -> Factor {
-        self.compute_message_overlaid(potentials, messages, &[], ws, from, edge)
-    }
-
-    /// [`JunctionTree::compute_message`] resolving inbound messages through
-    /// a thread-local `overlay` first (parallel collect), then the shared
-    /// cache. Message scopes are separators ⊆ the sending clique's scope,
-    /// so absorption runs through the in-place subset product — no
-    /// intermediate tables.
-    fn compute_message_overlaid(
-        &self,
-        potentials: &[Option<Factor>],
-        messages: &[Option<Factor>],
-        overlay: &[Option<Factor>],
         ws: &mut QueryWorkspace,
         from: usize,
         edge: usize,
@@ -761,10 +584,8 @@ impl JunctionTree {
                 continue;
             }
             let inbound = self.msg_id(e2, self.other_end(e2, from));
-            let m = overlay
-                .get(inbound)
-                .and_then(|o| o.as_ref())
-                .or_else(|| messages[inbound].as_ref())
+            let m = messages[inbound]
+                .as_ref()
                 .expect("message dependencies are computed farthest-first");
             if !prod.mul_assign_ws(m, ws) {
                 let next = prod.product_ws(m, ws);
@@ -1037,8 +858,8 @@ mod tests {
     }
 
     /// A star of chains: hub X0 with `arms` chains of length `depth`
-    /// hanging off it. The junction tree has one root branch per arm, so
-    /// collect passes genuinely fan out.
+    /// hanging off it. The junction tree has one branch per arm, so a
+    /// collect pass visits many cliques.
     fn star_of_chains(arms: usize, depth: usize) -> BayesianNetwork {
         let n = 1 + arms * depth;
         let vars: Vec<Variable> = (0..n)
@@ -1069,46 +890,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_collect_is_bitwise_identical_to_sequential() {
-        let bn = star_of_chains(5, 4);
-        let mut seq_tree = JunctionTree::compile(&bn).unwrap();
-        seq_tree.set_workers(1);
-        let mut par_tree = JunctionTree::compile(&bn).unwrap();
-        par_tree.set_workers(4);
-        assert_eq!(par_tree.workers(), 4);
-
-        let mut seq = seq_tree.new_state();
-        let mut par = par_tree.new_state();
-        // Calibrate (full collect), then churn evidence (incremental
-        // passes): every marginal must match bit for bit.
-        for round in 0..3 {
-            let pins: &[(usize, usize)] = match round {
-                0 => &[],
-                1 => &[(3, 2), (9, 0)],
-                _ => &[(1, 1), (12, 2), (17, 0)],
-            };
-            seq_tree.clear_evidence(&mut seq).unwrap();
-            par_tree.clear_evidence(&mut par).unwrap();
-            for &(node, s) in pins {
-                seq_tree.set_evidence(&mut seq, node, s).unwrap();
-                par_tree.set_evidence(&mut par, node, s).unwrap();
-            }
-            for target in 0..bn.len() {
-                let a = seq_tree.marginal(&mut seq, target).unwrap();
-                let b = par_tree.marginal(&mut par, target).unwrap();
-                assert_eq!(a, b, "round {round} target {target}");
-            }
-        }
-        // The parallel state recorded per-branch times on its last
-        // propagating collect (5 arms → up to 5 pending branches).
-        assert!(!par.last_branch_times().is_empty());
-    }
-
-    #[test]
-    fn parallel_collect_matches_ve_on_the_star() {
+    fn multi_clique_collect_matches_ve_on_the_star() {
         let bn = star_of_chains(4, 3);
-        let mut tree = JunctionTree::compile(&bn).unwrap();
-        tree.set_workers(8);
+        let tree = JunctionTree::compile(&bn).unwrap();
         let mut st = tree.new_state();
         let mut ev = Evidence::new();
         ev.insert(2, 1);
@@ -1126,19 +910,9 @@ mod tests {
     }
 
     #[test]
-    fn configured_workers_reads_the_environment() {
-        // Don't mutate the process environment (tests run threaded);
-        // just pin the default-path invariant.
-        assert!(configured_workers() >= 1);
-    }
-
-    #[test]
     fn cpd_refresh_matches_fresh_compile_bitwise() {
         let bn = sprinkler();
         let mut jt = JunctionTree::compile(&bn).unwrap();
-        let mut st = jt.new_state();
-        jt.set_evidence(&mut st, 3, 1).unwrap();
-        let _ = jt.marginal(&mut st, 1).unwrap(); // warm message caches
 
         // Move two CPDs (same scopes, new parameters).
         let new_rain = Cpd::Tabular(
@@ -1150,7 +924,6 @@ mod tests {
             .refresh_cpds(&[(2, new_rain.clone()), (0, new_cloudy.clone())])
             .unwrap();
         assert!(!dirty.is_empty());
-        jt.refresh_state_cliques(&mut st, &dirty).unwrap();
 
         // Reference: recompile the updated network from scratch.
         let mut bn2 = sprinkler();
@@ -1164,7 +937,9 @@ mod tests {
                 "refreshed base differs from recompile"
             );
         }
+        let mut st = jt.new_state();
         let mut st2 = jt2.new_state();
+        jt.set_evidence(&mut st, 3, 1).unwrap();
         jt2.set_evidence(&mut st2, 3, 1).unwrap();
         for t in 0..3 {
             assert_eq!(

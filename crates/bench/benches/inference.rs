@@ -14,13 +14,11 @@
 //!   batch against re-running per-query VE from scratch.
 
 use kert_bayes::compile::JunctionTree;
-use kert_bayes::cpd::{Cpd, TabularCpd};
 use kert_bayes::infer::factor::{naive as naive_factor, Factor};
 use kert_bayes::infer::ve::{self, naive as naive_ve, Evidence};
-use kert_bayes::{BayesianNetwork, Dag, Variable};
 use kert_bench::scenario::{Environment, ScenarioOptions};
-use kert_bench::timing::{before_after, bench, merge_bench_perf, simulated_speedup};
-use kert_core::{DiscreteKertOptions, FanoutStats, KertBn};
+use kert_bench::timing::{before_after, bench, merge_bench_perf};
+use kert_core::{DiscreteKertOptions, KertBn};
 use serde::Value;
 use std::hint::black_box;
 
@@ -44,38 +42,6 @@ fn factor_pair() -> (Factor, Factor) {
     )
     .unwrap();
     (a, b)
-}
-
-/// A hub node with `arms` independent card-3 chains of length `depth`
-/// hanging off it — the root-branch-rich shape the subtree-parallel
-/// collect pass partitions. Mirrors the structure used by the
-/// `parallel_collect_*` tests in `kert-bayes`.
-fn star_of_chains(arms: usize, depth: usize) -> BayesianNetwork {
-    let n = 1 + arms * depth;
-    let vars: Vec<Variable> = (0..n)
-        .map(|i| Variable::discrete(format!("n{i}"), 3))
-        .collect();
-    let mut dag = Dag::new(n);
-    let mut cpds = vec![Cpd::Tabular(
-        TabularCpd::new(0, vec![], 3, vec![], vec![0.5, 0.3, 0.2]).unwrap(),
-    )];
-    for a in 0..arms {
-        for d in 0..depth {
-            let node = 1 + a * depth + d;
-            let parent = if d == 0 { 0 } else { node - 1 };
-            dag.add_edge(parent, node).unwrap();
-            let mut table = Vec::with_capacity(9);
-            for r in 0..3 {
-                let x = 0.2 + 0.1 * ((node + r) % 4) as f64;
-                let y = 0.25 + 0.05 * ((node * 7 + r) % 5) as f64;
-                table.extend_from_slice(&[x, y, 1.0 - x - y]);
-            }
-            cpds.push(Cpd::Tabular(
-                TabularCpd::new(node, vec![parent], 3, vec![3], table).unwrap(),
-            ));
-        }
-    }
-    BayesianNetwork::new(vars, dag, cpds).unwrap()
 }
 
 fn main() {
@@ -205,127 +171,6 @@ fn main() {
             (
                 "jt_batch_dcomp_ns".into(),
                 before_after(&ve_batch, &jt_batch),
-            ),
-        ]),
-    );
-
-    // Subtree-parallel propagation and worker-pool batching. Wall numbers
-    // on a shared host measure its core count; the `simulated_speedup`
-    // entries (Σ/max of per-branch or per-item times) are the
-    // host-independent architecture claim, matching the
-    // decentralized-learning convention in the `learning` section.
-    //
-    // The collect workload is a 41-node star of chains (8 independent
-    // arms of depth 5 off a shared hub): a service-composition shape
-    // whose root clique has many independent subtrees — the eDiaMoND
-    // tree is too small to branch, and a random 40-service workflow
-    // moralizes into an intractable clique around the response node.
-    println!("== subtree-parallel propagation (star of chains) ==");
-    let star = star_of_chains(8, 5);
-    let depth = 5usize;
-    let star_pins: Vec<(usize, usize)> = vec![(depth, 2), (3 * depth, 0), (5 * depth, 1)];
-    let mut tree_star = JunctionTree::compile(&star).unwrap();
-    let mut st_star = tree_star.new_state();
-
-    tree_star.set_workers(1);
-    let cal_seq = bench("jt_star_calibrate/workers_1", || {
-        tree_star.clear_evidence(&mut st_star).unwrap();
-        for &(n, s) in &star_pins {
-            tree_star.set_evidence(&mut st_star, n, s).unwrap();
-        }
-        tree_star.marginal(&mut st_star, 0).unwrap()
-    });
-    // One more fresh calibrate so the branch-time profile on record is a
-    // full sequential collect, then keep its marginal as the reference.
-    tree_star.clear_evidence(&mut st_star).unwrap();
-    for &(n, s) in &star_pins {
-        tree_star.set_evidence(&mut st_star, n, s).unwrap();
-    }
-    let seq_marginal = tree_star.marginal(&mut st_star, 0).unwrap();
-    let branches = st_star.last_branch_times().len();
-    let collect_sim = simulated_speedup(st_star.last_branch_times());
-
-    tree_star.set_workers(4);
-    let cal_par = bench("jt_star_calibrate/workers_4", || {
-        tree_star.clear_evidence(&mut st_star).unwrap();
-        for &(n, s) in &star_pins {
-            tree_star.set_evidence(&mut st_star, n, s).unwrap();
-        }
-        tree_star.marginal(&mut st_star, 0).unwrap()
-    });
-    tree_star.clear_evidence(&mut st_star).unwrap();
-    for &(n, s) in &star_pins {
-        tree_star.set_evidence(&mut st_star, n, s).unwrap();
-    }
-    let par_marginal = tree_star.marginal(&mut st_star, 0).unwrap();
-    assert_eq!(
-        seq_marginal, par_marginal,
-        "parallel collect diverged from sequential (must be bitwise identical)"
-    );
-    println!("collect: {branches} root branches, simulated speedup {collect_sim:.2}x");
-
-    // Worker-pool batch front end: 8 independent violation sweeps fanned
-    // across the pool against the shared calibrated eDiaMoND core.
-    let thresholds = {
-        let d_col = bn.len() - 1;
-        let mut d_vals: Vec<f64> = (0..train.rows()).map(|r| train.row(r)[d_col]).collect();
-        d_vals.sort_by(|a, b| a.total_cmp(b));
-        vec![
-            d_vals[train.rows() / 4],
-            d_vals[train.rows() / 2],
-            d_vals[3 * train.rows() / 4],
-        ]
-    };
-    let ev_sets: Vec<Vec<(usize, f64)>> = (0..8)
-        .map(|k| {
-            let row = train.row(k * 7);
-            vec![(0, row[0]), (1, row[1])]
-        })
-        .collect();
-    let mut engine = model.compile().unwrap();
-    engine.set_workers(1);
-    let rows_seq = engine.violation_sweep_batch(&ev_sets, &thresholds).unwrap();
-    let sweep_seq = bench("violation_sweep_batch8/workers_1", || {
-        engine
-            .violation_sweep_batch(black_box(&ev_sets), &thresholds)
-            .unwrap()
-    });
-    engine.set_workers(4);
-    let rows_par = engine.violation_sweep_batch(&ev_sets, &thresholds).unwrap();
-    assert_eq!(
-        rows_seq, rows_par,
-        "worker pool changed sweep results (must be bitwise identical)"
-    );
-    let sweep_par = bench("violation_sweep_batch8/workers_4", || {
-        engine
-            .violation_sweep_batch(black_box(&ev_sets), &thresholds)
-            .unwrap()
-    });
-    let sweep_sim = engine
-        .last_fanout()
-        .map(FanoutStats::simulated_speedup)
-        .unwrap_or(1.0);
-    println!("batch sweep: simulated speedup {sweep_sim:.2}x over 8 evidence sets");
-
-    merge_bench_perf(
-        "parallel_jt",
-        Value::Map(vec![
-            ("jt_star_calibrate".into(), before_after(&cal_seq, &cal_par)),
-            ("collect_branches".into(), Value::Num(branches as f64)),
-            ("collect_simulated_speedup".into(), Value::Num(collect_sim)),
-            ("sweep_batch8".into(), before_after(&sweep_seq, &sweep_par)),
-            ("sweep_simulated_speedup".into(), Value::Num(sweep_sim)),
-            ("workers".into(), Value::Num(4.0)),
-            (
-                "note".into(),
-                Value::Str(
-                    "simulated_speedup = Σ/max of per-branch (collect) or per-item \
-                     (batch) times — host-independent, see host_cores; the \
-                     before/after wall pairs measure this host's worker pool and \
-                     only beat 1x with ≥2 real cores. Results are asserted \
-                     bitwise-identical across worker counts before timing."
-                        .into(),
-                ),
             ),
         ]),
     );

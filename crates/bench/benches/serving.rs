@@ -105,8 +105,7 @@ fn main() {
     // natural one — decompose D over every unobserved service, what a
     // dashboard or autonomic controller asks after each control period).
     //
-    // The *simulated* speedup follows the repo's Σ/max convention (see
-    // `parallel_jt` in BENCH_perf.json): compute-only, host-independent.
+    // The *simulated* speedup is compute-only and host-independent.
     // It times the worker's two actual code paths — uncoalesced, each of
     // the 10 requests pays its own full dComp; coalesced, the batch
     // dedups the identical work item, computes it once, and fans the
@@ -331,12 +330,11 @@ fn main() {
                         "note".into(),
                         Value::Str(
                             "10 clients concurrently asking the same dComp (every \
-                             unobserved service). simulated_speedup is Σ/max per the \
-                             parallel_jt convention: 10× the worker's per-request dComp \
-                             vs one deduped batch computation + fan-out, compute-only \
-                             and host-independent; acceptance gate ≥5×. The wall_* rows \
-                             are the same load end-to-end over loopback TCP with one \
-                             worker (window off vs 10 ms), where per-round thread and \
+                             unobserved service). simulated_speedup is compute-only and \
+                             host-independent: 10× the worker's per-request dComp vs one \
+                             deduped batch computation + fan-out; acceptance gate ≥5×. \
+                             The wall_* rows are the same load end-to-end over loopback \
+                             TCP with one worker (window off vs 10 ms), where per-round thread and \
                              socket wakeups dilute the win. Bitwise-identical responses \
                              either way (conformance-gated)."
                                 .into(),

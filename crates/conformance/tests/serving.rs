@@ -3,8 +3,9 @@
 //!
 //! Equivalence contract (the serving PR's headline): every response the
 //! daemon produces — posterior, dComp, pAccel, violation — is **bitwise
-//! identical** to the same query answered by a direct [`CompiledKert`]
-//! call, *whatever* the worker count or coalescing window. Coalescing
+//! identical** to the same query answered by a direct
+//! [`Session`](kert_core::serve::Session) call,
+//! *whatever* the worker count or coalescing window. Coalescing
 //! only regroups pure marginal reads against identical evidence, and
 //! the vendored JSON layer prints `f64`s with shortest-round-trip
 //! formatting, so even the serialized wire bytes must match exactly.
@@ -85,28 +86,28 @@ fn request_batch(model: &KertBn, seed: u64) -> Vec<Request> {
     requests
 }
 
-/// The direct-engine oracle: answer `request` with a single-worker
-/// [`CompiledKert`] and serialize exactly as the daemon would.
-fn direct_answer(model: &KertBn, request: &Request) -> String {
-    let mut engine = model.compile().unwrap();
-    engine.set_workers(1);
+/// The direct-engine oracle: answer `request` with one in-process
+/// [`Session`](kert_core::serve::Session) and serialize exactly as the
+/// daemon would.
+fn direct_answer(engine: &SharedKert, request: &Request) -> String {
+    let mut session = engine.session();
     let response = match request {
         Request::Posterior { evidence, target } => {
-            engine.set_evidence(evidence).unwrap();
-            let p = engine.posterior(*target).unwrap();
+            session.set_evidence(evidence).unwrap();
+            let p = session.posterior(*target).unwrap();
             Response::Posterior(WirePosterior::from_posterior(&p).unwrap())
         }
         Request::Dcomp { observed, targets } => Response::Dcomp {
-            outcomes: engine
-                .dcomp_all(observed, targets)
+            outcomes: session
+                .dcomp(observed, targets)
                 .unwrap()
                 .iter()
                 .map(|o| WireDcomp::from_outcome(o).unwrap())
                 .collect(),
         },
         Request::Paccel { candidates } => Response::Paccel {
-            outcomes: engine
-                .paccel_batch(candidates)
+            outcomes: session
+                .paccel(candidates)
                 .unwrap()
                 .iter()
                 .map(|o| WirePaccel::from_outcome(o).unwrap())
@@ -116,7 +117,7 @@ fn direct_answer(model: &KertBn, request: &Request) -> String {
             evidence,
             thresholds,
         } => Response::Violation {
-            probabilities: engine.violation_sweep(evidence, thresholds).unwrap(),
+            probabilities: session.violation_sweep(evidence, thresholds).unwrap(),
         },
         other => panic!("not a query: {other:?}"),
     };
@@ -130,9 +131,9 @@ fn direct_answer(model: &KertBn, request: &Request) -> String {
 #[test]
 fn daemon_wire_bytes_match_direct_engine_across_workers_and_windows() {
     let seed = conf_seed();
-    let model = build_model(seed);
-    let requests = request_batch(&model, seed);
-    let expected: Vec<String> = requests.iter().map(|r| direct_answer(&model, r)).collect();
+    let engine = SharedKert::new(build_model(seed)).unwrap();
+    let requests = request_batch(engine.model(), seed);
+    let expected: Vec<String> = requests.iter().map(|r| direct_answer(&engine, r)).collect();
 
     for workers in [1usize, 4] {
         for window_us in [0u64, 2000] {

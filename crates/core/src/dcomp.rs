@@ -15,6 +15,7 @@ use rand::Rng;
 
 use crate::kert::KertBn;
 use crate::posterior::{query_posterior, query_posterior_via, Engine, McOptions, Posterior};
+use crate::serve;
 use crate::Result;
 
 /// The result of a dComp query: prior and posterior of the hidden node.
@@ -67,9 +68,10 @@ pub fn dcomp<R: Rng + ?Sized>(
 
 /// Batched dComp: prior and posterior of every `target` under one shared
 /// evidence set. Discrete models compile the network into a junction tree
-/// once ([`crate::compiled::CompiledKert`]) and answer every query off the
-/// calibrated tree; continuous models fall back to one [`dcomp`] per
-/// target, preserving that path's semantics (and RNG stream) exactly.
+/// once and answer every query off the calibrated tree (the same verb a
+/// [`crate::serve::Session`] runs); continuous models fall back to one
+/// [`dcomp`] per target, preserving that path's semantics (and RNG
+/// stream) exactly.
 pub fn dcomp_all<R: Rng + ?Sized>(
     model: &KertBn,
     observed: &[(usize, f64)],
@@ -78,7 +80,9 @@ pub fn dcomp_all<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<DCompOutcome>> {
     if model.discretizer().is_some() {
-        return model.compile()?.dcomp_all(observed, targets);
+        return serve::answer_once(model, |tree, st| {
+            serve::dcomp(model, tree, st, observed, targets)
+        });
     }
     targets
         .iter()

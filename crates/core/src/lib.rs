@@ -16,12 +16,11 @@
 //! * [`posterior`] — unified posterior queries over either model family
 //!   (exact Gaussian conditioning, discrete variable elimination, or
 //!   likelihood weighting for nonlinear continuous nets).
-//! * [`compiled`] — compile-once junction-tree engine for discrete models:
-//!   batched dComp/pAccel/violation queries with incremental evidence over
-//!   one calibrated tree.
-//! * [`serve`] — the shared-core serving split: one `Arc`-shared
-//!   calibrated tree, many concurrent per-client [`serve::Session`]s with
-//!   pooled propagation states (what the `kertd` daemon is built on).
+//! * [`serve`] — the discrete query facade: one calibrated junction tree
+//!   compiled once, many concurrent per-client [`serve::Session`]s with
+//!   pooled propagation states answering dComp/pAccel/violation queries
+//!   by incremental evidence propagation (what the `kertd` daemon is
+//!   built on).
 //! * [`dcomp`] — **dComp**: estimate an unobservable service's elapsed-time
 //!   distribution from the observable services (§5.1).
 //! * [`paccel`] — **pAccel**: project the end-to-end response-time
@@ -35,7 +34,6 @@
 //!   families (what Figures 3–5 plot).
 
 pub mod autonomic;
-pub mod compiled;
 pub mod dcomp;
 pub mod kert;
 pub mod nrt;
@@ -48,7 +46,6 @@ pub mod streaming;
 pub mod violation;
 
 pub use autonomic::{compensate_degraded, Compensation};
-pub use compiled::{CompiledKert, FanoutStats};
 pub use dcomp::{dcomp, dcomp_all, dcomp_via, DCompOutcome};
 pub use kert::{
     ContinuousKertOptions, DiscreteKertOptions, KertBn, ParamLearning, ResilientKertOptions,
@@ -74,9 +71,6 @@ pub enum CoreError {
     Agents(String),
     /// The request contradicts the model (unknown node, wrong family…).
     BadRequest(String),
-    /// The engine itself failed (e.g. a batch worker panicked). The
-    /// request may be retried; pooled state has been recycled.
-    Internal(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -85,7 +79,6 @@ impl std::fmt::Display for CoreError {
             CoreError::Bayes(msg) => write!(f, "bayes: {msg}"),
             CoreError::Agents(msg) => write!(f, "agents: {msg}"),
             CoreError::BadRequest(msg) => write!(f, "bad request: {msg}"),
-            CoreError::Internal(msg) => write!(f, "internal: {msg}"),
         }
     }
 }

@@ -14,6 +14,7 @@ use kert_bayes::BayesianNetwork;
 use rand::Rng;
 
 use crate::posterior::{query_posterior, query_posterior_via, Engine, McOptions, Posterior};
+use crate::serve;
 use crate::Result;
 
 /// The result of a pAccel what-if query.
@@ -130,9 +131,9 @@ pub fn paccel_model<R: Rng + ?Sized>(
 /// Batched pAccel: one projection per `(service, predicted_elapsed)`
 /// candidate — the form the autonomic planner consumes when ranking
 /// acceleration actions. Discrete models run all candidates over one
-/// compiled junction tree ([`crate::compiled::CompiledKert`]), sharing the
-/// prior and re-propagating only each candidate's pin; continuous models
-/// fall back to one [`paccel_model`] call per candidate.
+/// compiled junction tree (the same verb a [`crate::serve::Session`]
+/// runs), sharing the prior and re-propagating only each candidate's pin;
+/// continuous models fall back to one [`paccel_model`] call per candidate.
 pub fn paccel_candidates<R: Rng + ?Sized>(
     model: &crate::kert::KertBn,
     candidates: &[(usize, f64)],
@@ -140,7 +141,7 @@ pub fn paccel_candidates<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<PAccelOutcome>> {
     if model.discretizer().is_some() {
-        return model.compile()?.paccel_batch(candidates);
+        return serve::answer_once(model, |tree, st| serve::paccel(model, tree, st, candidates));
     }
     candidates
         .iter()

@@ -294,7 +294,7 @@ pub enum Engine {
     /// Compiled junction-tree propagation (discrete models only): moralize,
     /// triangulate with min-fill, calibrate by Shafer-Shenoy message
     /// passing, read the marginal off the target's home clique. Exact, and
-    /// the batched engine behind [`crate::compiled::CompiledKert`].
+    /// the engine behind [`crate::serve::SharedKert`].
     JunctionTree,
     /// Multi-chain Gibbs sampling (discrete models only); deterministic
     /// per `base_seed`.
@@ -312,6 +312,19 @@ pub enum Engine {
     LikelihoodWeighting,
 }
 
+/// Refuse a non-finite evidence value. A discretizer would clamp `±inf`
+/// into an edge bin and send `NaN` to bin 0, so without this check a
+/// malformed measurement comes back as a confident posterior.
+pub(crate) fn check_evidence_value(node: usize, value: f64) -> Result<()> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::BadRequest(format!(
+            "evidence value {value} on node {node} is not finite"
+        )))
+    }
+}
+
 pub(crate) fn check_query(
     network: &BayesianNetwork,
     evidence: &[(usize, f64)],
@@ -320,7 +333,7 @@ pub(crate) fn check_query(
     if target >= network.len() {
         return Err(CoreError::BadRequest(format!("no node {target}")));
     }
-    for &(node, _) in evidence {
+    for &(node, value) in evidence {
         if node >= network.len() {
             return Err(CoreError::BadRequest(format!("no evidence node {node}")));
         }
@@ -329,6 +342,7 @@ pub(crate) fn check_query(
                 "node {node} is both target and evidence"
             )));
         }
+        check_evidence_value(node, value)?;
     }
     Ok(())
 }

@@ -13,9 +13,9 @@
 //!   stay comparable with the deployed network).
 //! * [`KertBn::refresh_from_window`] swaps refreshed CPDs into an
 //!   uncompiled model in place.
-//! * [`crate::CompiledKert::refresh_cpds`] recalibrates a compiled engine,
+//! * [`crate::SharedKert::refresh_cpds`] recalibrates a compiled engine,
 //!   rebuilding only the junction-tree cliques whose CPDs moved past a
-//!   caller-chosen threshold (PR 4's subtree invalidation does the rest).
+//!   caller-chosen threshold.
 //!
 //! The equivalence contract — streaming CPTs bitwise-equal batch relearn,
 //! linear-Gaussian CPDs within 1e-9 — is enforced by
@@ -49,7 +49,7 @@ pub struct CpdUpdate {
 /// The product of one streaming refresh: a fitted CPD per learned node,
 /// each tagged with its movement. Apply to an uncompiled model via
 /// [`KertBn::refresh_from_window`] or to a compiled engine via
-/// [`crate::CompiledKert::refresh_cpds`].
+/// [`crate::SharedKert::refresh_cpds`].
 #[derive(Debug, Clone)]
 pub struct RefreshOutcome {
     /// One entry per learned node, ascending node order.
@@ -336,6 +336,7 @@ impl KertBn {
 mod tests {
     use super::*;
     use crate::kert::{ContinuousKertOptions, DiscreteKertOptions};
+    use crate::serve::SharedKert;
     use kert_bayes::learn::mle::fit_all_parameters;
     use kert_sim::{Dist, ServiceConfig, SimOptions, SimSystem};
     use kert_workflow::{derive_structure, ediamond_workflow, ResourceMap};
@@ -430,55 +431,102 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compiled_refresh_matches_recompiled_model() {
-        let (knowledge, data) = ediamond_data(900, 13);
+    fn dprobs(p: &crate::Posterior) -> Vec<u64> {
+        match p {
+            crate::Posterior::Discrete { probs, .. } => probs.iter().map(|v| v.to_bits()).collect(),
+            other => panic!("expected a discrete posterior, got {other:?}"),
+        }
+    }
+
+    /// The same model refreshed twice over: `(original, refreshed)` plus
+    /// the outcome that takes one to the other.
+    fn refreshed_pair(seed: u64) -> (KertBn, KertBn, RefreshOutcome, Dataset) {
+        let (knowledge, data) = ediamond_data(900, seed);
         let (train, rest) = data.split_at(600);
-        let model =
-            KertBn::build_discrete(&knowledge, &train, DiscreteKertOptions::default()).unwrap();
-        let mut window = StreamingWindow::new(&model, 600, ParamOptions::default()).unwrap();
-        window.extend(&train).unwrap();
-        window.extend(&rest).unwrap();
-        let outcome = window.refresh_outcome(&model).unwrap();
+        let build =
+            || KertBn::build_discrete(&knowledge, &train, DiscreteKertOptions::default()).unwrap();
+        // A 600-row window slid by the 300 rows after the training set.
+        let slid_window = |model: &KertBn| {
+            let mut window = StreamingWindow::new(model, 600, ParamOptions::default()).unwrap();
+            window.extend(&train).unwrap();
+            window.extend(&rest).unwrap();
+            window
+        };
+        let model = build();
+        let outcome = slid_window(&model).refresh_outcome(&model).unwrap();
+        let mut refreshed = build();
+        let mut window = slid_window(&refreshed);
+        refreshed.refresh_from_window(&mut window).unwrap();
+        (model, refreshed, outcome, train)
+    }
 
-        let mut compiled = model.compile().unwrap();
-        // Warm the caches so the refresh exercises invalidation.
-        compiled
-            .set_evidence(&[(0, train.get(0, 0)), (2, train.get(0, 2))])
-            .unwrap();
-        let _ = compiled.posterior(model.d_node()).unwrap();
-        let dirty = compiled.refresh_cpds(&outcome, 0.0).unwrap();
+    #[test]
+    fn shared_refresh_matches_recompiled_model() {
+        let (model, refreshed, outcome, train) = refreshed_pair(13);
+        let mut shared = SharedKert::new(model).unwrap();
+        let dirty = shared.refresh_cpds(&outcome, 0.0).unwrap();
         assert!(dirty > 0, "sliding 300 rows must dirty at least one clique");
+        // The engine's model took the same CPDs as its tree.
+        for u in &outcome.updates {
+            let (got, want) = (shared.model().network(), refreshed.network());
+            assert_eq!(cpd_movement(got.cpd(u.node), want.cpd(u.node)), 0.0);
+        }
 
-        // Reference: apply the same updates to a copy of the model and
-        // recompile from scratch.
-        let mut model2 =
-            KertBn::build_discrete(&knowledge, &train, DiscreteKertOptions::default()).unwrap();
-        let mut window2 = StreamingWindow::new(&model2, 600, ParamOptions::default()).unwrap();
-        window2.extend(&train).unwrap();
-        window2.extend(&rest).unwrap();
-        model2.refresh_from_window(&mut window2).unwrap();
-        let mut compiled2 = model2.compile().unwrap();
-        compiled2
-            .set_evidence(&[(0, train.get(0, 0)), (2, train.get(0, 2))])
+        let d = refreshed.d_node();
+        let fresh = SharedKert::new(refreshed).unwrap();
+        let evidence = [(0, train.get(0, 0)), (2, train.get(0, 2))];
+        let a = shared
+            .session()
+            .posterior_group(&evidence, &[1, 3, d])
             .unwrap();
+        let b = fresh
+            .session()
+            .posterior_group(&evidence, &[1, 3, d])
+            .unwrap();
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(dprobs(x), dprobs(y), "posterior not bitwise equal");
+        }
+    }
 
-        for target in [1usize, 3, model.d_node()] {
-            let a = compiled.posterior(target).unwrap();
-            let b = compiled2.posterior(target).unwrap();
-            let (
-                crate::Posterior::Discrete { probs: pa, .. },
-                crate::Posterior::Discrete { probs: pb, .. },
-            ) = (&a, &b)
-            else {
-                panic!("expected discrete posteriors");
-            };
-            assert_eq!(pa, pb, "target {target} posterior not bitwise equal");
+    /// A state parked in the pool holds messages derived from the old
+    /// tables. After a refresh the next session must answer exactly like
+    /// a fresh engine of the refreshed model, whatever was parked.
+    #[test]
+    fn refresh_with_parked_states_matches_fresh_engine_bitwise() {
+        let (model, refreshed, outcome, train) = refreshed_pair(16);
+        let d = model.d_node();
+        let evidence = [(0, train.get(0, 0)), (2, train.get(0, 2))];
+        let mut shared = SharedKert::new(model).unwrap();
+        {
+            // Park two warm states: one calibrated under evidence, one
+            // under the prior.
+            let mut warm = shared.session();
+            let mut prior = shared.session();
+            warm.posterior_group(&evidence, &[1, 3, d]).unwrap();
+            prior.posterior_group(&[], &[1, 3, d]).unwrap();
+        }
+        assert_eq!(shared.pooled(), 2);
+        assert!(shared.refresh_cpds(&outcome, 0.0).unwrap() > 0);
+        assert_eq!(shared.pooled(), 0, "refresh must drop parked states");
+
+        let fresh = SharedKert::new(refreshed).unwrap();
+        let targets: Vec<usize> = (0..=d).collect();
+        let mut session = shared.session();
+        let mut reference = fresh.session();
+        for ev in [&[][..], &evidence[..]] {
+            for &t in &targets {
+                if ev.iter().any(|&(n, _)| n == t) {
+                    continue;
+                }
+                let a = session.posterior_group(ev, &[t]).unwrap();
+                let b = reference.posterior_group(ev, &[t]).unwrap();
+                assert_eq!(dprobs(&a[0]), dprobs(&b[0]), "target {t}, evidence {ev:?}");
+            }
         }
     }
 
     #[test]
-    fn compiled_refresh_skips_below_threshold() {
+    fn shared_refresh_skips_below_threshold() {
         let (knowledge, data) = ediamond_data(400, 14);
         let mut model =
             KertBn::build_discrete(&knowledge, &data, DiscreteKertOptions::default()).unwrap();
@@ -491,11 +539,11 @@ mod tests {
         // With the model synced to the window, movement is exactly zero.
         let outcome = window.refresh_outcome(&model).unwrap();
         assert_eq!(outcome.max_movement(), 0.0);
-        let mut compiled = model.compile().unwrap();
-        assert_eq!(compiled.refresh_cpds(&outcome, 0.0).unwrap(), 0);
+        let mut shared = SharedKert::new(model).unwrap();
+        assert_eq!(shared.refresh_cpds(&outcome, 0.0).unwrap(), 0);
         // An absurdly high threshold also refreshes nothing.
-        let outcome2 = window.refresh_outcome(&model).unwrap();
-        assert_eq!(compiled.refresh_cpds(&outcome2, 1e9).unwrap(), 0);
+        let outcome2 = window.refresh_outcome(shared.model()).unwrap();
+        assert_eq!(shared.refresh_cpds(&outcome2, 1e9).unwrap(), 0);
     }
 
     #[test]

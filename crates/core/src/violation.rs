@@ -14,6 +14,7 @@ use rand::Rng;
 
 use crate::kert::KertBn;
 use crate::posterior::{query_posterior, McOptions, Posterior};
+use crate::serve;
 use crate::{CoreError, Result};
 
 /// A model-based violation assessment, annotated with the model's health.
@@ -59,8 +60,8 @@ pub fn assess_violation<R: Rng + ?Sized>(
 }
 
 /// [`assess_violation`] across a whole threshold sweep with one posterior
-/// query. Discrete models answer through a compiled junction tree
-/// ([`crate::compiled::CompiledKert`]); continuous models run one
+/// query. Discrete models answer through a compiled junction tree (the
+/// same verb a [`crate::serve::Session`] runs); continuous models run one
 /// [`query_posterior`] and read every threshold's exceedance off it.
 pub fn assess_violation_sweep<R: Rng + ?Sized>(
     model: &KertBn,
@@ -70,7 +71,9 @@ pub fn assess_violation_sweep<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<ViolationAssessment>> {
     let probs: Vec<f64> = if model.discretizer().is_some() {
-        model.compile()?.violation_sweep(evidence, thresholds)?
+        serve::answer_once(model, |tree, st| {
+            serve::violation_sweep(model, tree, st, evidence, thresholds)
+        })?
     } else {
         let posterior = query_posterior(
             model.network(),

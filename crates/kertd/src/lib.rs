@@ -10,9 +10,9 @@
 //! Three ideas carry the throughput:
 //!
 //! 1. **Shared-core sessions** ([`kert_core::serve::SharedKert`]): the
-//!    calibrated tree is immutable and `Arc`-shared; each request
-//!    checks a pooled propagation state out, so the expensive part is
-//!    paid once per process, not per request.
+//!    calibrated tree is compiled once and read by every worker; each
+//!    request checks a pooled propagation state out, so the expensive
+//!    part is paid once per process, not per request.
 //! 2. **Request coalescing** ([`server`]): concurrent requests that
 //!    share an evidence set fold into one micro-batch — evidence is
 //!    propagated once, then one marginal read per folded request. This
@@ -101,9 +101,8 @@ mod tests {
         let handle = start(ServeConfig::default());
         let addr = handle.addr();
 
-        let model = discrete_model();
-        let mut compiled = model.compile().unwrap();
-        compiled.set_workers(1);
+        let direct_engine = SharedKert::new(discrete_model()).unwrap();
+        let mut direct_session = direct_engine.session();
 
         let evidence = vec![(0usize, 0.05), (1, 0.06), (6, 0.6)];
         let mut client = Client::connect(addr).unwrap();
@@ -115,8 +114,8 @@ mod tests {
                 target: 3,
             })
             .unwrap();
-        compiled.set_evidence(&evidence).unwrap();
-        let direct = compiled.posterior(3).unwrap();
+        direct_session.set_evidence(&evidence).unwrap();
+        let direct = direct_session.posterior(3).unwrap();
         match resp {
             Response::Posterior(wp) => {
                 assert_eq!(
@@ -136,7 +135,7 @@ mod tests {
                 targets: targets.clone(),
             })
             .unwrap();
-        let direct = compiled.dcomp_all(&evidence, &targets).unwrap();
+        let direct = direct_session.dcomp(&evidence, &targets).unwrap();
         match resp {
             Response::Dcomp { outcomes } => {
                 assert_eq!(outcomes.len(), direct.len());
@@ -172,7 +171,9 @@ mod tests {
                 thresholds: thresholds.clone(),
             })
             .unwrap();
-        let direct = compiled.violation_sweep(&v_evidence, &thresholds).unwrap();
+        let direct = direct_session
+            .violation_sweep(&v_evidence, &thresholds)
+            .unwrap();
         match resp {
             Response::Violation { probabilities } => {
                 assert_eq!(
@@ -193,7 +194,7 @@ mod tests {
                 candidates: candidates.clone(),
             })
             .unwrap();
-        let direct = compiled.paccel_batch(&candidates).unwrap();
+        let direct = direct_session.paccel(&candidates).unwrap();
         match resp {
             Response::Paccel { outcomes } => {
                 for (w, d) in outcomes.iter().zip(&direct) {
@@ -224,6 +225,37 @@ mod tests {
 
         let resp = client.stop().unwrap();
         assert_eq!(resp, Response::Stopping);
+        handle.wait();
+    }
+
+    /// `1e999` is valid JSON that decodes to `+inf`; the discretizer
+    /// would clamp it into the top bin. The daemon must answer it with a
+    /// typed error and keep serving the connection.
+    #[test]
+    fn non_finite_wire_evidence_gets_a_typed_error() {
+        let handle = start(ServeConfig::default());
+        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let good = Request::Posterior {
+            evidence: vec![(0, 0.5)],
+            target: 3,
+        };
+        let text = String::from_utf8(crate::protocol::encode(&good).unwrap()).unwrap();
+        assert!(text.contains("0.5"), "unexpected encoding {text}");
+        let mut roundtrip = |payload: &[u8]| -> Response {
+            crate::frame::write_frame(&mut stream, payload).unwrap();
+            let reply = crate::frame::read_frame(&mut stream).unwrap().unwrap();
+            crate::protocol::decode(&reply).unwrap()
+        };
+
+        match roundtrip(text.replace("0.5", "1e999").as_bytes()) {
+            Response::Error(e) => assert_eq!(e.kind, ErrorKind::BadRequest, "{e:?}"),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+        // Same connection, well-formed request: still served.
+        assert!(matches!(roundtrip(text.as_bytes()), Response::Posterior(_)));
+
+        drop(stream);
+        Client::connect(handle.addr()).unwrap().stop().unwrap();
         handle.wait();
     }
 

@@ -5,7 +5,7 @@
 //! shortest-round-trip formatting, so every `f64` a response carries
 //! parses back to the **bit-identical** value the engine computed — the
 //! property the conformance harness gates (daemon responses must equal
-//! direct in-process `CompiledKert` results bitwise).
+//! direct in-process `Session` results bitwise).
 //!
 //! Queries mirror the four autonomic entry points (posterior, dComp,
 //! pAccel, violation); control verbs cover liveness (`Ping`), inspection

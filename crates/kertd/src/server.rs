@@ -42,7 +42,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kert_bayes::compile::configured_workers;
 use kert_core::serve::SharedKert;
 use kert_core::Result as CoreResult;
 use kert_obs::trace::{self, DEFAULT_FLIGHT_CAP};
@@ -95,8 +94,7 @@ pub struct ServeConfig {
     /// Bind address; port 0 asks the OS for a free port (the bound
     /// address is reported by [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker-pool width; 0 means [`configured_workers`] (the same
-    /// `KERT_WORKERS`-aware default the batch engine uses).
+    /// Worker-pool width; 0 means the host's available parallelism.
     pub workers: usize,
     /// Admission-queue capacity. A queue at capacity sheds new queries
     /// with a typed `Overloaded` response instead of buffering without
@@ -441,9 +439,8 @@ impl ServerHandle {
 /// `engine`. Returns once the socket is bound and all threads are up.
 pub fn serve(engine: SharedKert, mut config: ServeConfig) -> io::Result<ServerHandle> {
     if config.workers == 0 {
-        config.workers = configured_workers();
+        config.workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     }
-    config.workers = config.workers.max(1);
     config.max_batch = config.max_batch.max(1);
     config.queue_cap = config.queue_cap.max(1);
 

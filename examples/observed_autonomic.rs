@@ -17,7 +17,7 @@
 //! formats `kertctl telemetry --jsonl/--prom` validates.
 
 use kert_bn::agents::runtime::CpdCache;
-use kert_bn::model::{DiscreteKertOptions, KertBn, ResilientKertOptions};
+use kert_bn::model::{DiscreteKertOptions, KertBn, ResilientKertOptions, SharedKert};
 use kert_bn::prelude::*;
 use kert_bn::sim::monitor::agents_from_edges;
 use rand::rngs::StdRng;
@@ -89,12 +89,14 @@ fn main() {
     }
 
     // --- Compiled autonomic queries on a clean discrete model: batched
-    // dComp over the unobservables and a violation sweep, all through the
-    // junction tree (watch the jt.* counters).
+    // dComp over the unobservables and a violation sweep, all through one
+    // session on the junction tree (watch the jt.* counters).
     let train = system.run(1200, &mut rng).to_dataset(None);
     let model = KertBn::build_discrete(&knowledge, &train, DiscreteKertOptions::default())
         .expect("discrete model builds");
-    let mut compiled = model.compile().expect("discrete model compiles");
+    let d_node = model.d_node();
+    let engine = SharedKert::new(model).expect("discrete model compiles");
+    let mut session = engine.session();
 
     let current = system.run(150, &mut rng).to_dataset(None);
     let observed: Vec<(usize, f64)> = [0usize, 1, 2, 6]
@@ -103,7 +105,7 @@ fn main() {
         .collect();
     let targets = [3usize, 4, 5];
     println!("\n== batched dComp over the unobservable services ==");
-    for out in compiled.dcomp_all(&observed, &targets).unwrap() {
+    for out in session.dcomp(&observed, &targets).unwrap() {
         println!(
             "X{}: prior mean {:.4} s -> posterior mean {:.4} s",
             out.target + 1,
@@ -117,9 +119,9 @@ fn main() {
     let sweep_evidence: Vec<(usize, f64)> = observed
         .iter()
         .copied()
-        .filter(|&(node, _)| node != model.d_node())
+        .filter(|&(node, _)| node != d_node)
         .collect();
-    let probs = compiled
+    let probs = session
         .violation_sweep(&sweep_evidence, &thresholds)
         .unwrap();
     println!("\n== violation sweep P(D > h | evidence) ==");

@@ -1069,8 +1069,9 @@ fn cmd_slo(args: &[String]) -> Result<(), String> {
         .refresh_from_window(&mut window)
         .map_err(|e| e.to_string())?;
 
-    let mut compiled = model.compile().map_err(|e| e.to_string())?;
-    let p_violation = compiled
+    let engine = kert_bn::model::SharedKert::new(model).map_err(|e| e.to_string())?;
+    let p_violation = engine
+        .session()
         .violation_sweep(&[], &[target])
         .map_err(|e| e.to_string())?[0];
 
