@@ -21,17 +21,7 @@
 //! `sum_out` accumulates the eliminated states in ascending order exactly
 //! like the per-entry reference, and products are elementwise — so every
 //! kernel is *bitwise* equal to the [`naive`] oracles (property-tested in
-//! `tests/prop.rs`). The only documented exception is [`lanes::dot`],
-//! which splits its accumulator four ways for FMA-friendly throughput and
-//! may differ from a sequential dot product by reassociation (≤1e-15
-//! relative on probability-scale inputs).
-//!
-//! For deep networks whose joint mass underflows `f64` (hundreds of
-//! multiplied probabilities), the same kernels exist in log space:
-//! [`Factor::product_log_ws`] adds, and [`Factor::sum_out_log_ws`]
-//! performs a *one-pass* streaming log-sum-exp (running max + rescaled
-//! accumulator) per output cell, so no per-step renormalization or second
-//! pass over the table is needed.
+//! `tests/prop.rs`).
 //!
 //! The original index-arithmetic implementations are kept in [`naive`] as
 //! differential oracles for the property tests and benchmarks.
@@ -53,10 +43,9 @@ static OBS_WS_MISSES: kert_obs::Counter = kert_obs::Counter::new("bayes.ws.pool_
 /// Each loop is written as explicit `WIDTH`-wide chunks over
 /// `chunks_exact`, which LLVM reliably turns into packed vector
 /// instructions on stable Rust; the scalar remainder handles tables whose
-/// inner run is not a multiple of the lane width. None of the
-/// element-wise kernels reassociate floating-point additions, so their
-/// results are bitwise identical to a scalar loop. [`dot`] is the one
-/// exception (four-way accumulator split), documented at the crate level.
+/// inner run is not a multiple of the lane width. None of the kernels
+/// reassociate floating-point additions, so their results are bitwise
+/// identical to a scalar loop.
 pub mod lanes {
     /// Lane width the chunked loops are written against. Eight `f64`s is
     /// one AVX-512 register or two AVX2 / four NEON registers — small
@@ -148,88 +137,6 @@ pub mod lanes {
         for d in dr {
             *d *= s;
         }
-    }
-
-    /// `dst[i] = a[i] + b[i]` (log-space product of contiguous runs).
-    #[inline]
-    pub fn add_into(dst: &mut [f64], a: &[f64], b: &[f64]) {
-        debug_assert_eq!(dst.len(), a.len());
-        debug_assert_eq!(dst.len(), b.len());
-        let n = dst.len() - dst.len() % WIDTH;
-        let (dc, dr) = dst.split_at_mut(n);
-        for ((d, x), y) in dc
-            .chunks_exact_mut(WIDTH)
-            .zip(a[..n].chunks_exact(WIDTH))
-            .zip(b[..n].chunks_exact(WIDTH))
-        {
-            for k in 0..WIDTH {
-                d[k] = x[k] + y[k];
-            }
-        }
-        for ((d, x), y) in dr.iter_mut().zip(&a[n..]).zip(&b[n..]) {
-            *d = *x + *y;
-        }
-    }
-
-    /// `dst[i] = a[i] + s` (log-space broadcast product).
-    #[inline]
-    pub fn add_scalar_into(dst: &mut [f64], a: &[f64], s: f64) {
-        debug_assert_eq!(dst.len(), a.len());
-        let n = dst.len() - dst.len() % WIDTH;
-        let (dc, dr) = dst.split_at_mut(n);
-        for (d, x) in dc.chunks_exact_mut(WIDTH).zip(a[..n].chunks_exact(WIDTH)) {
-            for k in 0..WIDTH {
-                d[k] = x[k] + s;
-            }
-        }
-        for (d, x) in dr.iter_mut().zip(&a[n..]) {
-            *d = *x + s;
-        }
-    }
-
-    /// One fused (or plain) multiply-add step of the [`dot`] chains.
-    ///
-    /// `f64::mul_add` only pays off when the target actually has an FMA
-    /// unit: on a baseline `x86-64` build it lowers to a `fma()` libm
-    /// call, an order of magnitude *slower* than `mul + add`. Gate on
-    /// the compile-time feature so `-C target-feature=+fma` (or
-    /// `target-cpu=native` on modern hosts) fuses, and portable builds
-    /// keep the fast two-op form. Either way [`dot`] reassociates and
-    /// sits within its documented tolerance — the fused path is simply
-    /// *more* accurate (one rounding per step instead of two).
-    #[inline(always)]
-    fn fmadd(x: f64, y: f64, acc: f64) -> f64 {
-        #[cfg(target_feature = "fma")]
-        {
-            x.mul_add(y, acc)
-        }
-        #[cfg(not(target_feature = "fma"))]
-        {
-            acc + x * y
-        }
-    }
-
-    /// Dot product with a four-way split accumulator: the independent
-    /// mul-add chains let the compiler emit FMA without a loop-carried
-    /// dependency on one register (see [`fmadd`] for the feature gate).
-    /// **Reassociates** — documented ≤1e-15 relative divergence from the
-    /// sequential sum on probability-scale inputs; never used where
-    /// bitwise determinism is contracted.
-    #[inline]
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len() - a.len() % 4;
-        let mut acc = [0.0f64; 4];
-        for (x, y) in a[..n].chunks_exact(4).zip(b[..n].chunks_exact(4)) {
-            for k in 0..4 {
-                acc[k] = fmadd(x[k], y[k], acc[k]);
-            }
-        }
-        let mut tail = 0.0;
-        for (x, y) in a[n..].iter().zip(&b[n..]) {
-            tail = fmadd(*x, *y, tail);
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
     }
 }
 
@@ -937,225 +844,6 @@ impl Factor {
         }
         z
     }
-
-    // ------------------------------------------------------------------
-    // Log-space kernels: for deep networks whose joint mass underflows
-    // f64. A log factor is an ordinary `Factor` whose values are natural
-    // logs (−∞ encodes zero mass); products add, marginalization is a
-    // one-pass streaming log-sum-exp.
-    // ------------------------------------------------------------------
-
-    /// Reinterpret in place as a log factor (`v → ln v`; zeros → −∞).
-    pub fn ln_inplace(&mut self) {
-        for v in &mut self.values {
-            *v = v.ln();
-        }
-    }
-
-    /// Invert [`Factor::ln_inplace`] (`v → exp v`).
-    pub fn exp_inplace(&mut self) {
-        for v in &mut self.values {
-            *v = v.exp();
-        }
-    }
-
-    /// Log-space product (entrywise addition over the merged scope):
-    /// `ln(φ·ψ) = ln φ + ln ψ`. Same inner-run structure as
-    /// [`Factor::product_ws`] with add kernels in place of multiplies.
-    pub fn product_log(&self, other: &Factor) -> Factor {
-        self.product_log_ws(other, &mut QueryWorkspace::new())
-    }
-
-    /// [`Factor::product_log`] with scratch drawn from `ws`.
-    pub fn product_log_ws(&self, other: &Factor, ws: &mut QueryWorkspace) -> Factor {
-        OBS_PRODUCTS.incr();
-        let mut vars = ws.take_usize();
-        let mut cards = ws.take_usize();
-        merge_scopes(
-            &self.vars,
-            &self.cards,
-            &other.vars,
-            &other.cards,
-            &mut vars,
-            &mut cards,
-        );
-        let mut strides_a = ws.take_usize();
-        strides_into(&self.cards, &mut strides_a);
-        let mut strides_b = ws.take_usize();
-        strides_into(&other.cards, &mut strides_b);
-        let mut stride_a = ws.take_usize();
-        let mut stride_b = ws.take_usize();
-        for v in &vars {
-            stride_a.push(
-                self.vars
-                    .binary_search(v)
-                    .map(|p| strides_a[p])
-                    .unwrap_or(0),
-            );
-            stride_b.push(
-                other
-                    .vars
-                    .binary_search(v)
-                    .map(|p| strides_b[p])
-                    .unwrap_or(0),
-            );
-        }
-        let total = config_count(&cards);
-        let mut values = ws.take_f64();
-        values.resize(total, 0.0);
-        let (split, inner, mode) = inner_run(&cards, &stride_a, &stride_b);
-        let mut counters = ws.take_usize();
-        counters.resize(split, 0);
-        {
-            let mut odo = Odometer::new(&cards[..split], &mut counters);
-            let mut idx = [0usize; 2];
-            for chunk in values.chunks_exact_mut(inner) {
-                let (ia, ib) = (idx[0], idx[1]);
-                match mode {
-                    RunMode::Both => lanes::add_into(
-                        chunk,
-                        &self.values[ia..ia + inner],
-                        &other.values[ib..ib + inner],
-                    ),
-                    RunMode::Left => lanes::add_scalar_into(
-                        chunk,
-                        &self.values[ia..ia + inner],
-                        other.values[ib],
-                    ),
-                    RunMode::Right => lanes::add_scalar_into(
-                        chunk,
-                        &other.values[ib..ib + inner],
-                        self.values[ia],
-                    ),
-                }
-                odo.advance(&[&stride_a[..split], &stride_b[..split]], &mut idx);
-            }
-        }
-        ws.put_usize(strides_a);
-        ws.put_usize(strides_b);
-        ws.put_usize(stride_a);
-        ws.put_usize(stride_b);
-        ws.put_usize(counters);
-        Factor {
-            vars,
-            cards,
-            values,
-        }
-    }
-
-    /// Log-space marginalization: `out = ln Σ_s exp(in_s)` over the summed
-    /// variable, computed in **one pass** per output cell with a running
-    /// maximum and a rescaled accumulator — no separate max pass, no
-    /// per-step renormalization of intermediate factors. `−∞` inputs
-    /// (zero mass) are skipped exactly.
-    pub fn sum_out_log(&self, var: usize) -> Factor {
-        self.sum_out_log_ws(var, &mut QueryWorkspace::new())
-    }
-
-    /// [`Factor::sum_out_log`] with scratch drawn from `ws`.
-    pub fn sum_out_log_ws(&self, var: usize, ws: &mut QueryWorkspace) -> Factor {
-        let Some(pos) = self.vars.binary_search(&var).ok() else {
-            return self.clone_using(ws);
-        };
-        OBS_SUM_OUTS.incr();
-        let mut vars = ws.take_usize();
-        vars.extend_from_slice(&self.vars);
-        vars.remove(pos);
-        let mut cards = ws.take_usize();
-        cards.extend_from_slice(&self.cards);
-        cards.remove(pos);
-
-        let card = self.cards[pos];
-        let inner: usize = self.cards[pos + 1..].iter().product();
-        let out_total = config_count(&cards);
-        let mut values = ws.take_f64();
-
-        // Streaming LSE update: one (max, Σexp(x−max)) pair per output
-        // cell, rescaled whenever a new maximum streams in.
-        #[inline]
-        fn lse_push(m: &mut f64, acc: &mut f64, x: f64) {
-            if x == f64::NEG_INFINITY {
-                return;
-            }
-            if x <= *m {
-                *acc += (x - *m).exp();
-            } else {
-                *acc = if *m == f64::NEG_INFINITY {
-                    1.0
-                } else {
-                    *acc * (*m - x).exp() + 1.0
-                };
-                *m = x;
-            }
-        }
-        #[inline]
-        fn lse_close(m: f64, acc: f64) -> f64 {
-            if m == f64::NEG_INFINITY {
-                f64::NEG_INFINITY
-            } else {
-                m + acc.ln()
-            }
-        }
-
-        if inner == 1 {
-            values.reserve(out_total);
-            for block in self.values.chunks_exact(card) {
-                let (mut m, mut acc) = (f64::NEG_INFINITY, 0.0);
-                for &x in block {
-                    lse_push(&mut m, &mut acc, x);
-                }
-                values.push(lse_close(m, acc));
-            }
-        } else {
-            values.resize(out_total, 0.0);
-            let mut maxes = ws.take_f64();
-            let mut accs = ws.take_f64();
-            let super_block = card * inner;
-            for (o, dst) in values.chunks_exact_mut(inner).enumerate() {
-                let base = o * super_block;
-                maxes.clear();
-                maxes.resize(inner, f64::NEG_INFINITY);
-                accs.clear();
-                accs.resize(inner, 0.0);
-                for s in 0..card {
-                    let src = &self.values[base + s * inner..base + (s + 1) * inner];
-                    for i in 0..inner {
-                        lse_push(&mut maxes[i], &mut accs[i], src[i]);
-                    }
-                }
-                for i in 0..inner {
-                    dst[i] = lse_close(maxes[i], accs[i]);
-                }
-            }
-            ws.put_f64(maxes);
-            ws.put_f64(accs);
-        }
-        Factor {
-            vars,
-            cards,
-            values,
-        }
-    }
-
-    /// Normalize a log factor into ordinary (linear) probabilities via a
-    /// numerically safe softmax, returning `ln Z` (−∞ when the factor
-    /// carries no mass, in which case values are left untouched).
-    pub fn normalize_log(&mut self) -> f64 {
-        let m = self
-            .values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        if m == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        let z: f64 = self.values.iter().map(|&v| (v - m).exp()).sum();
-        let inv = 1.0 / z;
-        for v in &mut self.values {
-            *v = (*v - m).exp() * inv;
-        }
-        m + z.ln()
-    }
 }
 
 /// Reference implementations of the factor kernels: every table entry
@@ -1450,65 +1138,6 @@ mod tests {
             for i in 0..len {
                 assert_eq!(acc[i], a[i] + b[i]);
             }
-            let seq: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            let d = lanes::dot(&a, &b);
-            assert!((d - seq).abs() <= 1e-12 * seq.abs().max(1.0));
-        }
-    }
-
-    /// The contract documented on [`lanes::dot`]: the FMA'd four-way
-    /// split accumulator may reassociate, but on probability-scale
-    /// inputs (a normalized distribution dotted with its support — the
-    /// expectation read in variable elimination) it stays within 1e-15
-    /// *relative* of the plain sequential sum.
-    #[test]
-    fn fma_dot_stays_within_documented_tolerance_of_sequential_sum() {
-        // Deterministic LCG so the test needs no RNG dependency; the
-        // constants are the classic Numerical Recipes pair.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for len in [5usize, 8, 33, 257, 1024, 4097] {
-            // A normalized probability vector and a support vector on
-            // the response-time scale the models use (tens of ms to s).
-            let raw: Vec<f64> = (0..len).map(|_| next()).collect();
-            let total: f64 = raw.iter().sum();
-            let probs: Vec<f64> = raw.iter().map(|p| p / total).collect();
-            let support: Vec<f64> = (0..len).map(|_| 0.01 + 2.0 * next()).collect();
-
-            let fma = lanes::dot(&probs, &support);
-
-            // Against a Kahan-compensated reference (≈ the true value),
-            // the split accumulator holds 1e-15 at every length.
-            let (mut kahan, mut c) = (0.0f64, 0.0f64);
-            for (p, s) in probs.iter().zip(&support) {
-                let y = p * s - c;
-                let t = kahan + y;
-                c = (t - kahan) - y;
-                kahan = t;
-            }
-            let rel = (fma - kahan).abs() / kahan.abs();
-            assert!(
-                rel <= 1e-15,
-                "len {len}: dot diverged by {rel:.2e} relative (fma {fma}, kahan {kahan})"
-            );
-
-            // The naive sequential sum is the *less* accurate ordering
-            // and itself drifts from the true value as n grows; the
-            // documented ≤1e-15 agreement with it holds through the
-            // factor sizes VE actually reads (≤ ~1k entries).
-            if len <= 1024 {
-                let seq: f64 = probs.iter().zip(&support).map(|(p, s)| p * s).sum();
-                let rel_seq = (fma - seq).abs() / seq.abs();
-                assert!(
-                    rel_seq <= 1e-15,
-                    "len {len}: dot diverged by {rel_seq:.2e} relative from sequential"
-                );
-            }
         }
     }
 
@@ -1559,60 +1188,6 @@ mod tests {
         assert!((z - 1.0).abs() < 1e-12);
         let s: f64 = f.values().iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_kernels_agree_with_linear_kernels() {
-        let values: Vec<f64> = (0..12).map(|i| (i as f64 + 1.0) * 0.125).collect();
-        let f = Factor::new(vec![0, 2, 4], vec![2, 2, 3], values).unwrap();
-        let g = Factor::new(vec![1, 2], vec![3, 2], (1..=6).map(f64::from).collect()).unwrap();
-        let mut lf = f.clone();
-        lf.ln_inplace();
-        let mut lg = g.clone();
-        lg.ln_inplace();
-
-        let lin = f.product(&g);
-        let mut log = lf.product_log(&lg);
-        assert_eq!(log.vars(), lin.vars());
-        log.exp_inplace();
-        for (a, b) in log.values().iter().zip(lin.values()) {
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
-        }
-
-        let lp = lf.product_log(&lg);
-        for &var in lin.vars() {
-            let lin_s = lin.sum_out(var);
-            let mut log_s = lp.sum_out_log(var);
-            log_s.exp_inplace();
-            for (a, b) in log_s.values().iter().zip(lin_s.values()) {
-                assert!(
-                    (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                    "sum_out_log({var}) diverged: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn log_sum_out_handles_zero_mass_and_underflow() {
-        // A column of zero mass stays zero mass (−∞), exactly.
-        let f = Factor::new(
-            vec![0, 1],
-            vec![2, 2],
-            vec![f64::NEG_INFINITY, -800.0, f64::NEG_INFINITY, -802.0],
-        )
-        .unwrap();
-        let m = f.sum_out_log(0);
-        assert_eq!(m.values()[0], f64::NEG_INFINITY);
-        // −800 and −802 are both far below ln(f64::MIN_POSITIVE) ≈ −744:
-        // a linear-space pass would read exp(·) = 0 and lose everything.
-        let want = -800.0 + (1.0 + (-2.0f64).exp()).ln();
-        assert!((m.values()[1] - want).abs() < 1e-12);
-        let mut norm = m.clone();
-        let ln_z = norm.normalize_log();
-        assert!((ln_z - want).abs() < 1e-12);
-        assert_eq!(norm.values()[0], 0.0);
-        assert!((norm.values()[1] - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -7,30 +7,19 @@
 //! * **pAccel** — posterior of the end-to-end response time given an
 //!   intervention-style observation of one service: the same machinery.
 //!
-//! On discrete networks both are exact via [`ve`]; on continuous networks
-//! with `max` CPDs (which Matlab BNT could not express) they run through
-//! [`sampling`]; on linear continuous networks `crate::joint` conditioning
-//! is exact and cheaper.
+//! On discrete networks both are exact via [`ve`] (one-shot queries) or
+//! the compiled junction tree in [`crate::compile`] (sessions and
+//! batches); on continuous networks with `max` CPDs (which Matlab BNT
+//! could not express) they run through [`sampling`]; on linear continuous
+//! networks `crate::joint` conditioning is exact and cheaper.
 
 pub mod factor;
-pub mod gibbs;
 pub mod sampling;
 pub mod ve;
 
 pub use factor::{Factor, QueryWorkspace};
-pub use gibbs::{gibbs_posterior, gibbs_posterior_chains, GibbsOptions};
 pub use sampling::{likelihood_weighting, LwOptions, WeightedSamples};
 pub use ve::{
     posterior_marginal, posterior_marginal_pruned, posterior_marginal_pruned_with,
-    posterior_marginal_pruned_with_ws, posterior_marginal_with, posterior_marginal_with_ws,
-    EliminationHeuristic, Evidence,
+    posterior_marginal_with, EliminationHeuristic, Evidence,
 };
-
-/// The pre-optimization per-entry decode/encode factor kernels and the
-/// greedy-ordering VE built on them — the "before" side of the kernel
-/// benchmarks and the independent comparison path for the conformance
-/// crate's differential harness.
-pub mod naive {
-    pub use super::factor::naive::{from_cpd, product, reduce, sum_out};
-    pub use super::ve::naive::posterior_marginal;
-}

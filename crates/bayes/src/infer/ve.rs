@@ -51,31 +51,14 @@ pub fn posterior_marginal(
     posterior_marginal_with(network, target, evidence, EliminationHeuristic::default())
 }
 
-/// [`posterior_marginal`] with an explicit ordering heuristic.
+/// [`posterior_marginal`] with an explicit ordering heuristic. All factor
+/// scratch comes from one per-query [`QueryWorkspace`], so intermediate
+/// tables recycle each other's buffers.
 pub fn posterior_marginal_with(
     network: &BayesianNetwork,
     target: usize,
     evidence: &Evidence,
     heuristic: EliminationHeuristic,
-) -> Result<Vec<f64>> {
-    posterior_marginal_with_ws(
-        network,
-        target,
-        evidence,
-        heuristic,
-        &mut QueryWorkspace::new(),
-    )
-}
-
-/// [`posterior_marginal_with`] drawing all factor scratch from a caller-held
-/// [`QueryWorkspace`], so repeated queries against one network stop
-/// allocating once the pool is warm. Identical arithmetic and results.
-pub fn posterior_marginal_with_ws(
-    network: &BayesianNetwork,
-    target: usize,
-    evidence: &Evidence,
-    heuristic: EliminationHeuristic,
-    ws: &mut QueryWorkspace,
 ) -> Result<Vec<f64>> {
     OBS_VE_QUERIES.incr();
     let _span = kert_obs::span("ve.query");
@@ -120,6 +103,7 @@ pub fn posterior_marginal_with_ws(
     }
 
     // CPDs → factors, with evidence folded in immediately.
+    let ws = &mut QueryWorkspace::new();
     let mut factors: Vec<Factor> = Vec::with_capacity(n);
     for cpd in network.cpds() {
         let mut f = Factor::from_cpd(cpd, &cards)?;
@@ -164,24 +148,6 @@ pub fn posterior_marginal_pruned_with(
     target: usize,
     evidence: &Evidence,
     heuristic: EliminationHeuristic,
-) -> Result<Vec<f64>> {
-    posterior_marginal_pruned_with_ws(
-        network,
-        target,
-        evidence,
-        heuristic,
-        &mut QueryWorkspace::new(),
-    )
-}
-
-/// [`posterior_marginal_pruned_with`] drawing all factor scratch from a
-/// caller-held [`QueryWorkspace`].
-pub fn posterior_marginal_pruned_with_ws(
-    network: &BayesianNetwork,
-    target: usize,
-    evidence: &Evidence,
-    heuristic: EliminationHeuristic,
-    ws: &mut QueryWorkspace,
 ) -> Result<Vec<f64>> {
     OBS_VE_PRUNED_QUERIES.incr();
     let _span = kert_obs::span("ve.query_pruned");
@@ -228,6 +194,7 @@ pub fn posterior_marginal_pruned_with_ws(
 
     // Factors only for relevant families (ancestor-closure guarantees every
     // parent of a relevant node is relevant, so scopes stay inside the set).
+    let ws = &mut QueryWorkspace::new();
     let mut factors: Vec<Factor> = Vec::new();
     for (i, cpd) in network.cpds().iter().enumerate() {
         if !relevant[i] {
@@ -371,146 +338,6 @@ fn eliminate_and_normalize(
     let out = result.values().to_vec();
     ws.recycle(result);
     Ok(out)
-}
-
-/// Posterior marginal computed entirely in **log space**: factors carry
-/// `ln φ`, products add, and marginalization is a one-pass streaming
-/// log-sum-exp ([`Factor::sum_out_log_ws`]). Returns ordinary (linear)
-/// probabilities via a final softmax.
-///
-/// This is the path for deep networks whose joint mass underflows `f64` —
-/// a chain of a few hundred multiplied probabilities reaches `Z = 0` in
-/// linear space and [`posterior_marginal`] reports zero-probability
-/// evidence even though the posterior is perfectly well-defined. The log
-/// path never forms the underflowing products, so it stays exact (up to
-/// documented LSE rounding, ≤1e-12 relative vs the linear path where both
-/// are finite).
-pub fn posterior_marginal_logspace(
-    network: &BayesianNetwork,
-    target: usize,
-    evidence: &Evidence,
-) -> Result<Vec<f64>> {
-    posterior_marginal_logspace_with_ws(network, target, evidence, &mut QueryWorkspace::new())
-}
-
-/// [`posterior_marginal_logspace`] drawing all factor scratch from a
-/// caller-held [`QueryWorkspace`].
-pub fn posterior_marginal_logspace_with_ws(
-    network: &BayesianNetwork,
-    target: usize,
-    evidence: &Evidence,
-    ws: &mut QueryWorkspace,
-) -> Result<Vec<f64>> {
-    OBS_VE_QUERIES.incr();
-    let _span = kert_obs::span("ve.query_logspace");
-    let n = network.len();
-    if target >= n {
-        return Err(BayesError::InvalidNode(target));
-    }
-    if evidence.contains_key(&target) {
-        // Point-mass shortcut — shared with the linear path.
-        return posterior_marginal(network, target, evidence);
-    }
-    let cards: Vec<usize> = network
-        .variables()
-        .iter()
-        .map(|v| v.cardinality().unwrap_or(0))
-        .collect();
-    if cards.contains(&0) {
-        return Err(BayesError::InvalidData(
-            "variable elimination requires an all-discrete network".into(),
-        ));
-    }
-    for (&node, &state) in evidence {
-        if node >= n {
-            return Err(BayesError::InvalidNode(node));
-        }
-        if state >= cards[node] {
-            return Err(BayesError::InvalidData(format!(
-                "evidence state {state} out of range for node {node}"
-            )));
-        }
-    }
-
-    // CPDs → log factors, evidence folded in before the ln.
-    let mut factors: Vec<Factor> = Vec::with_capacity(n);
-    for cpd in network.cpds() {
-        let mut f = Factor::from_cpd(cpd, &cards)?;
-        for (&node, &state) in evidence {
-            let reduced = f.reduce_ws(node, state, ws);
-            ws.recycle(f);
-            f = reduced;
-        }
-        f.ln_inplace();
-        factors.push(f);
-    }
-
-    let to_eliminate: Vec<usize> = (0..n)
-        .filter(|i| *i != target && !evidence.contains_key(i))
-        .collect();
-    // The ordering heuristic only looks at scopes, so it is shared verbatim
-    // with the linear path — same order, same clique structure.
-    for var in elimination_ordering(&factors, &to_eliminate, EliminationHeuristic::MinFill) {
-        let (with_var, without_var): (Vec<Factor>, Vec<Factor>) =
-            factors.into_iter().partition(|f| f.vars().contains(&var));
-        factors = without_var;
-        let mut combined = Factor::unit();
-        combined.ln_inplace(); // unit in log space: single 0.0
-        for f in with_var {
-            let next = combined.product_log_ws(&f, ws);
-            ws.recycle(combined);
-            ws.recycle(f);
-            combined = next;
-        }
-        let summed = combined.sum_out_log_ws(var, ws);
-        ws.recycle(combined);
-        factors.push(summed);
-    }
-
-    let mut result = Factor::unit();
-    result.ln_inplace();
-    for f in factors {
-        let next = result.product_log_ws(&f, ws);
-        ws.recycle(result);
-        ws.recycle(f);
-        result = next;
-    }
-    if result.vars() != [target] {
-        return Err(BayesError::Numerical(format!(
-            "elimination left scope {:?}, expected [{target}]",
-            result.vars()
-        )));
-    }
-    let ln_z = result.normalize_log();
-    if ln_z == f64::NEG_INFINITY {
-        return Err(BayesError::Numerical(
-            "evidence has zero probability under the model".into(),
-        ));
-    }
-    let out = result.values().to_vec();
-    ws.recycle(result);
-    Ok(out)
-}
-
-/// Posterior mean of a discrete node under a state-value map (e.g. bin
-/// midpoints) — convenience for dComp/pAccel style summaries. The
-/// expectation uses the FMA dot kernel ([`crate::infer::factor::lanes::dot`]);
-/// its documented reassociation is harmless at summary-statistic precision.
-pub fn posterior_mean(
-    network: &BayesianNetwork,
-    target: usize,
-    evidence: &Evidence,
-    state_values: &[f64],
-) -> Result<f64> {
-    let probs = posterior_marginal(network, target, evidence)?;
-    if probs.len() != state_values.len() {
-        return Err(BayesError::InvalidData(format!(
-            "{} states but {} state values",
-            probs.len(),
-            state_values.len()
-        )));
-    }
-    Ok(crate::infer::factor::lanes::dot(&probs, state_values))
 }
 
 /// The pre-optimization VE path, verbatim: greedy smallest-combined-scope
@@ -721,15 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn posterior_mean_uses_state_values() {
-        let bn = sprinkler();
-        let p = posterior_marginal(&bn, 2, &Evidence::new()).unwrap();
-        let mean = posterior_mean(&bn, 2, &Evidence::new(), &[10.0, 30.0]).unwrap();
-        assert!((mean - (p[0] * 10.0 + p[1] * 30.0)).abs() < 1e-12);
-        assert!(posterior_mean(&bn, 2, &Evidence::new(), &[1.0]).is_err());
-    }
-
-    #[test]
     fn pruned_marginals_equal_full_marginals() {
         let bn = sprinkler();
         // Query rain given cloudy: sprinkler and wet-grass are barren.
@@ -787,40 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_workspace_across_queries_changes_nothing() {
-        // Pooled buffers must be invisible: every query through one warm
-        // workspace is bitwise equal to a fresh-allocation run.
-        let bn = sprinkler();
-        let mut ev = Evidence::new();
-        ev.insert(3, 1);
-        let mut ws = QueryWorkspace::new();
-        for _pass in 0..3 {
-            for target in 0..3 {
-                let fresh = posterior_marginal(&bn, target, &ev).unwrap();
-                let pooled = posterior_marginal_with_ws(
-                    &bn,
-                    target,
-                    &ev,
-                    EliminationHeuristic::MinFill,
-                    &mut ws,
-                )
-                .unwrap();
-                assert_eq!(fresh, pooled);
-                let fresh_pruned = posterior_marginal_pruned(&bn, target, &ev).unwrap();
-                let pooled_pruned = posterior_marginal_pruned_with_ws(
-                    &bn,
-                    target,
-                    &ev,
-                    EliminationHeuristic::MinFill,
-                    &mut ws,
-                )
-                .unwrap();
-                assert_eq!(fresh_pruned, pooled_pruned);
-            }
-        }
-    }
-
-    #[test]
     fn min_fill_ordering_defers_the_hub() {
         // Interaction graph of the sprinkler net with W observed: C–S, C–R,
         // S–R (from W's reduced factor). Eliminating C first (fill 1 on a
@@ -839,65 +623,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
         assert!(a.contains(&0) && a.contains(&2));
-    }
-
-    #[test]
-    fn logspace_marginals_match_linear_marginals() {
-        let bn = sprinkler();
-        let mut ev = Evidence::new();
-        ev.insert(3, 1);
-        for target in 0..3 {
-            let lin = posterior_marginal(&bn, target, &ev).unwrap();
-            let log = posterior_marginal_logspace(&bn, target, &ev).unwrap();
-            for (a, b) in log.iter().zip(lin.iter()) {
-                assert!((a - b).abs() < 1e-12, "target {target}: {log:?} vs {lin:?}");
-            }
-        }
-        // Point-mass shortcut works through the log entry too.
-        let mut on_target = Evidence::new();
-        on_target.insert(2, 1);
-        let p = posterior_marginal_logspace(&bn, 2, &on_target).unwrap();
-        assert_eq!(p, vec![0.0, 1.0]);
-    }
-
-    #[test]
-    fn logspace_survives_deep_chain_underflow() {
-        // A 200-node binary chain observed in its unlikely alternating
-        // configuration: the joint evidence probability is ~0.001^198 ≈
-        // 1e-594, far below f64's smallest positive value. The linear path
-        // multiplies the evidence-reduced scalar factors together, reaches
-        // Z = 0 exactly, and must report zero-probability evidence; the log
-        // path adds logs instead and recovers the (well-defined) posterior.
-        let n = 200;
-        let vars: Vec<Variable> = (0..n)
-            .map(|i| Variable::discrete(format!("x{i}"), 2))
-            .collect();
-        let mut dag = Dag::new(n);
-        for i in 1..n {
-            dag.add_edge(i - 1, i).unwrap();
-        }
-        let mut cpds = vec![Cpd::Tabular(
-            TabularCpd::new(0, vec![], 2, vec![], vec![0.5, 0.5]).unwrap(),
-        )];
-        for i in 1..n {
-            // Sticky chain: stay with 0.999, flip with 0.001.
-            cpds.push(Cpd::Tabular(
-                TabularCpd::new(i, vec![i - 1], 2, vec![2], vec![0.999, 0.001, 0.001, 0.999])
-                    .unwrap(),
-            ));
-        }
-        let bn = BayesianNetwork::new(vars, dag, cpds).unwrap();
-        let mut ev = Evidence::new();
-        for i in 1..n {
-            ev.insert(i, i % 2); // alternate states: every transition flips
-        }
-        let linear = posterior_marginal(&bn, 0, &ev);
-        assert!(linear.is_err(), "linear VE should underflow to Z = 0");
-        let log = posterior_marginal_logspace(&bn, 0, &ev).unwrap();
-        // P(X0 | e) ∝ (0.5·0.001, 0.5·0.999) — the common 0.001^198 tail
-        // cancels in the normalization.
-        assert!((log[0] - 0.001).abs() < 1e-9, "{log:?}");
-        assert!((log[1] - 0.999).abs() < 1e-9, "{log:?}");
     }
 
     #[test]

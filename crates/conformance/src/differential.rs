@@ -4,9 +4,7 @@
 //!
 //! * Discrete: stride-kernel VE (plain and pruned, all three ordering
 //!   heuristics), the naive greedy VE, and the compiled junction tree
-//!   against the joint-enumeration oracle at `1e-9`; multi-chain Gibbs
-//!   against the same oracle through the [`StatGate`]
-//!   statistical-equivalence gate.
+//!   against the joint-enumeration oracle at `1e-9`.
 //! * Continuous: the Cholesky joint-conditioning path (both the automatic
 //!   dispatch and the pinned engine) and the dComp/pAccel/Eq.-5 entry
 //!   points against the closed-form [`GaussianOracle`] at ≤1e-9 relative
@@ -22,7 +20,6 @@ use std::collections::HashMap;
 use kert_agents::{CpdCache, FaultyFleet};
 use kert_bayes::cpd::{Cpd, TabularCpd};
 use kert_bayes::infer::ve::{self, EliminationHeuristic};
-use kert_bayes::infer::GibbsOptions;
 use kert_bayes::BayesianNetwork;
 use kert_bench::scenario::{Environment, ScenarioOptions};
 use kert_core::posterior::McOptions;
@@ -39,7 +36,7 @@ use rand::SeedableRng;
 use crate::enumeration::EnumerationOracle;
 use crate::gaussian::GaussianOracle;
 use crate::gen;
-use crate::tolerance::{max_abs_diff, rel_err, StatGate};
+use crate::tolerance::{max_abs_diff, rel_err};
 
 /// Every deterministic discrete fast path, labeled for failure reports.
 fn discrete_fast_paths(
@@ -125,51 +122,18 @@ pub fn check_discrete_instance(
     Ok(worst)
 }
 
-/// Check Gibbs on one discrete query against the enumeration oracle
-/// through the statistical-equivalence gate.
-pub fn check_gibbs_instance(
-    network: &BayesianNetwork,
-    target: usize,
-    evidence: &HashMap<usize, usize>,
-    options: GibbsOptions,
-    chains: usize,
-    base_seed: u64,
-    gate: StatGate,
-) -> Result<(), String> {
-    let oracle = EnumerationOracle::new(network)?;
-    let exact = oracle.posterior_marginal(network, target, evidence)?;
-    let sampled = kert_bayes::infer::gibbs_posterior_chains(
-        network, target, evidence, options, chains, base_seed,
-    )
-    .map_err(|e| format!("gibbs: {e}"))?;
-    // Gate over state indices: the discrete supports are the states
-    // themselves for raw networks.
-    let support: Vec<f64> = (0..exact.len()).map(|s| s as f64).collect();
-    gate.check(&exact, &sampled, &support)
-        .map_err(|e| format!("gibbs gate: {e}"))
-}
-
 /// Summary of a discrete differential sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct DiscreteReport {
     /// Random instances checked.
     pub instances: usize,
-    /// Instances that additionally ran the Gibbs gate.
-    pub gibbs_checked: usize,
     /// Worst deterministic-path probability gap observed.
     pub worst_gap: f64,
 }
 
-/// Sweep `instances` random discrete networks/queries from `seed`; the
-/// first `gibbs_instances` also run the Gibbs gate (lean budget sized for
-/// debug-mode CI).
-pub fn run_discrete_differential(
-    seed: u64,
-    instances: usize,
-    gibbs_instances: usize,
-) -> Result<DiscreteReport, String> {
+/// Sweep `instances` random discrete networks/queries from `seed`.
+pub fn run_discrete_differential(seed: u64, instances: usize) -> Result<DiscreteReport, String> {
     let mut worst = 0.0_f64;
-    let mut gibbs_checked = 0usize;
     for i in 0..instances {
         let inst_seed = seed.wrapping_mul(10_007).wrapping_add(i as u64);
         let network = gen::random_discrete_network(inst_seed);
@@ -177,27 +141,9 @@ pub fn run_discrete_differential(
         let gap = check_discrete_instance(&network, target, &evidence, 1e-9)
             .map_err(|e| format!("instance {i} (seed {inst_seed}): {e}"))?;
         worst = worst.max(gap);
-        if i < gibbs_instances {
-            check_gibbs_instance(
-                &network,
-                target,
-                &evidence,
-                GibbsOptions {
-                    samples: 2_000,
-                    burn_in: 300,
-                    thin: 1,
-                },
-                2,
-                inst_seed ^ 0x6b5,
-                StatGate::default(),
-            )
-            .map_err(|e| format!("instance {i} (seed {inst_seed}): {e}"))?;
-            gibbs_checked += 1;
-        }
     }
     Ok(DiscreteReport {
         instances,
-        gibbs_checked,
         worst_gap: worst,
     })
 }
@@ -250,9 +196,7 @@ fn check_moments(
 ///   structural-equation oracle, at ≤1e-9 relative error on means;
 /// * pAccel projections and the Eq.-5 violation probability likewise;
 /// * the compiled junction tree on the discrete companion model against
-///   the enumeration oracle at ≤1e-9 absolute probability gap;
-/// * Gibbs on the discrete companion model against the enumeration
-///   oracle through the statistical-equivalence gate.
+///   the enumeration oracle at ≤1e-9 absolute probability gap.
 pub fn run_continuous_differential(
     seed: u64,
     instances: usize,
@@ -351,7 +295,7 @@ pub fn run_continuous_differential(
         }
         worst = worst.max(rel_err(fast_p, exact_p));
 
-        // Gibbs statistical equivalence on the discrete companion.
+        // The discrete companion, against the enumeration oracle.
         let disc_net = inst.discrete.network();
         let disc = inst
             .discrete
@@ -395,33 +339,6 @@ pub fn run_continuous_differential(
             ));
         }
         worst = worst.max(jt_gap);
-
-        let gibbs = query_posterior_via(
-            disc_net,
-            Some(disc),
-            &observed,
-            target,
-            Engine::Gibbs {
-                options: GibbsOptions {
-                    samples: 1_000,
-                    burn_in: 150,
-                    thin: 1,
-                },
-                chains: 2,
-                base_seed: inst_seed ^ 0x61bb5,
-            },
-            mc,
-            &mut rng,
-        )
-        .map_err(|e| format!("instance {i} gibbs: {e}"))?;
-        let Posterior::Discrete { support, probs, .. } = gibbs else {
-            return Err(format!(
-                "instance {i}: gibbs returned a non-discrete posterior"
-            ));
-        };
-        StatGate::default()
-            .check(&exact_probs, &probs, &support)
-            .map_err(|e| format!("instance {i} (seed {inst_seed}) gibbs gate: {e}"))?;
     }
     Ok(ContinuousReport {
         instances,
@@ -583,9 +500,8 @@ mod tests {
 
     #[test]
     fn small_discrete_sweep_is_clean() {
-        let report = run_discrete_differential(42, 4, 1).unwrap();
+        let report = run_discrete_differential(42, 4).unwrap();
         assert_eq!(report.instances, 4);
-        assert_eq!(report.gibbs_checked, 1);
         assert!(report.worst_gap <= 1e-9);
     }
 

@@ -9,9 +9,9 @@
 //!   [`crate::gaussian::GaussianOracle`] family); the discrete companion
 //!   keeps a small enough state space for the enumeration oracle.
 //! * **Random discrete networks** — arbitrary small DAGs with strictly
-//!   positive random CPTs: irreducible for Gibbs, feasible for
-//!   enumeration, and unconstrained by workflow structure so elimination
-//!   orderings and pruning see varied shapes.
+//!   positive random CPTs: feasible for enumeration, and unconstrained by
+//!   workflow structure so elimination orderings and pruning see varied
+//!   shapes.
 
 use kert_bayes::cpd::{Cpd, TabularCpd};
 use kert_bayes::{BayesianNetwork, Dag, Variable};
@@ -70,8 +70,8 @@ pub fn random_linear_instance(seed: u64) -> LinearInstance {
 /// Random small discrete network, fully determined by `seed`: 4–7 nodes,
 /// cardinalities 2–3, each earlier node a parent with probability 0.4
 /// (capped at 3 parents), CPT entries drawn from `[0.2, 1)` and
-/// normalized — strictly positive everywhere, so Gibbs chains are
-/// irreducible and no evidence has zero mass.
+/// normalized — strictly positive everywhere, so no evidence has zero
+/// mass.
 pub fn random_discrete_network(seed: u64) -> BayesianNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rng.gen_range(4..=7);

@@ -1,10 +1,10 @@
 //! # kert-conformance — oracles and differential gates for every fast path
 //!
-//! The workspace now has three answer-producing inference paths — stride
-//! -kernel variable elimination (plain/pruned, three ordering heuristics),
-//! multi-chain Gibbs, and joint-Gaussian conditioning — plus the dComp /
-//! pAccel / Eq.-5 pipeline built on them. This crate proves they agree
-//! with ground truth:
+//! The workspace has three exact answer-producing inference paths —
+//! stride-kernel variable elimination (plain/pruned, three ordering
+//! heuristics), the compiled junction tree, and joint-Gaussian
+//! conditioning — plus the dComp / pAccel / Eq.-5 pipeline built on them.
+//! This crate proves they agree with ground truth:
 //!
 //! * [`enumeration`] — a dense joint-enumeration oracle for discrete
 //!   networks: exact marginals/conditionals by brute-force summation over
@@ -20,11 +20,10 @@
 //!   and random small discrete networks with strictly positive CPTs.
 //! * [`differential`] — the runner: drive every fast path through the
 //!   public [`kert_core::query_posterior_via`] entry points and compare
-//!   against the matching oracle; statistical-equivalence gates for Gibbs;
-//!   a CPD-perturbation hook proving the gate is live.
+//!   against the matching oracle; a CPD-perturbation hook proving the
+//!   gate is live.
 //! * [`tolerance`] — the comparison vocabulary shared by the whole test
-//!   suite: [`assert_close!`], [`assert_dist_close!`], KS statistics, and
-//!   the [`tolerance::StatGate`] for sampled posteriors.
+//!   suite: [`assert_close!`] and [`assert_dist_close!`].
 
 pub mod differential;
 pub mod enumeration;
@@ -33,13 +32,12 @@ pub mod gen;
 pub mod tolerance;
 
 pub use differential::{
-    check_degraded_compensation, check_discrete_instance, check_gibbs_instance,
-    perturb_tabular_cpd, run_continuous_differential, run_discrete_differential, ContinuousReport,
-    DiscreteReport,
+    check_degraded_compensation, check_discrete_instance, perturb_tabular_cpd,
+    run_continuous_differential, run_discrete_differential, ContinuousReport, DiscreteReport,
 };
 pub use enumeration::EnumerationOracle;
 pub use gaussian::GaussianOracle;
 pub use gen::{
     random_discrete_network, random_discrete_query, random_linear_instance, LinearInstance,
 };
-pub use tolerance::{close, ks_statistic, max_abs_diff, rel_err, StatGate};
+pub use tolerance::{close, max_abs_diff, rel_err};

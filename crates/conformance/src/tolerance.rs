@@ -44,88 +44,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Kolmogorov–Smirnov statistic between two discrete distributions on the
-/// same ordered support: the largest absolute difference of their CDFs.
-pub fn ks_statistic(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(
-        p.len(),
-        q.len(),
-        "ks_statistic: {} vs {} states",
-        p.len(),
-        q.len()
-    );
-    let mut cp = 0.0;
-    let mut cq = 0.0;
-    let mut worst = 0.0_f64;
-    for (&a, &b) in p.iter().zip(q.iter()) {
-        cp += a;
-        cq += b;
-        worst = worst.max((cp - cq).abs());
-    }
-    worst
-}
-
-/// Statistical-equivalence gate for sampled posteriors (Gibbs) against an
-/// exact one. "Equivalent" means two things at once:
-///
-/// * the KS statistic of the two discrete distributions is at most
-///   `ks_tol` — the shapes agree state by state;
-/// * the posterior means agree within `mean_tol` *of the support spread*
-///   (`max − min` of the state values), so the tolerance is scale-free.
-///
-/// The tolerances are calibrated to the sampling budget, not machine
-/// epsilon: a correct sampler with `n` effective samples has KS noise of
-/// roughly `1/√n`, so gates sit an order of magnitude above that and still
-/// catch any systematic bias (wrong conditional, broken normalization).
-#[derive(Debug, Clone, Copy)]
-pub struct StatGate {
-    /// Largest admissible KS statistic.
-    pub ks_tol: f64,
-    /// Largest admissible mean gap, as a fraction of the support spread.
-    pub mean_tol: f64,
-}
-
-impl Default for StatGate {
-    fn default() -> Self {
-        StatGate {
-            ks_tol: 0.08,
-            mean_tol: 0.08,
-        }
-    }
-}
-
-impl StatGate {
-    /// Check a sampled distribution against the exact one over `support`.
-    pub fn check(&self, exact: &[f64], sampled: &[f64], support: &[f64]) -> Result<(), String> {
-        if exact.len() != sampled.len() || exact.len() != support.len() {
-            return Err(format!(
-                "state-count mismatch: exact {}, sampled {}, support {}",
-                exact.len(),
-                sampled.len(),
-                support.len()
-            ));
-        }
-        let ks = ks_statistic(exact, sampled);
-        if ks > self.ks_tol {
-            return Err(format!(
-                "KS statistic {ks:.4} exceeds tolerance {}",
-                self.ks_tol
-            ));
-        }
-        let mean = |p: &[f64]| -> f64 { support.iter().zip(p).map(|(&v, &w)| v * w).sum() };
-        let spread = support.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-            - support.iter().copied().fold(f64::INFINITY, f64::min);
-        let gap = (mean(exact) - mean(sampled)).abs();
-        if gap > self.mean_tol * spread.max(f64::MIN_POSITIVE) {
-            return Err(format!(
-                "posterior-mean gap {gap:.4} exceeds {} of support spread {spread:.4}",
-                self.mean_tol
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Assert two `f64` expressions agree; optional third argument overrides
 /// the default tolerance of `1e-9` (see [`close`] for its semantics).
 #[macro_export]
@@ -187,28 +105,6 @@ mod tests {
         assert_close!(rel_err(2.0, 1.0), 0.5);
         assert_close!(rel_err(0.0, 0.0), 0.0);
         assert_close!(rel_err(-1.0, 1.0), 2.0);
-    }
-
-    #[test]
-    fn ks_statistic_of_identical_distributions_is_zero() {
-        let p = [0.2, 0.3, 0.5];
-        assert_close!(ks_statistic(&p, &p), 0.0);
-        // Moving 0.1 of mass from state 0 to state 2 shifts the CDF by 0.1
-        // at the first two steps.
-        let q = [0.1, 0.3, 0.6];
-        assert_close!(ks_statistic(&p, &q), 0.1);
-    }
-
-    #[test]
-    fn stat_gate_accepts_noise_and_rejects_bias() {
-        let gate = StatGate::default();
-        let support = [1.0, 2.0, 3.0];
-        let exact = [0.2, 0.5, 0.3];
-        let noisy = [0.21, 0.49, 0.30];
-        assert!(gate.check(&exact, &noisy, &support).is_ok());
-        let biased = [0.45, 0.35, 0.20];
-        assert!(gate.check(&exact, &biased, &support).is_err());
-        assert!(gate.check(&exact, &noisy, &support[..2]).is_err());
     }
 
     #[test]

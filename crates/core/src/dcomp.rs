@@ -14,7 +14,7 @@ use kert_bayes::BayesianNetwork;
 use rand::Rng;
 
 use crate::kert::KertBn;
-use crate::posterior::{query_posterior, query_posterior_via, Engine, McOptions, Posterior};
+use crate::posterior::{query_posterior_via, Engine, McOptions, Posterior};
 use crate::serve;
 use crate::Result;
 
@@ -57,13 +57,15 @@ pub fn dcomp<R: Rng + ?Sized>(
     mc: McOptions,
     rng: &mut R,
 ) -> Result<DCompOutcome> {
-    let prior = query_posterior(network, discretizer, &[], target, mc, rng)?;
-    let posterior = query_posterior(network, discretizer, observed, target, mc, rng)?;
-    Ok(DCompOutcome {
+    dcomp_via(
+        network,
+        discretizer,
+        observed,
         target,
-        prior,
-        posterior,
-    })
+        Engine::Auto,
+        mc,
+        rng,
+    )
 }
 
 /// Batched dComp: prior and posterior of every `target` under one shared

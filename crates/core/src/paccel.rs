@@ -13,7 +13,7 @@ use kert_bayes::discretize::Discretizer;
 use kert_bayes::BayesianNetwork;
 use rand::Rng;
 
-use crate::posterior::{query_posterior, query_posterior_via, Engine, McOptions, Posterior};
+use crate::posterior::{query_posterior_via, Engine, McOptions, Posterior};
 use crate::serve;
 use crate::Result;
 
@@ -56,22 +56,16 @@ pub fn paccel<R: Rng + ?Sized>(
     mc: McOptions,
     rng: &mut R,
 ) -> Result<PAccelOutcome> {
-    let prior_d = query_posterior(network, discretizer, &[], d_node, mc, rng)?;
-    let projected_d = query_posterior(
+    paccel_via(
         network,
         discretizer,
-        &[(service, predicted_elapsed)],
         d_node,
-        mc,
-        rng,
-    )?;
-    Ok(PAccelOutcome {
         service,
         predicted_elapsed,
-        prior_d,
-        projected_d,
-        degraded: false,
-    })
+        Engine::Auto,
+        mc,
+        rng,
+    )
 }
 
 /// [`paccel`] with the inference engine pinned — the oracle-comparable

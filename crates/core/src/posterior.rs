@@ -2,15 +2,18 @@
 //!
 //! Both paper applications (dComp, pAccel) reduce to one operation: the
 //! posterior distribution of one node given point observations of others.
-//! Three inference engines serve it, picked automatically:
+//! Three inference engines serve it, picked automatically ([`Engine::Auto`]):
 //!
 //! * **discrete** networks → exact variable elimination (the §5 path);
 //! * **linear continuous** networks → exact joint-Gaussian conditioning;
 //! * **nonlinear continuous** networks (`max` in the response CPD) →
 //!   likelihood weighting — the case Matlab BNT could not handle.
+//!
+//! One-shot discrete queries stay on VE because compiling a junction tree
+//! costs about twice one VE query; batched and session queries run on the
+//! compiled tree ([`crate::serve`]).
 
 use kert_bayes::discretize::Discretizer;
-use kert_bayes::infer::gibbs::{gibbs_posterior_chains, GibbsOptions};
 use kert_bayes::infer::sampling::{likelihood_weighting, LwOptions};
 use kert_bayes::infer::ve;
 use kert_bayes::joint;
@@ -233,6 +236,7 @@ pub fn shifted_posterior(
     let service_bins = discretizer.column(service).bins();
     let mut weights = vec![0.0f64; service_bins];
     for &v in shifted_values {
+        check_evidence_value(service, v)?;
         weights[discretizer.column(service).state(v)] += 1.0;
     }
     let total = shifted_values.len() as f64;
@@ -274,42 +278,25 @@ impl Default for McOptions {
 
 /// Explicit inference-engine selection for [`query_posterior_via`].
 ///
-/// [`query_posterior`] picks the engine automatically from the model
-/// family; the conformance layer instead needs to drive *every* fast path
-/// through the same public entry point the autonomic loop uses, so each
-/// engine can be pinned and compared against the matching oracle.
+/// [`Engine::Auto`] picks the engine from the model family; the
+/// conformance layer instead pins an engine so it can be compared
+/// against the matching oracle through the same entry point the
+/// autonomic loop uses.
 #[derive(Debug, Clone, Copy)]
 pub enum Engine {
-    /// The automatic dispatch of [`query_posterior`].
+    /// VE with min-fill on discrete models, Gaussian conditioning on
+    /// linear continuous ones, likelihood weighting otherwise.
     Auto,
     /// Exact variable elimination over the full factor set with the given
     /// ordering heuristic (discrete models only).
     VariableElimination(ve::EliminationHeuristic),
-    /// Exact variable elimination with barren-node pruning (discrete
-    /// models only).
-    PrunedVariableElimination(ve::EliminationHeuristic),
-    /// The pre-optimization greedy-ordering VE over the naive factor
-    /// kernels (discrete models only).
-    NaiveVariableElimination,
     /// Compiled junction-tree propagation (discrete models only): moralize,
     /// triangulate with min-fill, calibrate by Shafer-Shenoy message
     /// passing, read the marginal off the target's home clique. Exact, and
-    /// the engine behind [`crate::serve::SharedKert`].
+    /// the engine behind [`crate::serve::SharedKert`]. Compiles per call.
     JunctionTree,
-    /// Multi-chain Gibbs sampling (discrete models only); deterministic
-    /// per `base_seed`.
-    Gibbs {
-        /// Per-chain sweep budget.
-        options: GibbsOptions,
-        /// Number of independent chains pooled.
-        chains: usize,
-        /// Master seed the chain seeds are spread from.
-        base_seed: u64,
-    },
     /// Exact joint-Gaussian conditioning (linear continuous models only).
     GaussianConditioning,
-    /// Likelihood weighting (continuous models).
-    LikelihoodWeighting,
 }
 
 /// Refuse a non-finite evidence value. A discretizer would clamp `±inf`
@@ -325,6 +312,13 @@ pub(crate) fn check_evidence_value(node: usize, value: f64) -> Result<()> {
     }
 }
 
+/// Refuse a node listed twice: engines that keep the last pin and engines
+/// that sort their pins would otherwise answer the same request
+/// differently.
+pub(crate) fn duplicate_node(node: usize) -> CoreError {
+    CoreError::BadRequest(format!("evidence lists node {node} more than once"))
+}
+
 pub(crate) fn check_query(
     network: &BayesianNetwork,
     evidence: &[(usize, f64)],
@@ -333,7 +327,7 @@ pub(crate) fn check_query(
     if target >= network.len() {
         return Err(CoreError::BadRequest(format!("no node {target}")));
     }
-    for &(node, value) in evidence {
+    for (i, &(node, value)) in evidence.iter().enumerate() {
         if node >= network.len() {
             return Err(CoreError::BadRequest(format!("no evidence node {node}")));
         }
@@ -342,22 +336,16 @@ pub(crate) fn check_query(
                 "node {node} is both target and evidence"
             )));
         }
+        if evidence[..i].iter().any(|&(seen, _)| seen == node) {
+            return Err(duplicate_node(node));
+        }
         check_evidence_value(node, value)?;
     }
     Ok(())
 }
 
-/// Bin raw evidence values through the model's discretizer.
-fn binned_evidence(disc: &Discretizer, evidence: &[(usize, f64)]) -> ve::Evidence {
-    let mut ev = ve::Evidence::new();
-    for &(node, value) in evidence {
-        ev.insert(node, disc.column(node).state(value));
-    }
-    ev
-}
-
-/// Wrap a VE/Gibbs probability vector as a [`Posterior::Discrete`] over
-/// the target's bin representatives.
+/// Wrap a VE/junction-tree probability vector as a [`Posterior::Discrete`]
+/// over the target's bin representatives.
 pub(crate) fn discrete_posterior(disc: &Discretizer, target: usize, probs: Vec<f64>) -> Posterior {
     let column = disc.column(target);
     let support = column.midpoints.clone();
@@ -369,9 +357,10 @@ pub(crate) fn discrete_posterior(disc: &Discretizer, target: usize, probs: Vec<f
     }
 }
 
-/// [`query_posterior`] with the inference engine pinned instead of chosen
-/// automatically. Engines that do not apply to the model family (e.g. VE
-/// on a continuous model) return `BadRequest`.
+/// Posterior of `target` given point observations `evidence` (raw
+/// measurement values; discrete models bin them internally), with the
+/// inference engine chosen by `engine`. Engines that do not apply to the
+/// model family (e.g. VE on a continuous model) return `BadRequest`.
 pub fn query_posterior_via<R: Rng + ?Sized>(
     network: &BayesianNetwork,
     discretizer: Option<&Discretizer>,
@@ -388,32 +377,31 @@ pub fn query_posterior_via<R: Rng + ?Sized>(
         })
     }
     match engine {
-        Engine::Auto => query_posterior(network, discretizer, evidence, target, mc, rng),
+        Engine::Auto => match discretizer {
+            Some(disc) => ve_posterior(
+                network,
+                disc,
+                evidence,
+                target,
+                ve::EliminationHeuristic::MinFill,
+            ),
+            None if joint::is_linear_gaussian(network) => {
+                gaussian_posterior(network, evidence, target)
+            }
+            None => lw_posterior(network, evidence, target, mc, rng),
+        },
         Engine::VariableElimination(h) => {
-            let disc = need_disc(discretizer)?;
-            let ev = binned_evidence(disc, evidence);
-            let probs = ve::posterior_marginal_with(network, target, &ev, h)?;
-            Ok(discrete_posterior(disc, target, probs))
-        }
-        Engine::PrunedVariableElimination(h) => {
-            let disc = need_disc(discretizer)?;
-            let ev = binned_evidence(disc, evidence);
-            let probs = ve::posterior_marginal_pruned_with(network, target, &ev, h)?;
-            Ok(discrete_posterior(disc, target, probs))
-        }
-        Engine::NaiveVariableElimination => {
-            let disc = need_disc(discretizer)?;
-            let ev = binned_evidence(disc, evidence);
-            let probs = ve::naive::posterior_marginal(network, target, &ev)?;
-            Ok(discrete_posterior(disc, target, probs))
+            ve_posterior(network, need_disc(discretizer)?, evidence, target, h)
         }
         Engine::JunctionTree => {
             let disc = need_disc(discretizer)?;
-            let ev = binned_evidence(disc, evidence);
             let tree = kert_bayes::compile::JunctionTree::compile(network)?;
             let mut state = tree.new_state();
-            // Deterministic entry order regardless of HashMap iteration.
-            let mut pins: Vec<(usize, usize)> = ev.iter().map(|(&n, &s)| (n, s)).collect();
+            // Deterministic entry order regardless of evidence order.
+            let mut pins: Vec<(usize, usize)> = evidence
+                .iter()
+                .map(|&(node, value)| (node, disc.column(node).state(value)))
+                .collect();
             pins.sort_unstable();
             for (node, s) in pins {
                 tree.set_evidence(&mut state, node, s)?;
@@ -421,49 +409,75 @@ pub fn query_posterior_via<R: Rng + ?Sized>(
             let probs = tree.marginal(&mut state, target)?;
             Ok(discrete_posterior(disc, target, probs))
         }
-        Engine::Gibbs {
-            options,
-            chains,
-            base_seed,
-        } => {
-            let disc = need_disc(discretizer)?;
-            let ev = binned_evidence(disc, evidence);
-            let probs = gibbs_posterior_chains(network, target, &ev, options, chains, base_seed)?;
-            Ok(discrete_posterior(disc, target, probs))
+        Engine::GaussianConditioning if joint::is_linear_gaussian(network) => {
+            gaussian_posterior(network, evidence, target)
         }
-        Engine::GaussianConditioning => {
-            if !joint::is_linear_gaussian(network) {
-                return Err(CoreError::BadRequest(
-                    "Gaussian conditioning requires a linear-Gaussian model".into(),
-                ));
-            }
-            let mvn = joint::to_joint_gaussian(network)?;
-            if evidence.is_empty() {
-                return Ok(Posterior::Gaussian {
-                    mean: mvn.mean()[target],
-                    variance: mvn.cov().get(target, target),
-                });
-            }
-            let idx: Vec<usize> = evidence.iter().map(|&(n, _)| n).collect();
-            let vals: Vec<f64> = evidence.iter().map(|&(_, v)| v).collect();
-            let cond = mvn.condition(&idx, &vals)?;
-            let mean = cond
-                .mean_of(target)
-                .ok_or_else(|| CoreError::BadRequest(format!("target {target} was observed")))?;
-            let variance = cond.variance_of(target).expect("checked above");
-            Ok(Posterior::Gaussian { mean, variance })
-        }
-        Engine::LikelihoodWeighting => {
-            if discretizer.is_some() {
-                return Err(CoreError::BadRequest(
-                    "likelihood weighting runs on continuous models".into(),
-                ));
-            }
-            lw_posterior(network, evidence, target, mc, rng)
-        }
+        Engine::GaussianConditioning => Err(CoreError::BadRequest(
+            "Gaussian conditioning requires a linear-Gaussian model".into(),
+        )),
     }
 }
 
+/// [`query_posterior_via`] with [`Engine::Auto`].
+pub fn query_posterior<R: Rng + ?Sized>(
+    network: &BayesianNetwork,
+    discretizer: Option<&Discretizer>,
+    evidence: &[(usize, f64)],
+    target: usize,
+    mc: McOptions,
+    rng: &mut R,
+) -> Result<Posterior> {
+    query_posterior_via(
+        network,
+        discretizer,
+        evidence,
+        target,
+        Engine::Auto,
+        mc,
+        rng,
+    )
+}
+
+/// Exact variable elimination on evidence binned through `disc`.
+fn ve_posterior(
+    network: &BayesianNetwork,
+    disc: &Discretizer,
+    evidence: &[(usize, f64)],
+    target: usize,
+    heuristic: ve::EliminationHeuristic,
+) -> Result<Posterior> {
+    let ev: ve::Evidence = evidence
+        .iter()
+        .map(|&(node, value)| (node, disc.column(node).state(value)))
+        .collect();
+    let probs = ve::posterior_marginal_with(network, target, &ev, heuristic)?;
+    Ok(discrete_posterior(disc, target, probs))
+}
+
+/// Exact joint-Gaussian conditioning of a linear-Gaussian network.
+fn gaussian_posterior(
+    network: &BayesianNetwork,
+    evidence: &[(usize, f64)],
+    target: usize,
+) -> Result<Posterior> {
+    let mvn = joint::to_joint_gaussian(network)?;
+    if evidence.is_empty() {
+        return Ok(Posterior::Gaussian {
+            mean: mvn.mean()[target],
+            variance: mvn.cov().get(target, target),
+        });
+    }
+    let idx: Vec<usize> = evidence.iter().map(|&(n, _)| n).collect();
+    let vals: Vec<f64> = evidence.iter().map(|&(_, v)| v).collect();
+    let cond = mvn.condition(&idx, &vals)?;
+    let mean = cond
+        .mean_of(target)
+        .ok_or_else(|| CoreError::BadRequest(format!("target {target} was observed")))?;
+    let variance = cond.variance_of(target).expect("checked above");
+    Ok(Posterior::Gaussian { mean, variance })
+}
+
+/// Likelihood weighting over a continuous network.
 fn lw_posterior<R: Rng + ?Sized>(
     network: &BayesianNetwork,
     evidence: &[(usize, f64)],
@@ -496,55 +510,47 @@ fn lw_posterior<R: Rng + ?Sized>(
     Ok(Posterior::Samples { values, weights })
 }
 
-/// Posterior of `target` given point observations `evidence` (raw
-/// measurement values; discrete models bin them internally).
-pub fn query_posterior<R: Rng + ?Sized>(
-    network: &BayesianNetwork,
-    discretizer: Option<&Discretizer>,
-    evidence: &[(usize, f64)],
-    target: usize,
-    mc: McOptions,
-    rng: &mut R,
-) -> Result<Posterior> {
-    check_query(network, evidence, target)?;
-
-    if let Some(disc) = discretizer {
-        // Discrete path: exact variable elimination.
-        let ev = binned_evidence(disc, evidence);
-        let probs = ve::posterior_marginal(network, target, &ev)?;
-        return Ok(discrete_posterior(disc, target, probs));
-    }
-
-    if joint::is_linear_gaussian(network) {
-        // Exact Gaussian conditioning.
-        let mvn = joint::to_joint_gaussian(network)?;
-        if evidence.is_empty() {
-            return Ok(Posterior::Gaussian {
-                mean: mvn.mean()[target],
-                variance: mvn.cov().get(target, target),
-            });
-        }
-        let idx: Vec<usize> = evidence.iter().map(|&(n, _)| n).collect();
-        let vals: Vec<f64> = evidence.iter().map(|&(_, v)| v).collect();
-        let cond = mvn.condition(&idx, &vals)?;
-        let mean = cond
-            .mean_of(target)
-            .ok_or_else(|| CoreError::BadRequest(format!("target {target} was observed")))?;
-        let variance = cond.variance_of(target).expect("checked above");
-        return Ok(Posterior::Gaussian { mean, variance });
-    }
-
-    // Nonlinear continuous: likelihood weighting.
-    lw_posterior(network, evidence, target, mc, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dcomp::{dcomp, dcomp_via};
+    use crate::kert::{DiscreteKertOptions, KertBn};
+    use crate::paccel::{paccel, paccel_via};
+    use crate::violation::{assess_violation, violation_probability_via};
     use kert_bayes::cpd::{Cpd, DetNoise, DeterministicCpd, LinearGaussianCpd};
     use kert_bayes::{Dag, Expr, Variable};
+    use kert_sim::{Dist, ServiceConfig, SimOptions, SimSystem};
+    use kert_workflow::{derive_structure, ediamond_workflow, ResourceMap};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn discrete_model() -> KertBn {
+        let wf = ediamond_workflow();
+        let knowledge = derive_structure(&wf, 6, &ResourceMap::new()).unwrap();
+        let stations = [0.05, 0.05, 0.04, 0.35, 0.04, 0.10]
+            .iter()
+            .map(|&m| ServiceConfig::single(Dist::Erlang { k: 4, mean: m }))
+            .collect();
+        let options = SimOptions {
+            inter_arrival: Dist::Exponential { mean: 0.5 },
+            warmup: 50,
+        };
+        let mut sys = SimSystem::new(&wf, stations, options).unwrap();
+        let data = sys
+            .run(400, &mut StdRng::seed_from_u64(71))
+            .to_dataset(None);
+        KertBn::build_discrete(&knowledge, &data, DiscreteKertOptions::default()).unwrap()
+    }
+
+    fn bits(p: &Posterior) -> Vec<u64> {
+        match p {
+            Posterior::Discrete { probs, .. } => probs.iter().map(|v| v.to_bits()).collect(),
+            Posterior::Gaussian { mean, variance } => vec![mean.to_bits(), variance.to_bits()],
+            Posterior::Samples { values, weights } => {
+                values.iter().chain(weights).map(|v| v.to_bits()).collect()
+            }
+        }
+    }
 
     fn linear_chain() -> BayesianNetwork {
         let vars = vec![Variable::continuous("a"), Variable::continuous("b")];
@@ -623,6 +629,104 @@ mod tests {
             query_posterior(&bn, None, &[(9, 1.0)], 0, McOptions::default(), &mut rng).is_err()
         );
         assert!(query_posterior(&bn, None, &[], 9, McOptions::default(), &mut rng).is_err());
+    }
+
+    /// `Engine::Auto` is exactly the pinned engine it resolves to.
+    #[test]
+    fn auto_is_the_pinned_engine_bitwise() {
+        let mc = McOptions::default();
+        let mut rng = StdRng::seed_from_u64(4);
+        let model = discrete_model();
+        let (bn, disc) = (model.network(), model.discretizer());
+        let evidence = [(0usize, 0.05), (6, 0.6)];
+        let auto = query_posterior(bn, disc, &evidence, 3, mc, &mut rng).unwrap();
+        let ve = query_posterior_via(
+            bn,
+            disc,
+            &evidence,
+            3,
+            Engine::VariableElimination(ve::EliminationHeuristic::MinFill),
+            mc,
+            &mut rng,
+        )
+        .unwrap();
+        assert!(matches!(auto, Posterior::Discrete { .. }));
+        assert_eq!(bits(&auto), bits(&ve));
+
+        let bn = linear_chain();
+        let auto = query_posterior(&bn, None, &[(1, 2.0)], 0, mc, &mut rng).unwrap();
+        let pinned = query_posterior_via(
+            &bn,
+            None,
+            &[(1, 2.0)],
+            0,
+            Engine::GaussianConditioning,
+            mc,
+            &mut rng,
+        )
+        .unwrap();
+        assert!(matches!(auto, Posterior::Gaussian { .. }));
+        assert_eq!(bits(&auto), bits(&pinned));
+    }
+
+    /// The one-shot verbs are their `_via` siblings with `Engine::Auto`.
+    #[test]
+    fn one_shot_verbs_equal_their_auto_via_siblings_bitwise() {
+        let mc = McOptions::default();
+        let mut rng = StdRng::seed_from_u64(5);
+        let model = discrete_model();
+        let (bn, disc, d) = (model.network(), model.discretizer(), model.d_node());
+        let observed = [(0usize, 0.05), (1, 0.06), (6, 0.6)];
+
+        let a = dcomp(bn, disc, &observed, 3, mc, &mut rng).unwrap();
+        let b = dcomp_via(bn, disc, &observed, 3, Engine::Auto, mc, &mut rng).unwrap();
+        assert_eq!(bits(&a.prior), bits(&b.prior));
+        assert_eq!(bits(&a.posterior), bits(&b.posterior));
+
+        let a = paccel(bn, disc, d, 3, 0.3, mc, &mut rng).unwrap();
+        let b = paccel_via(bn, disc, d, 3, 0.3, Engine::Auto, mc, &mut rng).unwrap();
+        assert_eq!(bits(&a.prior_d), bits(&b.prior_d));
+        assert_eq!(bits(&a.projected_d), bits(&b.projected_d));
+
+        let evidence = [(3usize, 0.4)];
+        let a = assess_violation(&model, &evidence, 0.6, mc, &mut rng).unwrap();
+        let b = violation_probability_via(bn, disc, &evidence, d, 0.6, Engine::Auto, mc, &mut rng)
+            .unwrap();
+        assert_eq!(a.probability.to_bits(), b.to_bits());
+    }
+
+    /// A node listed twice is refused on discrete and continuous models
+    /// alike, whichever value comes last.
+    #[test]
+    fn duplicate_evidence_is_refused() {
+        let mc = McOptions::default();
+        let mut rng = StdRng::seed_from_u64(6);
+        let refused = |r: Result<Posterior>| matches!(r, Err(CoreError::BadRequest(_)));
+        let model = discrete_model();
+        let (bn, disc) = (model.network(), model.discretizer());
+        for evidence in [[(0usize, 0.01), (0, 0.2)], [(0, 0.2), (0, 0.01)]] {
+            assert!(refused(query_posterior(
+                bn, disc, &evidence, 3, mc, &mut rng
+            )));
+        }
+        let bn = linear_chain();
+        let evidence = [(1usize, 2.0), (1, -2.0)];
+        assert!(refused(query_posterior(
+            &bn, None, &evidence, 0, mc, &mut rng
+        )));
+    }
+
+    #[test]
+    fn shifted_posterior_refuses_non_finite_values() {
+        let model = discrete_model();
+        let (bn, disc) = (model.network(), model.discretizer().unwrap());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                shifted_posterior(bn, disc, 3, &[0.3, bad], 6),
+                Err(CoreError::BadRequest(_))
+            ));
+        }
+        assert!(shifted_posterior(bn, disc, 3, &[0.3, 0.2], 6).is_ok());
     }
 
     #[test]

@@ -32,7 +32,9 @@ use crate::dcomp::DCompOutcome;
 use crate::kert::KertBn;
 use crate::paccel::PAccelOutcome;
 use crate::persist::SavedModel;
-use crate::posterior::{check_evidence_value, check_query, discrete_posterior, Posterior};
+use crate::posterior::{
+    check_evidence_value, check_query, discrete_posterior, duplicate_node, Posterior,
+};
 use crate::streaming::RefreshOutcome;
 use crate::{CoreError, Result};
 
@@ -77,7 +79,8 @@ pub(crate) fn answer_once<T>(
 /// Bin raw measurement evidence into sorted `(node, state)` pins.
 /// Sorting makes entry order deterministic, so permuted evidence slices
 /// propagate identically. Unknown nodes and non-finite values are
-/// refused: the discretizer would otherwise clamp them into an edge bin.
+/// refused (the discretizer would otherwise clamp them into an edge bin),
+/// and so is a node listed twice.
 fn bin_evidence(model: &KertBn, evidence: &[(usize, f64)]) -> Result<Vec<(usize, usize)>> {
     let disc = disc(model);
     let mut pins: Vec<(usize, usize)> = evidence
@@ -91,6 +94,9 @@ fn bin_evidence(model: &KertBn, evidence: &[(usize, f64)]) -> Result<Vec<(usize,
         })
         .collect::<Result<_>>()?;
     pins.sort_unstable();
+    if let Some(w) = pins.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(duplicate_node(w[0].0));
+    }
     Ok(pins)
 }
 
@@ -602,6 +608,27 @@ mod tests {
         let prior = session.posterior(6).unwrap();
         let fresh = SharedKert::new(discrete_model()).unwrap();
         assert_eq!(dbits(&prior), dbits(&fresh.session().posterior(6).unwrap()));
+    }
+
+    /// A node listed twice would answer with whichever pin sorts last;
+    /// every verb refuses it. Repeated pAccel candidates are separate
+    /// what-ifs, not evidence, and stay legal.
+    #[test]
+    fn duplicate_evidence_is_refused() {
+        let shared = SharedKert::new(discrete_model()).unwrap();
+        let mut session = shared.session();
+        let twice = [(0usize, 0.01), (1, 0.06), (0, 0.2)];
+        let refused = |r: Result<()>| matches!(r, Err(CoreError::BadRequest(_)));
+        assert!(refused(session.set_evidence(&twice)));
+        assert!(refused(session.posterior_group(&twice, &[3]).map(drop)));
+        assert!(refused(session.posterior_group(&twice, &[]).map(drop)));
+        assert!(refused(session.dcomp(&twice, &[3]).map(drop)));
+        assert!(refused(session.violation_sweep(&twice, &[0.5]).map(drop)));
+        let repeated = session.paccel(&[(3, 0.3), (3, 0.3)]).unwrap();
+        assert_eq!(
+            dbits(&repeated[0].projected_d),
+            dbits(&repeated[1].projected_d)
+        );
     }
 
     /// The one-shot entry points compile a fresh tree and run the same

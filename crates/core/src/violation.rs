@@ -13,7 +13,7 @@
 use rand::Rng;
 
 use crate::kert::KertBn;
-use crate::posterior::{query_posterior, McOptions, Posterior};
+use crate::posterior::{query_posterior, query_posterior_via, Engine, McOptions, Posterior};
 use crate::serve;
 use crate::{CoreError, Result};
 
@@ -43,17 +43,19 @@ pub fn assess_violation<R: Rng + ?Sized>(
     mc: McOptions,
     rng: &mut R,
 ) -> Result<ViolationAssessment> {
-    let posterior = query_posterior(
+    let probability = violation_probability_via(
         model.network(),
         model.discretizer(),
         evidence,
         model.d_node(),
+        threshold,
+        Engine::Auto,
         mc,
         rng,
     )?;
     Ok(ViolationAssessment {
         threshold,
-        probability: posterior.exceedance(threshold),
+        probability,
         degraded: model.is_degraded(),
         degraded_services: model.degraded_services(),
     })
@@ -113,19 +115,11 @@ pub fn violation_probability_via<R: Rng + ?Sized>(
     evidence: &[(usize, f64)],
     target: usize,
     threshold: f64,
-    engine: crate::posterior::Engine,
+    engine: Engine,
     mc: McOptions,
     rng: &mut R,
 ) -> Result<f64> {
-    let posterior = crate::posterior::query_posterior_via(
-        network,
-        discretizer,
-        evidence,
-        target,
-        engine,
-        mc,
-        rng,
-    )?;
+    let posterior = query_posterior_via(network, discretizer, evidence, target, engine, mc, rng)?;
     Ok(posterior.exceedance(threshold))
 }
 

@@ -29,6 +29,11 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// between the prefix and the payload.
 pub const TRACE_FLAG: u32 = 0x8000_0000;
 
+/// Most payload bytes reserved before any of them arrive. Larger frames
+/// grow the buffer as their bytes come in, so a peer that announces
+/// [`MAX_FRAME`] and stalls pins at most this much per connection.
+const PAYLOAD_RESERVE: usize = 64 * 1024;
+
 /// Write one frame: 4-byte big-endian length, then the payload.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     write_frame_traced(w, payload, None)
@@ -100,8 +105,14 @@ pub fn read_frame_traced<R: Read>(r: &mut R) -> io::Result<Option<(Vec<u8>, Opti
             format!("peer announced a {len}-byte frame (max {MAX_FRAME})"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream closed inside a frame payload",
+        ));
+    }
     Ok(Some((payload, trace_id)))
 }
 
@@ -141,6 +152,37 @@ mod tests {
         short.extend_from_slice(b"abc");
         let mut r = &short[..];
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// A reader over fixed bytes that records the largest buffer it was
+    /// handed.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn announced_length_is_not_allocated_before_the_payload_arrives() {
+        let mut stalled = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        stalled.extend_from_slice(b"abc");
+        let mut r = Recording {
+            data: &stalled,
+            largest: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest <= PAYLOAD_RESERVE,
+            "reader was handed a {}-byte buffer",
+            r.largest
+        );
     }
 
     #[test]

@@ -229,8 +229,9 @@ mod tests {
     }
 
     /// `1e999` is valid JSON that decodes to `+inf`; the discretizer
-    /// would clamp it into the top bin. The daemon must answer it with a
-    /// typed error and keep serving the connection.
+    /// would clamp it into the top bin. A node listed twice would get an
+    /// answer that depends on which pin wins. The daemon must answer both
+    /// with a typed error and keep serving the connection.
     #[test]
     fn non_finite_wire_evidence_gets_a_typed_error() {
         let handle = start(ServeConfig::default());
@@ -247,12 +248,19 @@ mod tests {
             crate::protocol::decode(&reply).unwrap()
         };
 
-        match roundtrip(text.replace("0.5", "1e999").as_bytes()) {
-            Response::Error(e) => assert_eq!(e.kind, ErrorKind::BadRequest, "{e:?}"),
-            other => panic!("expected a typed error, got {other:?}"),
+        let duplicate = crate::protocol::encode(&Request::Posterior {
+            evidence: vec![(0, 0.5), (0, 0.05)],
+            target: 3,
+        })
+        .unwrap();
+        for bad in [text.replace("0.5", "1e999").into_bytes(), duplicate] {
+            match roundtrip(&bad) {
+                Response::Error(e) => assert_eq!(e.kind, ErrorKind::BadRequest, "{e:?}"),
+                other => panic!("expected a typed error, got {other:?}"),
+            }
+            // Same connection, well-formed request: still served.
+            assert!(matches!(roundtrip(text.as_bytes()), Response::Posterior(_)));
         }
-        // Same connection, well-formed request: still served.
-        assert!(matches!(roundtrip(text.as_bytes()), Response::Posterior(_)));
 
         drop(stream);
         Client::connect(handle.addr()).unwrap().stop().unwrap();
