@@ -31,9 +31,10 @@
 //! * [`fleet`] — simulated fleets of 10³+ agents with deterministic
 //!   chaos (agent faults, shard partitions, coordinator crashes) driving
 //!   the sharded collector and the snapshot/restore path end to end.
-//! * [`streaming`] — the incremental alternative to the per-`T_CON`
-//!   relearn: reports reconcile into joint rows that stream through a
-//!   sliding window of sufficient statistics, `O(delta)` per period.
+//!
+//! Every learning path here fits CPDs in batch. The incremental `T_CON`
+//! refresh over a sliding window of sufficient statistics lives in
+//! `kert_core::streaming`.
 
 pub mod collect;
 pub mod fleet;
@@ -43,7 +44,6 @@ pub mod runtime;
 pub mod scheduler;
 pub mod shard;
 pub mod snapshot;
-pub mod streaming;
 
 pub use collect::{
     collect_report, intersect_row_ids, restrict_to_ids, sanitize_report, CollectStats, FaultyFleet,
@@ -66,7 +66,6 @@ pub use snapshot::{
     load_snapshot, restore_or_cold_start, save_snapshot, CoordinatorSnapshot, SnapshotEntry,
     SnapshotError,
 };
-pub use streaming::{IngestSummary, StreamingCollector};
 
 /// Errors from the decentralized runtime.
 #[derive(Debug, Clone, PartialEq)]

@@ -595,8 +595,6 @@ mod tests {
         );
         let sum: Duration = cen.node_times.iter().sum();
         assert_eq!(cen.centralized_time, sum);
-        // Emulated fleet latency can never exceed the sequential total.
-        assert!(dec.decentralized_time <= cen.centralized_time);
     }
 
     #[test]

@@ -47,7 +47,6 @@ static OBS_JT_MSGS_CALIBRATE: kert_obs::Counter =
     kert_obs::Counter::new("bayes.jt.messages.calibrate");
 static OBS_JT_MSGS_INCREMENTAL: kert_obs::Counter =
     kert_obs::Counter::new("bayes.jt.messages.incremental");
-static OBS_JT_CPD_REFRESH: kert_obs::Counter = kert_obs::Counter::new("bayes.jt.cpd_refresh");
 
 /// An undirected edge of the clique tree with its separator scope.
 #[derive(Debug, Clone)]
@@ -85,12 +84,6 @@ pub struct JunctionTree {
     /// ones table multiplied by every CPD factor assigned to the clique),
     /// so evidence zeroing always finds its variable in scope.
     base: Vec<Factor>,
-    /// Current CPD factor per network node, kept so a parameter refresh
-    /// can rebuild just the dirty clique bases (same multiply order as
-    /// compile, hence bitwise-equal to a fresh compilation).
-    factors: Vec<Factor>,
-    /// Home clique per node factor (first clique covering its scope).
-    factor_home: Vec<usize>,
     /// Per node: the smallest-table clique containing it (queries and
     /// evidence for the node route through this clique).
     node_home: Vec<usize>,
@@ -256,7 +249,10 @@ impl JunctionTree {
         }
 
         // Base potentials: a ones table over the full clique scope times
-        // every CPD factor assigned to (the first clique covering) it.
+        // every CPD factor assigned to (the first clique covering) it. The
+        // home clique covers its factor's scope, so the factor multiplies
+        // in place: the same products as a fresh table per factor, without
+        // allocating one (in `D`'s clique each is a `bins^(n+1)` table).
         let mut base: Vec<Factor> = cliques
             .iter()
             .map(|scope| {
@@ -265,15 +261,15 @@ impl JunctionTree {
                 Factor::new(scope.clone(), scope_cards, vec![1.0; total])
             })
             .collect::<Result<_>>()?;
-        let mut factor_home = Vec::with_capacity(factors.len());
+        let mut ws = QueryWorkspace::new();
         for f in &factors {
             let home = (0..m)
                 .find(|&i| is_subset(f.vars(), &cliques[i]))
                 .ok_or_else(|| {
                     BayesError::Numerical(format!("junction tree lost factor scope {:?}", f.vars()))
                 })?;
-            base[home] = base[home].product(f);
-            factor_home.push(home);
+            let absorbed = base[home].mul_assign_ws(f, &mut ws);
+            debug_assert!(absorbed, "the home clique covers its factor's scope");
         }
 
         let clique_strides: Vec<Vec<usize>> = base.iter().map(|f| strides(f.cards())).collect();
@@ -293,64 +289,8 @@ impl JunctionTree {
             edges,
             neighbors,
             base,
-            factors,
-            factor_home,
             node_home,
         })
-    }
-
-    /// Swap in new CPDs for a set of nodes and rebuild only the affected
-    /// clique base potentials, returning the dirty clique indices
-    /// (ascending, deduplicated).
-    ///
-    /// Each replacement must keep the node's family scope (same child, same
-    /// parents) — exactly what a sliding-window parameter refresh produces.
-    /// Dirty bases are rebuilt as the ones table times every assigned
-    /// factor in ascending node order, the same multiply order as
-    /// [`JunctionTree::compile`], so a refreshed tree is **bitwise
-    /// identical** to a fresh compile of the updated network.
-    ///
-    /// Existing [`JtState`]s still hold potentials and messages derived
-    /// from the old bases; discard them and start from
-    /// [`JunctionTree::new_state`].
-    pub fn refresh_cpds(&mut self, updates: &[(usize, crate::cpd::Cpd)]) -> Result<Vec<usize>> {
-        let mut dirty: BTreeSet<usize> = BTreeSet::new();
-        for (node, cpd) in updates {
-            let node = *node;
-            if node >= self.factors.len() {
-                return Err(BayesError::InvalidNode(node));
-            }
-            if cpd.child() != node {
-                return Err(BayesError::InvalidCpd(format!(
-                    "refresh for node {node} carries a CPD for child {}",
-                    cpd.child()
-                )));
-            }
-            let f = Factor::from_cpd(cpd, &self.cards)?;
-            if f.vars() != self.factors[node].vars() {
-                return Err(BayesError::InvalidCpd(format!(
-                    "refresh for node {node} changes family scope {:?} -> {:?}",
-                    self.factors[node].vars(),
-                    f.vars()
-                )));
-            }
-            self.factors[node] = f;
-            dirty.insert(self.factor_home[node]);
-        }
-        OBS_JT_CPD_REFRESH.add(updates.len() as u64);
-        for &c in &dirty {
-            let scope = &self.cliques[c];
-            let scope_cards: Vec<usize> = scope.iter().map(|&v| self.cards[v]).collect();
-            let total: usize = scope_cards.iter().product();
-            let mut pot = Factor::new(scope.clone(), scope_cards, vec![1.0; total])?;
-            for (node, f) in self.factors.iter().enumerate() {
-                if self.factor_home[node] == c {
-                    pot = pot.product(f);
-                }
-            }
-            self.base[c] = pot;
-        }
-        Ok(dirty.into_iter().collect())
     }
 
     /// Number of cliques.
@@ -907,59 +847,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-9, "target {target}: {got:?} vs {want:?}");
             }
         }
-    }
-
-    #[test]
-    fn cpd_refresh_matches_fresh_compile_bitwise() {
-        let bn = sprinkler();
-        let mut jt = JunctionTree::compile(&bn).unwrap();
-
-        // Move two CPDs (same scopes, new parameters).
-        let new_rain = Cpd::Tabular(
-            TabularCpd::new(2, vec![0], 2, vec![2], vec![0.7, 0.3, 0.1, 0.9]).unwrap(),
-        );
-        let new_cloudy =
-            Cpd::Tabular(TabularCpd::new(0, vec![], 2, vec![], vec![0.6, 0.4]).unwrap());
-        let dirty = jt
-            .refresh_cpds(&[(2, new_rain.clone()), (0, new_cloudy.clone())])
-            .unwrap();
-        assert!(!dirty.is_empty());
-
-        // Reference: recompile the updated network from scratch.
-        let mut bn2 = sprinkler();
-        bn2.set_cpd(2, new_rain).unwrap();
-        bn2.set_cpd(0, new_cloudy).unwrap();
-        let jt2 = JunctionTree::compile(&bn2).unwrap();
-        for (a, b) in jt.base.iter().zip(jt2.base.iter()) {
-            assert_eq!(
-                a.values(),
-                b.values(),
-                "refreshed base differs from recompile"
-            );
-        }
-        let mut st = jt.new_state();
-        let mut st2 = jt2.new_state();
-        jt.set_evidence(&mut st, 3, 1).unwrap();
-        jt2.set_evidence(&mut st2, 3, 1).unwrap();
-        for t in 0..3 {
-            assert_eq!(
-                jt.marginal(&mut st, t).unwrap(),
-                jt2.marginal(&mut st2, t).unwrap(),
-                "refreshed marginal differs for target {t}"
-            );
-        }
-    }
-
-    #[test]
-    fn cpd_refresh_rejects_scope_changes() {
-        let bn = sprinkler();
-        let mut jt = JunctionTree::compile(&bn).unwrap();
-        // Node 2's family is {0, 2}; a parentless replacement changes scope.
-        let rogue = Cpd::Tabular(TabularCpd::new(2, vec![], 2, vec![], vec![0.5, 0.5]).unwrap());
-        assert!(jt.refresh_cpds(&[(2, rogue)]).is_err());
-        // Wrong child index is also rejected.
-        let misfiled = Cpd::Tabular(TabularCpd::new(0, vec![], 2, vec![], vec![0.5, 0.5]).unwrap());
-        assert!(jt.refresh_cpds(&[(1, misfiled)]).is_err());
     }
 
     #[test]

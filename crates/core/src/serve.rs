@@ -25,7 +25,6 @@
 use std::sync::Mutex;
 
 use kert_bayes::compile::{JtState, JunctionTree};
-use kert_bayes::cpd::Cpd;
 use kert_bayes::discretize::Discretizer;
 
 use crate::dcomp::DCompOutcome;
@@ -35,7 +34,6 @@ use crate::persist::SavedModel;
 use crate::posterior::{
     check_evidence_value, check_query, discrete_posterior, duplicate_node, Posterior,
 };
-use crate::streaming::RefreshOutcome;
 use crate::{CoreError, Result};
 
 static OBS_SESSIONS: kert_obs::Counter = kert_obs::Counter::new("core.serve.sessions");
@@ -305,37 +303,6 @@ impl SharedKert {
             core: self,
             st: Some(st),
         }
-    }
-
-    /// Recalibrate in place from a streaming refresh: swap every update
-    /// whose movement exceeds `threshold` into both the model and the
-    /// tree, rebuilding only the cliques that host them. Returns the
-    /// number of cliques rebuilt.
-    ///
-    /// Pass `threshold = 0.0` for exact tracking. A positive threshold
-    /// *drops* sub-threshold updates rather than queueing them; compute
-    /// the next outcome against [`SharedKert::model`], so deferred drift
-    /// keeps accumulating against what sessions actually answer from.
-    ///
-    /// Taking `&mut self` means no session is alive during a refresh.
-    /// Parked states hold messages derived from the old tables, so the
-    /// pool is emptied; the next sessions start from fresh states.
-    pub fn refresh_cpds(&mut self, outcome: &RefreshOutcome, threshold: f64) -> Result<usize> {
-        let updates: Vec<(usize, Cpd)> = outcome
-            .updates
-            .iter()
-            .filter(|u| u.movement > threshold && u.movement > 0.0)
-            .map(|u| (u.node, u.cpd.clone()))
-            .collect();
-        if updates.is_empty() {
-            return Ok(0);
-        }
-        let dirty = self.tree.refresh_cpds(&updates)?;
-        for (node, cpd) in updates {
-            self.model.network_mut().set_cpd(node, cpd)?;
-        }
-        self.pool.get_mut().expect("state pool poisoned").clear();
-        Ok(dirty.len())
     }
 
     fn return_state(&self, st: JtState) {

@@ -10,12 +10,11 @@
 //! * [`StreamingWindow`] owns the raw row buffer, evicts overflow rows,
 //!   and keeps the learner's statistics in lock-step (for discrete models
 //!   rows are binned through the *model's* discretizer, so streamed CPTs
-//!   stay comparable with the deployed network).
-//! * [`KertBn::refresh_from_window`] swaps refreshed CPDs into an
-//!   uncompiled model in place.
-//! * [`crate::SharedKert::refresh_cpds`] recalibrates a compiled engine,
-//!   rebuilding only the junction-tree cliques whose CPDs moved past a
-//!   caller-chosen threshold.
+//!   stay comparable with the deployed network). It refuses rows with
+//!   non-finite values, which no fit over the window could absorb.
+//! * [`KertBn::refresh_from_window`] swaps refreshed CPDs into the model
+//!   in place. Compiled engines are built from the refreshed model: the
+//!   one-shot query entry points compile a fresh tree per call.
 //!
 //! The equivalence contract — streaming CPTs bitwise-equal batch relearn,
 //! linear-Gaussian CPDs within 1e-9 — is enforced by
@@ -47,9 +46,8 @@ pub struct CpdUpdate {
 }
 
 /// The product of one streaming refresh: a fitted CPD per learned node,
-/// each tagged with its movement. Apply to an uncompiled model via
-/// [`KertBn::refresh_from_window`] or to a compiled engine via
-/// [`crate::SharedKert::refresh_cpds`].
+/// each tagged with its movement. [`KertBn::refresh_from_window`] applies
+/// it to the model.
 #[derive(Debug, Clone)]
 pub struct RefreshOutcome {
     /// One entry per learned node, ascending node order.
@@ -60,14 +58,6 @@ impl RefreshOutcome {
     /// Largest movement across all learned nodes.
     pub fn max_movement(&self) -> f64 {
         self.updates.iter().map(|u| u.movement).fold(0.0, f64::max)
-    }
-
-    /// Updates that moved strictly past `threshold`.
-    pub fn moved(&self, threshold: f64) -> Vec<&CpdUpdate> {
-        self.updates
-            .iter()
-            .filter(|u| u.movement > threshold)
-            .collect()
     }
 }
 
@@ -159,11 +149,6 @@ impl StreamingWindow {
         self.capacity
     }
 
-    /// Gram refactorizations taken by the Gaussian fallback (telemetry).
-    pub fn refactorizations(&self) -> u64 {
-        self.learner.refactorizations()
-    }
-
     /// The current window contents as a dataset (training layout), for
     /// differential testing against the batch path.
     pub fn to_dataset(&self, names: Vec<String>) -> Result<Dataset> {
@@ -194,12 +179,22 @@ impl StreamingWindow {
     }
 
     /// Append one raw row, evicting the oldest row if the window is full.
+    ///
+    /// A row holding a non-finite value is refused before anything moves:
+    /// a continuous Gram would keep `inf − inf = NaN` long after the row
+    /// left, and a discretizer would silently bin it into an edge state.
     pub fn push_row(&mut self, row: &[f64]) -> Result<()> {
         if row.len() != self.columns {
             return Err(CoreError::BadRequest(format!(
                 "row has {} values, model expects {}",
                 row.len(),
                 self.columns
+            )));
+        }
+        if let Some(col) = row.iter().position(|v| !v.is_finite()) {
+            return Err(CoreError::BadRequest(format!(
+                "row value {} in column {col} is not finite",
+                row[col]
             )));
         }
         if self.len == self.capacity {
@@ -277,10 +272,16 @@ impl StreamingWindow {
     /// Rebuild every learned node's CPD from the window statistics and tag
     /// each with its movement relative to `model`'s current parameters.
     /// Cost is per-family table size — independent of the window length.
-    pub fn refresh_outcome(&mut self, model: &KertBn) -> Result<RefreshOutcome> {
+    /// An empty window describes no traffic and is refused.
+    pub fn refresh_outcome(&self, model: &KertBn) -> Result<RefreshOutcome> {
         if model.d_node() != self.learned_nodes || model.network().len() != self.columns {
             return Err(CoreError::BadRequest(
                 "window was built for a different model shape".into(),
+            ));
+        }
+        if self.len == 0 {
+            return Err(CoreError::BadRequest(
+                "cannot refresh from an empty window".into(),
             ));
         }
         OBS_REFRESHES.incr();
@@ -310,7 +311,8 @@ impl KertBn {
     /// CPD are untouched; only the per-service (and resource) parameters
     /// move. Equivalent to a batch relearn over the window's rows with the
     /// model's original discretizer: bitwise for CPTs, ≤1e-9 for
-    /// linear-Gaussian CPDs.
+    /// linear-Gaussian CPDs. An empty window is refused with
+    /// [`CoreError::BadRequest`], leaving CPDs and health untouched.
     pub fn refresh_from_window(&mut self, window: &mut StreamingWindow) -> Result<RefreshSummary> {
         let outcome = window.refresh_outcome(self)?;
         let mut nodes_moved = 0;
@@ -336,7 +338,6 @@ impl KertBn {
 mod tests {
     use super::*;
     use crate::kert::{ContinuousKertOptions, DiscreteKertOptions};
-    use crate::serve::SharedKert;
     use kert_bayes::learn::mle::fit_all_parameters;
     use kert_sim::{Dist, ServiceConfig, SimOptions, SimSystem};
     use kert_workflow::{derive_structure, ediamond_workflow, ResourceMap};
@@ -431,121 +432,6 @@ mod tests {
         }
     }
 
-    fn dprobs(p: &crate::Posterior) -> Vec<u64> {
-        match p {
-            crate::Posterior::Discrete { probs, .. } => probs.iter().map(|v| v.to_bits()).collect(),
-            other => panic!("expected a discrete posterior, got {other:?}"),
-        }
-    }
-
-    /// The same model refreshed twice over: `(original, refreshed)` plus
-    /// the outcome that takes one to the other.
-    fn refreshed_pair(seed: u64) -> (KertBn, KertBn, RefreshOutcome, Dataset) {
-        let (knowledge, data) = ediamond_data(900, seed);
-        let (train, rest) = data.split_at(600);
-        let build =
-            || KertBn::build_discrete(&knowledge, &train, DiscreteKertOptions::default()).unwrap();
-        // A 600-row window slid by the 300 rows after the training set.
-        let slid_window = |model: &KertBn| {
-            let mut window = StreamingWindow::new(model, 600, ParamOptions::default()).unwrap();
-            window.extend(&train).unwrap();
-            window.extend(&rest).unwrap();
-            window
-        };
-        let model = build();
-        let outcome = slid_window(&model).refresh_outcome(&model).unwrap();
-        let mut refreshed = build();
-        let mut window = slid_window(&refreshed);
-        refreshed.refresh_from_window(&mut window).unwrap();
-        (model, refreshed, outcome, train)
-    }
-
-    #[test]
-    fn shared_refresh_matches_recompiled_model() {
-        let (model, refreshed, outcome, train) = refreshed_pair(13);
-        let mut shared = SharedKert::new(model).unwrap();
-        let dirty = shared.refresh_cpds(&outcome, 0.0).unwrap();
-        assert!(dirty > 0, "sliding 300 rows must dirty at least one clique");
-        // The engine's model took the same CPDs as its tree.
-        for u in &outcome.updates {
-            let (got, want) = (shared.model().network(), refreshed.network());
-            assert_eq!(cpd_movement(got.cpd(u.node), want.cpd(u.node)), 0.0);
-        }
-
-        let d = refreshed.d_node();
-        let fresh = SharedKert::new(refreshed).unwrap();
-        let evidence = [(0, train.get(0, 0)), (2, train.get(0, 2))];
-        let a = shared
-            .session()
-            .posterior_group(&evidence, &[1, 3, d])
-            .unwrap();
-        let b = fresh
-            .session()
-            .posterior_group(&evidence, &[1, 3, d])
-            .unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(dprobs(x), dprobs(y), "posterior not bitwise equal");
-        }
-    }
-
-    /// A state parked in the pool holds messages derived from the old
-    /// tables. After a refresh the next session must answer exactly like
-    /// a fresh engine of the refreshed model, whatever was parked.
-    #[test]
-    fn refresh_with_parked_states_matches_fresh_engine_bitwise() {
-        let (model, refreshed, outcome, train) = refreshed_pair(16);
-        let d = model.d_node();
-        let evidence = [(0, train.get(0, 0)), (2, train.get(0, 2))];
-        let mut shared = SharedKert::new(model).unwrap();
-        {
-            // Park two warm states: one calibrated under evidence, one
-            // under the prior.
-            let mut warm = shared.session();
-            let mut prior = shared.session();
-            warm.posterior_group(&evidence, &[1, 3, d]).unwrap();
-            prior.posterior_group(&[], &[1, 3, d]).unwrap();
-        }
-        assert_eq!(shared.pooled(), 2);
-        assert!(shared.refresh_cpds(&outcome, 0.0).unwrap() > 0);
-        assert_eq!(shared.pooled(), 0, "refresh must drop parked states");
-
-        let fresh = SharedKert::new(refreshed).unwrap();
-        let targets: Vec<usize> = (0..=d).collect();
-        let mut session = shared.session();
-        let mut reference = fresh.session();
-        for ev in [&[][..], &evidence[..]] {
-            for &t in &targets {
-                if ev.iter().any(|&(n, _)| n == t) {
-                    continue;
-                }
-                let a = session.posterior_group(ev, &[t]).unwrap();
-                let b = reference.posterior_group(ev, &[t]).unwrap();
-                assert_eq!(dprobs(&a[0]), dprobs(&b[0]), "target {t}, evidence {ev:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_refresh_skips_below_threshold() {
-        let (knowledge, data) = ediamond_data(400, 14);
-        let mut model =
-            KertBn::build_discrete(&knowledge, &data, DiscreteKertOptions::default()).unwrap();
-        let mut window = StreamingWindow::new(&model, 400, ParamOptions::default()).unwrap();
-        window.extend(&data).unwrap();
-        // First refresh may move parameters by ~1 ulp: the decentralized
-        // build path renormalizes fitted tables a second time when
-        // re-expressing local CPDs with network indices.
-        model.refresh_from_window(&mut window).unwrap();
-        // With the model synced to the window, movement is exactly zero.
-        let outcome = window.refresh_outcome(&model).unwrap();
-        assert_eq!(outcome.max_movement(), 0.0);
-        let mut shared = SharedKert::new(model).unwrap();
-        assert_eq!(shared.refresh_cpds(&outcome, 0.0).unwrap(), 0);
-        // An absurdly high threshold also refreshes nothing.
-        let outcome2 = window.refresh_outcome(shared.model()).unwrap();
-        assert_eq!(shared.refresh_cpds(&outcome2, 1e9).unwrap(), 0);
-    }
-
     #[test]
     fn window_rejects_bad_shapes() {
         let (knowledge, data) = ediamond_data(100, 15);
@@ -556,5 +442,81 @@ mod tests {
         assert!(window.push_row(&[1.0, 2.0]).is_err());
         window.extend(&data).unwrap();
         assert_eq!(window.len(), 50, "capacity must cap the window");
+    }
+
+    fn build(
+        knowledge: &kert_workflow::WorkflowKnowledge,
+        data: &Dataset,
+        discrete: bool,
+    ) -> KertBn {
+        if discrete {
+            KertBn::build_discrete(knowledge, data, DiscreteKertOptions::default()).unwrap()
+        } else {
+            KertBn::build_continuous(knowledge, data, ContinuousKertOptions::default()).unwrap()
+        }
+    }
+
+    #[test]
+    fn non_finite_rows_are_refused_before_anything_moves() {
+        let (knowledge, data) = ediamond_data(500, 17);
+        let (train, rest) = data.split_at(300);
+        for discrete in [false, true] {
+            let mut model = build(&knowledge, &train, discrete);
+            let mut window = StreamingWindow::new(&model, 100, ParamOptions::default()).unwrap();
+            let refuse_bad_rows = |window: &mut StreamingWindow| {
+                let len = window.len();
+                for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                    for col in [1, model.d_node()] {
+                        let mut row = rest.row(0).to_vec();
+                        row[col] = bad;
+                        let refused = window.push_row(&row);
+                        assert!(
+                            matches!(refused, Err(CoreError::BadRequest(_))),
+                            "discrete={discrete}: {bad} in column {col} gave {refused:?}"
+                        );
+                        assert_eq!(window.len(), len);
+                    }
+                }
+            };
+            // Refused while filling, and again once full (the slide path).
+            refuse_bad_rows(&mut window);
+            window.extend(&train).unwrap();
+            refuse_bad_rows(&mut window);
+            window.extend(&rest).unwrap();
+            model.refresh_from_window(&mut window).unwrap();
+
+            let current = window.to_dataset(train.names().to_vec()).unwrap();
+            let tolerance = if discrete { 0.0 } else { 1e-9 };
+            for (node, b) in batch_cpds(&model, &current).iter().enumerate() {
+                let m = cpd_movement(model.network().cpd(node), b);
+                assert!(m <= tolerance, "discrete={discrete}: node {node} moved {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn refreshing_from_an_empty_window_is_refused() {
+        let (knowledge, data) = ediamond_data(200, 18);
+        for discrete in [false, true] {
+            let mut model = build(&knowledge, &data, discrete);
+            let learned = model.network().cpds()[..model.d_node()].to_vec();
+            let health = model.health().clone();
+            let new_window = StreamingWindow::new(&model, 50, ParamOptions::default()).unwrap();
+            let mut evicted = new_window.clone();
+            evicted.extend(&data).unwrap();
+            evicted.evict_oldest(50).unwrap();
+            for (case, mut window) in [("new", new_window), ("evicted", evicted)] {
+                let refused = model.refresh_from_window(&mut window);
+                assert!(
+                    matches!(refused, Err(CoreError::BadRequest(_))),
+                    "discrete={discrete}, {case} window: {refused:?}"
+                );
+                for (node, want) in learned.iter().enumerate() {
+                    let m = cpd_movement(model.network().cpd(node), want);
+                    assert_eq!(m, 0.0, "discrete={discrete}: node {node} moved");
+                }
+                assert_eq!(model.health(), &health);
+            }
+        }
     }
 }

@@ -8,12 +8,6 @@
 use crate::matrix::{dot, Matrix};
 use crate::{LinalgError, Result, EPS};
 
-/// Dimensions up to this run the rank-1 recurrences on stack buffers.
-/// Gram matrices in the streaming learners are `1 + |parents|`, which the
-/// KERT structure caps well below this; larger factors fall back to heap
-/// scratch transparently.
-const RANK_ONE_STACK: usize = 8;
-
 /// The lower-triangular Cholesky factor `L` of an SPD matrix `A = L·Lᵀ`.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
@@ -165,138 +159,6 @@ impl Cholesky {
         Ok(b)
     }
 
-    /// Rank-1 **update**: replace the factored matrix `A` by `A + x·xᵀ`
-    /// in place, in `O(n²)`.
-    ///
-    /// Uses the classical hyperbolic-rotation-free recurrence (Golub & Van
-    /// Loan §12.5.1 via scaled Givens rotations): at column `k` the new
-    /// pivot is `r = √(L[k][k]² + x[k]²)`, and the sub-column and carry
-    /// vector rotate through `(c, s) = (r / L[k][k], x[k] / L[k][k])`.
-    /// Adding a positive-semidefinite rank-1 term keeps the matrix
-    /// positive definite, so the update cannot fail; `x` is copied into a
-    /// scratch carry buffer (stack-allocated for small dimensions).
-    #[inline]
-    pub fn rank_one_update(&mut self, x: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if x.len() != n {
-            return Err(LinalgError::ShapeMismatch(format!(
-                "cholesky rank_one_update: dim {n} vs vector {}",
-                x.len()
-            )));
-        }
-        // Streaming learners call this once per window row; small factors
-        // (the common Gram sizes) stay entirely on the stack.
-        let mut w_stack = [0.0f64; RANK_ONE_STACK];
-        let mut w_heap = Vec::new();
-        let w: &mut [f64] = if n <= RANK_ONE_STACK {
-            w_stack[..n].copy_from_slice(x);
-            &mut w_stack[..n]
-        } else {
-            w_heap.extend_from_slice(x);
-            &mut w_heap
-        };
-        for k in 0..n {
-            let lkk = self.l.get(k, k);
-            let wk = w[k];
-            // √(lkk² + wk²) without `hypot`: both operands are pivots or
-            // window measurements, nowhere near the over/underflow range
-            // hypot guards against — and hypot is an order of magnitude
-            // slower, which matters at one call per column per row.
-            let r = (lkk * lkk + wk * wk).sqrt();
-            // Two reciprocals replace the three per-column divisions of the
-            // textbook form — division latency dominates these tiny columns.
-            let inv_lkk = 1.0 / lkk;
-            let inv_r = 1.0 / r;
-            let c = r * inv_lkk;
-            let s = wk * inv_lkk;
-            let cinv = lkk * inv_r;
-            self.l.set(k, k, r);
-            for i in (k + 1)..n {
-                let lik = (self.l.get(i, k) + s * w[i]) * cinv;
-                w[i] = c * w[i] - s * lik;
-                self.l.set(i, k, lik);
-            }
-        }
-        Ok(())
-    }
-
-    /// Rank-1 **downdate**: replace the factored matrix `A` by `A − x·xᵀ`
-    /// in place, in `O(n²)`.
-    ///
-    /// Unlike the update, a downdate can leave the matrix indefinite —
-    /// e.g. removing a row that carried all the variance of a direction.
-    /// Every pivot is guarded (`L[k][k]² − w[k]² > 0` with an
-    /// [`EPS`]-scaled margin) and the new columns are staged in scratch,
-    /// committed only after the whole recurrence succeeds — so a failed
-    /// downdate returns [`LinalgError::NotPositiveDefinite`] and leaves
-    /// the factor **unmodified** — never NaN, never silently indefinite.
-    /// Callers (the streaming learners) treat the error as the signal to
-    /// refactorize from accumulated sufficient statistics.
-    #[inline]
-    pub fn rank_one_downdate(&mut self, x: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if x.len() != n {
-            return Err(LinalgError::ShapeMismatch(format!(
-                "cholesky rank_one_downdate: dim {n} vs vector {}",
-                x.len()
-            )));
-        }
-        // The recurrence only ever reads column `k` of the *original*
-        // factor while producing column `k` of the new one, so the new
-        // columns go into scratch (column-major, `cols[k·n + i]`) and are
-        // committed only after every pivot has been verified — a failure
-        // partway through leaves `self` untouched, without cloning `L`.
-        // An infeasible downdate (A − xxᵀ indefinite) necessarily drives
-        // some pivot nonpositive, so the per-pivot guard below doubles as
-        // the feasibility test (Gill, Golub, Murray & Saunders 1974).
-        let mut w_stack = [0.0f64; RANK_ONE_STACK];
-        let mut w_heap = Vec::new();
-        let w: &mut [f64] = if n <= RANK_ONE_STACK {
-            w_stack[..n].copy_from_slice(x);
-            &mut w_stack[..n]
-        } else {
-            w_heap.extend_from_slice(x);
-            &mut w_heap
-        };
-        let mut cols_stack = [0.0f64; RANK_ONE_STACK * RANK_ONE_STACK];
-        let mut cols_heap = Vec::new();
-        let cols: &mut [f64] = if n <= RANK_ONE_STACK {
-            &mut cols_stack[..n * n]
-        } else {
-            cols_heap.resize(n * n, 0.0);
-            &mut cols_heap
-        };
-        for k in 0..n {
-            let lkk = self.l.get(k, k);
-            let wk = w[k];
-            let d = lkk * lkk - wk * wk;
-            // The global probe above guarantees feasibility in exact
-            // arithmetic; this per-pivot guard catches float rounding at
-            // the boundary so no sqrt of a negative ever happens.
-            if d <= EPS * lkk * lkk {
-                return Err(LinalgError::NotPositiveDefinite { index: k, pivot: d });
-            }
-            let r = d.sqrt();
-            let inv_lkk = 1.0 / lkk;
-            let inv_r = 1.0 / r;
-            let c = r * inv_lkk;
-            let s = wk * inv_lkk;
-            let cinv = lkk * inv_r;
-            cols[k * n + k] = r;
-            for i in (k + 1)..n {
-                let lik = (self.l.get(i, k) - s * w[i]) * cinv;
-                w[i] = c * w[i] - s * lik;
-                cols[k * n + i] = lik;
-            }
-        }
-        for k in 0..n {
-            for i in k..n {
-                self.l.set(i, k, cols[k * n + i]);
-            }
-        }
-        Ok(())
-    }
-
     /// `L · z` — maps i.i.d. standard normals `z` to correlated samples.
     pub fn l_mul(&self, z: &[f64]) -> Vec<f64> {
         let n = self.dim();
@@ -386,74 +248,5 @@ mod tests {
     fn solve_rejects_wrong_rhs_length() {
         let ch = Cholesky::factor(&spd3()).unwrap();
         assert!(ch.solve(vec![1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn rank_one_update_matches_refactorization() {
-        let a = spd3();
-        let x = [0.7, -1.3, 0.4];
-        let mut ch = Cholesky::factor(&a).unwrap();
-        ch.rank_one_update(&x).unwrap();
-        let mut ax = a.clone();
-        for i in 0..3 {
-            for j in 0..3 {
-                ax.add_at(i, j, x[i] * x[j]);
-            }
-        }
-        let fresh = Cholesky::factor(&ax).unwrap();
-        assert!(ch.l().max_abs_diff(fresh.l()) < 1e-12);
-    }
-
-    #[test]
-    fn rank_one_downdate_matches_refactorization() {
-        let a = spd3();
-        let x = [0.3, 0.2, -0.1];
-        let mut ch = Cholesky::factor(&a).unwrap();
-        ch.rank_one_downdate(&x).unwrap();
-        let mut ax = a.clone();
-        for i in 0..3 {
-            for j in 0..3 {
-                ax.add_at(i, j, -x[i] * x[j]);
-            }
-        }
-        let fresh = Cholesky::factor(&ax).unwrap();
-        assert!(ch.l().max_abs_diff(fresh.l()) < 1e-12);
-    }
-
-    #[test]
-    fn update_then_downdate_round_trips() {
-        let a = spd3();
-        let x = [2.0, -0.5, 1.5];
-        let before = Cholesky::factor(&a).unwrap();
-        let mut ch = before.clone();
-        ch.rank_one_update(&x).unwrap();
-        ch.rank_one_downdate(&x).unwrap();
-        assert!(ch.l().max_abs_diff(before.l()) < 1e-9);
-    }
-
-    #[test]
-    fn infeasible_downdate_errors_and_preserves_factor() {
-        let a = spd3();
-        let mut ch = Cholesky::factor(&a).unwrap();
-        let before = ch.l().clone();
-        // ‖x‖ far exceeds what A − xxᵀ can absorb: guaranteed indefinite.
-        let err = ch.rank_one_downdate(&[10.0, 10.0, 10.0]);
-        assert!(matches!(err, Err(LinalgError::NotPositiveDefinite { .. })));
-        assert!(
-            ch.l().max_abs_diff(&before) == 0.0,
-            "factor must be untouched"
-        );
-        for i in 0..3 {
-            for j in 0..=i {
-                assert!(ch.l().get(i, j).is_finite());
-            }
-        }
-    }
-
-    #[test]
-    fn rank_one_ops_reject_wrong_length() {
-        let mut ch = Cholesky::factor(&spd3()).unwrap();
-        assert!(ch.rank_one_update(&[1.0]).is_err());
-        assert!(ch.rank_one_downdate(&[1.0, 2.0]).is_err());
     }
 }
