@@ -1,13 +1,15 @@
 //! Report collection for the management server: retry, backoff,
-//! reconciliation.
+//! sanitization.
 //!
 //! The conventional runtime ([`crate::runtime::decentralized_learn`])
 //! assumes every agent's local dataset is simply *there*. This module
 //! models the lossy path in between: the server asks each agent for its
 //! window report, retries bounded times on loss (with exponential backoff
 //! accounted in simulated windows, never wall-clock sleeps), tolerates
-//! bounded straggling, and reconciles what arrives — dropping poisoned
-//! rows and realigning partial batches by global request id.
+//! bounded straggling, and drops the rows corruption poisoned. Each report
+//! is self-contained (the node's own column plus its parents'), so a
+//! partial batch is still fitted on its own and never realigned against
+//! other agents' reports.
 
 use kert_bayes::Dataset;
 use kert_sim::{AgentReport, Delivery, FaultEvent, FaultInjector, MonitoringAgent, Trace};
@@ -31,23 +33,14 @@ pub trait ReportSource {
     /// One delivery attempt of `agent`'s report for `window`.
     fn fetch(&mut self, agent: usize, window: usize, attempt: usize)
         -> (Delivery, Vec<FaultEvent>);
-
-    /// Whether shard `shard` (of `n_shards`) is entirely unreachable for
-    /// `window` — a network partition between the coordinator and a slice
-    /// of the fleet. Sources without shard-level faults report `false`;
-    /// the epoch collector short-circuits every fetch in a partitioned
-    /// shard without spending its retry budget.
-    fn shard_outage(&mut self, _shard: usize, _n_shards: usize, _window: usize) -> bool {
-        false
-    }
 }
 
 /// A fleet of monitoring agents reporting trace windows through a
 /// [`FaultInjector`].
 ///
 /// Row ids are global: window `w` starts at the cumulative row count of
-/// windows `0..w`, so reports from different agents — and truncated or
-/// straggling reports — stay alignable by id intersection.
+/// windows `0..w`, so every row of every report — truncated or straggling
+/// ones included — names the request it measured.
 pub struct FaultyFleet<'a> {
     agents: &'a [MonitoringAgent],
     windows: &'a [Trace],
@@ -101,10 +94,6 @@ impl ReportSource for FaultyFleet<'_> {
             self.agents[agent].report_window(&self.windows[window], self.window_starts[window]);
         self.injector.deliver(agent, window, attempt, &report)
     }
-
-    fn shard_outage(&mut self, shard: usize, n_shards: usize, window: usize) -> bool {
-        self.injector.shard_partitioned(shard, n_shards, window)
-    }
 }
 
 /// Retry/backoff policy for one report collection.
@@ -128,16 +117,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries and accepts no straggle — the
-    /// collector's straggler-cutoff mode once a shard's epoch budget is
-    /// exhausted.
-    pub fn cutoff() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            patience_windows: 0,
-        }
-    }
-
     /// Simulated windows charged for the backoff after retry `attempt`.
     ///
     /// Exponential (`2^attempt`) but *saturating*: a pathological retry
@@ -232,52 +211,6 @@ pub fn sanitize_report(report: &mut AgentReport) -> usize {
     report.data = data;
     report.row_ids = row_ids;
     dropped
-}
-
-/// Restrict a report to the rows whose ids appear in `ids` (ascending
-/// intersection). Returns the number of rows removed.
-///
-/// This is the server-side realignment step: when agents ship partial or
-/// sanitized batches, positional alignment is gone, but the shared global
-/// ids recover which measurements belong to the same request.
-pub fn restrict_to_ids(report: &mut AgentReport, ids: &[u64]) -> usize {
-    let rows = report.data.rows();
-    let keep: Vec<usize> = report
-        .row_ids
-        .iter()
-        .enumerate()
-        .filter(|(_, id)| ids.binary_search(id).is_ok())
-        .map(|(r, _)| r)
-        .collect();
-    if keep.len() == rows {
-        return 0;
-    }
-    let removed = rows - keep.len();
-    let mut data = Dataset::new(report.data.names().to_vec());
-    let mut row_ids = Vec::with_capacity(keep.len());
-    for &r in &keep {
-        data.push_row(report.data.row(r).to_vec())
-            .expect("restricted rows keep the report's width");
-        row_ids.push(report.row_ids[r]);
-    }
-    report.data = data;
-    report.row_ids = row_ids;
-    removed
-}
-
-/// Ascending intersection of the row-id sets of several reports.
-pub fn intersect_row_ids(reports: &[&AgentReport]) -> Vec<u64> {
-    let Some((first, rest)) = reports.split_first() else {
-        return Vec::new();
-    };
-    let mut ids: Vec<u64> = first.row_ids.clone();
-    ids.sort_unstable();
-    for report in rest {
-        let mut other: Vec<u64> = report.row_ids.clone();
-        other.sort_unstable();
-        ids.retain(|id| other.binary_search(id).is_ok());
-    }
-    ids
 }
 
 #[cfg(test)]
@@ -485,28 +418,5 @@ mod tests {
         assert_eq!(report.data.rows(), 3);
         assert_eq!(report.row_ids, vec![0, 2, 4]);
         assert_eq!(sanitize_report(&mut report), 0);
-    }
-
-    #[test]
-    fn id_intersection_realigns_partial_reports() {
-        let trace = demo_windows(2, 1, 6).remove(0);
-        let full = MonitoringAgent::new(0, vec![]).report(&trace);
-        let mut partial = MonitoringAgent::new(1, vec![0]).report(&trace);
-        // Simulate truncation to the first 3 rows.
-        let mut data = Dataset::new(partial.data.names().to_vec());
-        for r in 0..3 {
-            data.push_row(partial.data.row(r).to_vec()).unwrap();
-        }
-        partial.data = data;
-        partial.row_ids.truncate(3);
-
-        let shared = intersect_row_ids(&[&full, &partial]);
-        assert_eq!(shared, vec![0, 1, 2]);
-        let mut full = full;
-        assert_eq!(restrict_to_ids(&mut full, &shared), 3);
-        assert_eq!(full.data.rows(), 3);
-        assert_eq!(full.row_ids, shared);
-
-        assert!(intersect_row_ids(&[]).is_empty());
     }
 }

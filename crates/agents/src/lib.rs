@@ -17,39 +17,25 @@
 //!   timing; plus the sequential centralized reference path.
 //! * [`scheduler`] — the periodic reconstruction scheme of §2:
 //!   `T_CON = α_model · T_DATA`, sliding window `W = K · T_CON`.
-//! * [`collect`] — the lossy server-side data plane: fetch reports with
-//!   bounded retry/backoff (simulated time), reconcile corrupted/partial
-//!   batches by global request id.
+//! * [`collect`] — the lossy server-side data plane: fetch each agent's
+//!   report with bounded retry/backoff (simulated time) and drop the rows
+//!   corruption poisoned.
 //! * [`health`] — per-node [`ModelHealth`] accounting for resilient
 //!   rebuilds: which fallback rung produced each CPD and why.
-//! * [`shard`] — fleet-scale collection: agents partitioned into shards,
-//!   each collected over an epoch barrier with per-shard retry budgets and
-//!   straggler cutoffs, merged by row-id intersection.
-//! * [`snapshot`] — crash-safe persistence of the coordinator's ladder
-//!   state (CPD cache + ages + epoch cursor), versioned and checksummed,
-//!   written atomically; a restarted coordinator resumes *warm*.
-//! * [`fleet`] — simulated fleets of 10³+ agents with deterministic
-//!   chaos (agent faults, shard partitions, coordinator crashes) driving
-//!   the sharded collector and the snapshot/restore path end to end.
 //!
 //! Every learning path here fits CPDs in batch. The incremental `T_CON`
 //! refresh over a sliding window of sufficient statistics lives in
 //! `kert_core::streaming`.
 
 pub mod collect;
-pub mod fleet;
 pub mod health;
 pub mod local;
 pub mod runtime;
 pub mod scheduler;
-pub mod shard;
-pub mod snapshot;
 
 pub use collect::{
-    collect_report, intersect_row_ids, restrict_to_ids, sanitize_report, CollectStats, FaultyFleet,
-    ReportSource, RetryPolicy,
+    collect_report, sanitize_report, CollectStats, FaultyFleet, ReportSource, RetryPolicy,
 };
-pub use fleet::{run_fleet_chaos, ChaosOptions, EpochRecord, FleetChaosReport, SyntheticFleet};
 pub use health::{CpdSource, ModelHealth, NodeHealth};
 pub use local::{fit_node_from_local, LocalDataset};
 pub use runtime::{
@@ -58,14 +44,6 @@ pub use runtime::{
     ResilientResult,
 };
 pub use scheduler::{CumulativeUpdater, ModelSchedule, ReconstructionWindow};
-pub use shard::{
-    collect_epoch, shard_of, shard_range, sharded_resilient_learn, EpochOutcome, ShardConfig,
-    ShardStats, ShardedResult,
-};
-pub use snapshot::{
-    load_snapshot, restore_or_cold_start, save_snapshot, CoordinatorSnapshot, SnapshotEntry,
-    SnapshotError,
-};
 
 /// Errors from the decentralized runtime.
 #[derive(Debug, Clone, PartialEq)]

@@ -201,7 +201,7 @@ pub struct CpdCache {
 impl CpdCache {
     /// Maximum age (in windows) a cached CPD ever reports.
     ///
-    /// Ages saturate here instead of growing without bound: a coordinator
+    /// Ages saturate here instead of growing without bound: a server
     /// that has been failing over the same node for years must still
     /// report a sane staleness to health gauges (which encode ages as
     /// `f64` and would otherwise lose integer precision past 2⁵³, and
@@ -221,10 +221,8 @@ impl CpdCache {
         self.store_aged(node, cpd, 0);
     }
 
-    /// Remember `cpd` with an explicit `age` — the snapshot-restore path,
-    /// where a restarted coordinator resumes with *stale* (not prior)
-    /// CPDs carrying their pre-crash ages. Ages above [`Self::MAX_AGE`]
-    /// are clamped.
+    /// Remember `cpd` with an explicit `age`. Ages above
+    /// [`Self::MAX_AGE`] are clamped.
     pub fn store_aged(&mut self, node: usize, cpd: Cpd, age: usize) {
         if node >= self.entries.len() {
             self.entries.resize(node + 1, None);
@@ -395,106 +393,70 @@ pub fn resilient_decentralized_learn(
     for node in 0..n {
         let (mut report, stats) = collect_report(source, node, window, &options.retry);
         let rows_dropped = report.as_mut().map_or(0, sanitize_report);
-        let (cpd, health) = ladder_resolve(
-            variables,
-            dag,
-            node,
-            report,
-            rows_dropped,
-            stats,
-            window,
-            cache,
-            options,
-        )?;
-        cpds.push(cpd);
-        nodes.push(health);
-    }
-    cache.tick();
-    let health = ModelHealth { window, nodes };
-    publish_health_gauges(&health);
-    Ok(ResilientResult { cpds, health })
-}
+        let fresh = report.and_then(|report| {
+            let local = LocalDataset {
+                node,
+                parents: dag.parents(node).to_vec(),
+                data: report.data,
+            };
+            if local.data.rows() < options.min_rows {
+                return None;
+            }
+            // A malformed report (wrong column count for the node's
+            // parents) fails validation inside the fit; treat it like any
+            // other unusable delivery and fall down the ladder.
+            fit_node_from_local(variables, &local, options.params)
+                .ok()
+                .map(|cpd| (cpd, local.data.rows()))
+        });
 
-/// Resolve one node's CPD down the fallback ladder from an
-/// already-sanitized (possibly absent) report, updating the cache and
-/// emitting the per-node ladder telemetry.
-///
-/// Shared by the per-agent path above and the sharded epoch collector
-/// ([`crate::shard::sharded_resilient_learn`]) so both report rungs and
-/// counters identically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ladder_resolve(
-    variables: &[Variable],
-    dag: &Dag,
-    node: usize,
-    report: Option<kert_sim::AgentReport>,
-    rows_dropped: usize,
-    stats: crate::collect::CollectStats,
-    window: usize,
-    cache: &mut CpdCache,
-    options: &ResilientOptions,
-) -> Result<(Cpd, NodeHealth)> {
-    let fresh = report.and_then(|report| {
-        let local = LocalDataset {
-            node,
-            parents: dag.parents(node).to_vec(),
-            data: report.data,
+        let (cpd, source_kind, rows_used) = match fresh {
+            Some((cpd, rows)) => {
+                cache.store(node, cpd.clone());
+                (cpd, CpdSource::Fresh, rows)
+            }
+            None => match cache.get(node) {
+                Some((cached, age)) => (cached.clone(), CpdSource::Stale { age_windows: age }, 0),
+                None => (
+                    prior_cpd(variables, dag, node, options.prior)?,
+                    CpdSource::Prior,
+                    0,
+                ),
+            },
         };
-        if local.data.rows() < options.min_rows {
-            return None;
+        let (rung_counter, rung_name) = match source_kind {
+            CpdSource::Fresh => (&OBS_LADDER_FRESH, "fresh"),
+            CpdSource::Stale { .. } => (&OBS_LADDER_STALE, "stale"),
+            CpdSource::Prior => (&OBS_LADDER_PRIOR, "prior"),
+        };
+        rung_counter.incr();
+        OBS_ROWS_DROPPED.add(rows_dropped as u64);
+        if kert_obs::jsonl_enabled() {
+            kert_obs::event(
+                "agents.ladder",
+                rows_used as f64,
+                &[
+                    ("node", &node.to_string()),
+                    ("rung", rung_name),
+                    ("window", &window.to_string()),
+                    ("retries", &stats.retries.to_string()),
+                ],
+            );
         }
-        // A malformed report (wrong column count for the node's
-        // parents) fails validation inside the fit; treat it like any
-        // other unusable delivery and fall down the ladder.
-        fit_node_from_local(variables, &local, options.params)
-            .ok()
-            .map(|cpd| (cpd, local.data.rows()))
-    });
-
-    let (cpd, source_kind, rows_used) = match fresh {
-        Some((cpd, rows)) => {
-            cache.store(node, cpd.clone());
-            (cpd, CpdSource::Fresh, rows)
-        }
-        None => match cache.get(node) {
-            Some((cached, age)) => (cached.clone(), CpdSource::Stale { age_windows: age }, 0),
-            None => (
-                prior_cpd(variables, dag, node, options.prior)?,
-                CpdSource::Prior,
-                0,
-            ),
-        },
-    };
-    let (rung_counter, rung_name) = match source_kind {
-        CpdSource::Fresh => (&OBS_LADDER_FRESH, "fresh"),
-        CpdSource::Stale { .. } => (&OBS_LADDER_STALE, "stale"),
-        CpdSource::Prior => (&OBS_LADDER_PRIOR, "prior"),
-    };
-    rung_counter.incr();
-    OBS_ROWS_DROPPED.add(rows_dropped as u64);
-    if kert_obs::jsonl_enabled() {
-        kert_obs::event(
-            "agents.ladder",
-            rows_used as f64,
-            &[
-                ("node", &node.to_string()),
-                ("rung", rung_name),
-                ("window", &window.to_string()),
-                ("retries", &stats.retries.to_string()),
-            ],
-        );
-    }
-    Ok((
-        cpd,
-        NodeHealth {
+        cpds.push(cpd);
+        nodes.push(NodeHealth {
             node,
             source: source_kind,
             rows_used,
             rows_dropped,
             retries: stats.retries,
             faults: stats.faults,
-        },
-    ))
+        });
+    }
+    cache.tick();
+    let health = ModelHealth { window, nodes };
+    publish_health_gauges(&health);
+    Ok(ResilientResult { cpds, health })
 }
 
 /// Surface a [`ModelHealth`] report on the telemetry registry: fleet-level

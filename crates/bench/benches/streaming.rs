@@ -37,8 +37,8 @@ fn setup(pool_rows: usize) -> (KertBn, Dataset) {
 }
 
 /// One refresh cycle at delta `d`: stream `d` fresh rows through a full
-/// window (capacity eviction pays the matching `d` downdates) and refit
-/// every learned CPD from the maintained statistics.
+/// window (each push evicts the oldest row, subtracting it from the
+/// sufficient statistics) and refit every learned CPD from them.
 fn bench_update(
     name: &str,
     model: &KertBn,

@@ -64,20 +64,42 @@ pub fn max_feasible_size(points: &[Fig4Point], t_con: f64, kert: bool) -> Option
 mod tests {
     use super::*;
 
+    /// K2 family-score evaluations spent building each model on one
+    /// Figure-4 environment (same seeding as [`fig3::one_rep`]): the
+    /// deterministic work behind the wall-clock curve.
+    fn score_evaluations(n_services: usize, seed: u64) -> (usize, usize) {
+        use crate::scenario::{Environment, ScenarioOptions};
+        use kert_core::{ContinuousKertOptions, KertBn, NrtBn, NrtOptions};
+        use rand::SeedableRng;
+
+        let mut env = Environment::random(n_services, ScenarioOptions::default(), seed);
+        let (train, _) = env.datasets(TRAIN_SIZE, fig3::TEST_ROWS, seed ^ 0xabcd);
+        let kert =
+            KertBn::build_continuous(&env.knowledge, &train, ContinuousKertOptions::default())
+                .unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x1234);
+        let nrt = NrtBn::build_continuous(&train, NrtOptions::default(), &mut rng).unwrap();
+        (
+            kert.report().score_evaluations,
+            nrt.report().score_evaluations,
+        )
+    }
+
     #[test]
-    fn nrt_time_grows_much_faster_than_kert_time() {
-        // Scaled-down Figure 4: sizes 8 and 32; the NRT/KERT time ratio
-        // must grow with environment size (superlinear vs flat).
-        let points = run(&[8, 32], 2, 11);
-        let ratio_small = points[0].nrt_time / points[0].kert_time.max(1e-9);
-        let ratio_large = points[1].nrt_time / points[1].kert_time.max(1e-9);
-        assert!(
-            ratio_large > ratio_small,
-            "ratio should grow: {ratio_small} -> {ratio_large}"
-        );
-        // And KERT must stay cheap in absolute terms at both sizes.
-        for p in &points {
-            assert!(p.kert_time < p.nrt_time);
+    fn nrt_search_work_grows_superlinearly_while_kert_searches_nothing() {
+        // Scaled-down Figure 4 in counted work, not wall time: KERT-BN
+        // derives its structure from the workflow, so it never scores a
+        // family; K2's predecessor scan outgrows a 4x size step. The
+        // wall-clock form of the claim is gated on the committed
+        // `results/fig4.json` and timed by `benches/construction.rs`.
+        for seed in 11..=13 {
+            let (kert_small, nrt_small) = score_evaluations(8, seed);
+            let (kert_large, nrt_large) = score_evaluations(32, seed);
+            assert_eq!((kert_small, kert_large), (0, 0), "seed {seed}");
+            assert!(
+                nrt_large > 4 * nrt_small,
+                "seed {seed}: K2 evaluations {nrt_small} at n=8 -> {nrt_large} at n=32"
+            );
         }
     }
 

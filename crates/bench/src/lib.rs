@@ -33,7 +33,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod fleet;
 pub mod scenario;
 pub mod shape;
 pub mod table;

@@ -23,7 +23,6 @@ use crate::fig5::Fig5Point;
 use crate::fig6::Fig6Result;
 use crate::fig7::Fig7Result;
 use crate::fig8::Fig8Point;
-use crate::fleet::FleetChaosArtifact;
 
 /// Load a committed artifact from `results/<name>.json` at the repo root.
 pub fn load_committed<T: Deserialize>(name: &str) -> Result<T, String> {
@@ -248,68 +247,6 @@ pub fn fault_sweep_gate() -> Result<(), String> {
     )
 }
 
-/// Fleet-chaos claims (the fleet-resilience gate): the committed drill ran
-/// at 10³-agent scale, the coordinator kill fired and came back warm,
-/// no node ever fell to the prior rung, sharded collection shows a real
-/// simulated speedup, and the deterministic fingerprints are coherent.
-/// Wall-clock throughput is host noise — gated only as positive.
-pub fn fleet_chaos_gate() -> Result<(), String> {
-    let a: FleetChaosArtifact = load_committed("fleet_chaos")?;
-    let r = &a.report;
-    check(r.n_agents >= 1000, || {
-        format!(
-            "fleet_chaos: {} agents is below the 10³ scale claim",
-            r.n_agents
-        )
-    })?;
-    check(!r.epochs.is_empty(), || {
-        "fleet_chaos: no epochs".to_string()
-    })?;
-    check(r.coordinator_crashes >= 1, || {
-        "fleet_chaos: the coordinator kill never fired".to_string()
-    })?;
-    check(r.warm_restores == r.coordinator_crashes, || {
-        format!(
-            "fleet_chaos: {} crashes but only {} warm restores — a restart came back cold",
-            r.coordinator_crashes, r.warm_restores
-        )
-    })?;
-    check(r.total_prior == 0, || {
-        format!(
-            "fleet_chaos: {} prior-rung fallbacks (warm restore must keep the run stale-or-better)",
-            r.total_prior
-        )
-    })?;
-    check(r.total_fresh > r.total_stale, || {
-        format!(
-            "fleet_chaos: mostly-stale run ({} fresh vs {} stale) — the drill is too faulty to gate",
-            r.total_fresh, r.total_stale
-        )
-    })?;
-    check(r.simulated_speedup > 1.5, || {
-        format!(
-            "fleet_chaos: simulated speedup {:.2}× over {} shards shows no parallel win",
-            r.simulated_speedup, r.n_shards
-        )
-    })?;
-    for e in &r.epochs {
-        check(e.cpd_fingerprint.len() == 16, || {
-            format!(
-                "fleet_chaos epoch {}: fingerprint {:?} is not fnv1a64 hex",
-                e.epoch, e.cpd_fingerprint
-            )
-        })?;
-    }
-    check(
-        r.epochs.last().map(|e| e.cpd_fingerprint.as_str()) == Some(r.final_fingerprint.as_str()),
-        || "fleet_chaos: final fingerprint does not match the last epoch".to_string(),
-    )?;
-    check(
-        a.wall_ms > 0.0 && a.reports_per_sec > 0.0 && a.rows_per_sec > 0.0,
-        || "fleet_chaos: non-positive throughput".to_string(),
-    )
-}
-
 /// Naive-ablation claims (§4.2's dismissal): the learning-free structure
 /// keeps zero service-to-service edges while K2 recovers some, and the
 /// learned NRT-BN is at least as accurate as the naive one.
@@ -391,7 +328,6 @@ mod tests {
             ("fig7", fig7_gate),
             ("fig8", fig8_gate),
             ("fault_sweep", fault_sweep_gate),
-            ("fleet_chaos", fleet_chaos_gate),
             ("ablation_naive", ablation_naive_gate),
             ("ablation_update", ablation_update_gate),
             ("ablation_pruning", ablation_pruning_gate),

@@ -63,14 +63,6 @@ fn fault_sweep_self_healing_gate() {
     gate("fault_sweep", shape::fault_sweep_gate());
 }
 
-/// Fleet chaos: the committed 10³-agent drill killed the coordinator,
-/// restored warm, never fell to the prior rung, and kept a real simulated
-/// sharding speedup with coherent deterministic fingerprints.
-#[test]
-fn fleet_chaos_resilience_gate() {
-    gate("fleet_chaos", shape::fleet_chaos_gate());
-}
-
 /// Naive ablation (§4.2): the learning-free structure loses every
 /// service-to-service edge; K2 recovers them without losing accuracy.
 #[test]

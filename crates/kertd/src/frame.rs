@@ -225,4 +225,111 @@ mod tests {
         let mut r = &torn[..];
         assert!(read_frame_traced(&mut r).is_err());
     }
+
+    use proptest::prelude::*;
+
+    /// A payload length as announced on the wire: anything a 31-bit
+    /// word can say, lengths around [`MAX_FRAME`], or small ones whose
+    /// payload bytes actually follow.
+    fn announced_len() -> impl Strategy<Value = u32> {
+        let max = MAX_FRAME as u32;
+        prop_oneof![0u32..=!TRACE_FLAG, (max - 2)..=(max + 2), 0u32..300]
+    }
+
+    /// One [`read_frame_traced`] result, with the error reduced to its kind.
+    type Outcome = Result<Option<(Vec<u8>, Option<u64>)>, io::ErrorKind>;
+
+    /// What [`read_frame_traced`] must make of `bytes`: one header (with
+    /// its trace id when `TRACE_FLAG` is set) then the payload.
+    fn expected(bytes: &[u8]) -> Outcome {
+        if bytes.is_empty() {
+            return Ok(None);
+        }
+        let Some(word) = bytes.get(..4) else {
+            return Err(io::ErrorKind::UnexpectedEof);
+        };
+        let raw = u32::from_be_bytes(word.try_into().unwrap());
+        let (header, trace_id) = if raw & TRACE_FLAG != 0 {
+            let Some(id) = bytes.get(4..12) else {
+                return Err(io::ErrorKind::UnexpectedEof);
+            };
+            (12, Some(u64::from_be_bytes(id.try_into().unwrap())))
+        } else {
+            (4, None)
+        };
+        let len = (raw & !TRACE_FLAG) as usize;
+        if len > MAX_FRAME {
+            return Err(io::ErrorKind::InvalidData);
+        }
+        match bytes.get(header..header + len) {
+            Some(payload) => Ok(Some((payload.to_vec(), trace_id))),
+            None => Err(io::ErrorKind::UnexpectedEof),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes end every read in a frame or an error, never a
+        /// panic.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_reader(
+            bytes in proptest::collection::vec(0u8..=255, 0..600),
+        ) {
+            let mut r = &bytes[..];
+            // A frame consumes at least its 4-byte header, so this ends.
+            while let Ok(Some(_)) = read_frame_traced(&mut r) {}
+        }
+
+        /// A frame torn anywhere — in the length word, the trace id or the
+        /// payload — is an error; a whole one under the cap decodes to
+        /// exactly its payload and trace id.
+        #[test]
+        fn torn_and_whole_frames_decode_as_announced(
+            len in announced_len(),
+            traced in proptest::bool::ANY,
+            id in 0u64..=u64::MAX,
+            body in proptest::collection::vec(0u8..=255, 0..300),
+            cut in 0usize..=usize::MAX,
+        ) {
+            let raw = if traced { len | TRACE_FLAG } else { len };
+            let mut bytes = raw.to_be_bytes().to_vec();
+            if traced {
+                bytes.extend_from_slice(&id.to_be_bytes());
+            }
+            bytes.extend_from_slice(&body);
+            bytes.truncate(cut % (bytes.len() + 1));
+            let got = read_frame_traced(&mut &bytes[..]).map_err(|e| e.kind());
+            prop_assert_eq!(got, expected(&bytes));
+        }
+
+        /// A frame that announces more bytes than follow ends in
+        /// `UnexpectedEof`, and the reader is never handed a buffer sized
+        /// by the announced length.
+        #[test]
+        fn short_frames_never_reserve_the_announced_length(
+            len in prop_oneof![1u32..4096, 1u32..=MAX_FRAME as u32],
+            traced in proptest::bool::ANY,
+            sent in 0usize..4096,
+        ) {
+            prop_assume!(sent < len as usize);
+            let raw = if traced { len | TRACE_FLAG } else { len };
+            let mut bytes = raw.to_be_bytes().to_vec();
+            if traced {
+                bytes.extend_from_slice(&7u64.to_be_bytes());
+            }
+            bytes.resize(bytes.len() + sent, b'[');
+            let mut r = Recording {
+                data: &bytes,
+                largest: 0,
+            };
+            let got = read_frame_traced(&mut r).map_err(|e| e.kind());
+            prop_assert_eq!(got, Err(io::ErrorKind::UnexpectedEof));
+            prop_assert!(
+                r.largest <= PAYLOAD_RESERVE,
+                "reader was handed a {}-byte buffer",
+                r.largest
+            );
+        }
+    }
 }

@@ -267,6 +267,41 @@ mod tests {
         handle.wait();
     }
 
+    /// The JSON parser recurses once per nesting level, so a frame of
+    /// 20,000 `[` would overflow a connection thread's stack and abort
+    /// the whole process. The parser refuses nesting past 128 levels:
+    /// the daemon answers `Malformed` and keeps serving.
+    #[test]
+    fn deeply_nested_frame_is_malformed_not_a_crash() {
+        let handle = start(ServeConfig::default());
+        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        crate::frame::write_frame(&mut stream, &[b'['; 20_000]).unwrap();
+        let reply = crate::frame::read_frame(&mut stream).unwrap().unwrap();
+        match crate::protocol::decode::<Response>(&reply).unwrap() {
+            Response::Error(e) => {
+                assert_eq!(e.kind, ErrorKind::Malformed, "{e:?}");
+                assert!(e.message.contains("nesting deeper than 128"), "{e:?}");
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+        // The same connection and a fresh one are both still served.
+        crate::frame::write_frame(
+            &mut stream,
+            &crate::protocol::encode(&Request::Ping).unwrap(),
+        )
+        .unwrap();
+        let reply = crate::frame::read_frame(&mut stream).unwrap().unwrap();
+        assert_eq!(
+            crate::protocol::decode::<Response>(&reply).unwrap(),
+            Response::Pong
+        );
+        drop(stream);
+        let mut client = Client::connect(handle.addr()).unwrap();
+        assert_eq!(client.ping().unwrap(), Response::Pong);
+        client.stop().unwrap();
+        handle.wait();
+    }
+
     #[test]
     fn coalescing_and_worker_count_do_not_change_bits() {
         // The invariance dimension the conformance suite sweeps, in

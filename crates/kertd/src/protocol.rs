@@ -355,4 +355,72 @@ mod tests {
         assert!(decode::<Request>(&[0xff, 0xfe]).is_err());
         assert!(decode::<Request>(b"{\"NoSuchVerb\":{}}").is_err());
     }
+
+    use proptest::prelude::*;
+
+    /// Bytes that steer the parser into its containers, strings, escapes,
+    /// numbers and literals far more often than uniform bytes do.
+    const JSONISH: &[u8] = b"[]{}\":,\\ 0123456789.-+eEtrufalsnuPingPosteriorevidencetarget\xff";
+
+    /// JSON nested `depth` levels deep, cycling through `openers` (`true`
+    /// opens an array, `false` an object field), closed or left torn.
+    fn nested(depth: usize, openers: &[bool], closed: bool) -> String {
+        let mut text = String::new();
+        for level in 0..depth {
+            text.push_str(if openers[level % openers.len()] {
+                "["
+            } else {
+                r#"{"Ping":"#
+            });
+        }
+        text.push('1');
+        if closed {
+            for level in (0..depth).rev() {
+                text.push(if openers[level % openers.len()] {
+                    ']'
+                } else {
+                    '}'
+                });
+            }
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Neither uniform bytes nor JSON-like noise panics the decoder.
+        #[test]
+        fn arbitrary_bytes_decode_without_panicking(
+            bytes in proptest::collection::vec(0u8..=255, 0..400),
+            picks in proptest::collection::vec(0..JSONISH.len(), 0..400),
+        ) {
+            let _ = decode::<Request>(&bytes);
+            let jsonish: Vec<u8> = picks.iter().map(|&i| JSONISH[i]).collect();
+            let _ = decode::<Request>(&jsonish);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Nesting of any depth is decoded on a thread with the default
+        /// stack, like a daemon connection thread; past 128 levels it is a
+        /// parse error, never a stack overflow.
+        #[test]
+        fn deep_nesting_is_an_error_not_a_stack_overflow(
+            depth in prop_oneof![0usize..300, 0usize..=100_000],
+            openers in proptest::collection::vec(proptest::bool::ANY, 1..6),
+            closed in proptest::bool::ANY,
+        ) {
+            let text = nested(depth, &openers, closed);
+            let decoded = std::thread::spawn(move || decode::<Request>(text.as_bytes()))
+                .join()
+                .expect("decode panicked");
+            if depth > 128 {
+                let err = decoded.expect_err("129+ levels must be refused");
+                prop_assert!(err.contains("nesting deeper than 128"), "{}", err);
+            }
+        }
+    }
 }

@@ -39,9 +39,6 @@ static OBS_DROPPED: kert_obs::Counter = kert_obs::Counter::new("sim.faults.dropp
 static OBS_DELAYED: kert_obs::Counter = kert_obs::Counter::new("sim.faults.delayed");
 static OBS_CORRUPTED: kert_obs::Counter = kert_obs::Counter::new("sim.faults.corrupted_rows");
 static OBS_TRUNCATED: kert_obs::Counter = kert_obs::Counter::new("sim.faults.truncated");
-static OBS_PARTITIONED: kert_obs::Counter = kert_obs::Counter::new("sim.faults.shard_partitions");
-static OBS_COORD_CRASHES: kert_obs::Counter =
-    kert_obs::Counter::new("sim.faults.coordinator_crashes");
 
 impl FaultEvent {
     /// Stable lower-case name of the fault kind (telemetry label).
@@ -52,8 +49,6 @@ impl FaultEvent {
             FaultEvent::Delayed { .. } => "delayed",
             FaultEvent::CorruptedRows { .. } => "corrupted_rows",
             FaultEvent::Truncated { .. } => "truncated",
-            FaultEvent::ShardPartitioned { .. } => "shard_partitioned",
-            FaultEvent::CoordinatorCrashed => "coordinator_crashed",
         }
     }
 }
@@ -67,8 +62,6 @@ fn record_fault(event: &FaultEvent, agent: usize, window: usize, attempt: usize)
         FaultEvent::Delayed { windows } => (&OBS_DELAYED, *windows as f64),
         FaultEvent::CorruptedRows { rows } => (&OBS_CORRUPTED, *rows as f64),
         FaultEvent::Truncated { kept, .. } => (&OBS_TRUNCATED, *kept as f64),
-        FaultEvent::ShardPartitioned { shard } => (&OBS_PARTITIONED, *shard as f64),
-        FaultEvent::CoordinatorCrashed => (&OBS_COORD_CRASHES, 1.0),
     };
     counter.incr();
     if kert_obs::jsonl_enabled() {
@@ -191,15 +184,6 @@ pub enum FaultEvent {
         /// Rows originally in the report.
         of: usize,
     },
-    /// The agent's whole shard was unreachable this window (network
-    /// partition between the coordinator and a slice of the fleet).
-    ShardPartitioned {
-        /// The partitioned shard.
-        shard: usize,
-    },
-    /// The coordinator itself died this epoch; collection stopped and a
-    /// restarted coordinator resumed from its last snapshot.
-    CoordinatorCrashed,
 }
 
 /// Outcome of one delivery attempt.
@@ -218,83 +202,11 @@ pub enum Delivery {
     Missing,
 }
 
-/// Fleet-level fault behaviour: whole-shard partitions.
-///
-/// Per-agent [`FaultPlan`]s model endpoint failures; at 10³–10⁴ agents the
-/// dominant outage is *correlated* — a switch or overlay partition takes
-/// out an entire shard of the fleet at once. Partition decisions are keyed
-/// by `(seed, shard, n_shards, window)`, so they are bitwise-deterministic
-/// and independent of per-agent delivery randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardFaultPlan {
-    /// Probability that a given shard is unreachable for a given window.
-    pub partition_prob: f64,
-}
-
-impl ShardFaultPlan {
-    /// Validate probability ranges.
-    pub fn validate(&self) -> Result<()> {
-        if !(0.0..=1.0).contains(&self.partition_prob) {
-            return Err(SimError::BadFaultPlan(format!(
-                "partition_prob = {}",
-                self.partition_prob
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Coordinator fault behaviour: the management server itself dies.
-///
-/// Unlike agent faults, a coordinator crash does not perturb a delivery —
-/// it ends the epoch: the harness drops the in-memory [`CpdCache`] and a
-/// restarted coordinator resumes from its last persisted snapshot. Crashes
-/// are keyed by `(seed, epoch)`, with an optional deterministic kill epoch
-/// for reproducible kill-restart drills.
-///
-/// [`CpdCache`]: https://docs.rs/kert-agents
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct CoordinatorFaultPlan {
-    /// Probability the coordinator dies in any given epoch.
-    pub crash_prob: f64,
-    /// Epoch at which the coordinator deterministically dies (on top of
-    /// the probabilistic crashes). `None` = only probabilistic.
-    pub crash_at_epoch: Option<u64>,
-}
-
-impl CoordinatorFaultPlan {
-    /// A plan that kills the coordinator exactly once, at `epoch`.
-    pub fn kill_at(epoch: u64) -> Self {
-        CoordinatorFaultPlan {
-            crash_prob: 0.0,
-            crash_at_epoch: Some(epoch),
-        }
-    }
-
-    /// Validate probability ranges.
-    pub fn validate(&self) -> Result<()> {
-        if !(0.0..=1.0).contains(&self.crash_prob) {
-            return Err(SimError::BadFaultPlan(format!(
-                "crash_prob = {}",
-                self.crash_prob
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Domain-separation salts so shard/coordinator decisions never reuse the
-/// per-delivery RNG streams.
-const SHARD_SALT: u64 = 0x5348_4152_4421_1111;
-const COORD_SALT: u64 = 0x434F_4F52_4422_2222;
-
 /// Seeded fault injector for a fleet of agents.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     seed: u64,
     plans: Vec<FaultPlan>,
-    shard_faults: Option<ShardFaultPlan>,
-    coordinator: Option<CoordinatorFaultPlan>,
 }
 
 impl FaultInjector {
@@ -303,12 +215,7 @@ impl FaultInjector {
         for plan in &plans {
             plan.validate()?;
         }
-        Ok(FaultInjector {
-            seed,
-            plans,
-            shard_faults: None,
-            coordinator: None,
-        })
+        Ok(FaultInjector { seed, plans })
     }
 
     /// An injector that perturbs nothing (useful as the zero of a sweep).
@@ -316,68 +223,7 @@ impl FaultInjector {
         FaultInjector {
             seed: 0,
             plans: vec![FaultPlan::healthy(); n_agents],
-            shard_faults: None,
-            coordinator: None,
         }
-    }
-
-    /// Add whole-shard partition faults.
-    pub fn with_shard_faults(mut self, plan: ShardFaultPlan) -> Result<Self> {
-        plan.validate()?;
-        self.shard_faults = Some(plan);
-        Ok(self)
-    }
-
-    /// Add coordinator-crash faults.
-    pub fn with_coordinator_faults(mut self, plan: CoordinatorFaultPlan) -> Result<Self> {
-        plan.validate()?;
-        self.coordinator = Some(plan);
-        Ok(self)
-    }
-
-    /// Whether shard `shard` (of `n_shards`) is partitioned away from the
-    /// coordinator for `window`. Deterministic in
-    /// `(seed, shard, n_shards, window)`; records the injection once per
-    /// query hit.
-    pub fn shard_partitioned(&self, shard: usize, n_shards: usize, window: usize) -> bool {
-        let Some(plan) = &self.shard_faults else {
-            return false;
-        };
-        if plan.partition_prob <= 0.0 {
-            return false;
-        }
-        let mut rng = StdRng::seed_from_u64(mix_key(
-            self.seed ^ SHARD_SALT,
-            shard as u64,
-            window as u64,
-            n_shards as u64,
-        ));
-        let hit = rng.gen::<f64>() < plan.partition_prob;
-        if hit {
-            record_fault(&FaultEvent::ShardPartitioned { shard }, shard, window, 0);
-        }
-        hit
-    }
-
-    /// Whether the coordinator dies in `epoch` (deterministic kill epoch
-    /// or seeded probabilistic crash). Records the injection on hit.
-    pub fn coordinator_crashes(&self, epoch: u64) -> bool {
-        let Some(plan) = &self.coordinator else {
-            return false;
-        };
-        if plan.crash_at_epoch == Some(epoch) {
-            record_fault(&FaultEvent::CoordinatorCrashed, 0, epoch as usize, 0);
-            return true;
-        }
-        if plan.crash_prob <= 0.0 {
-            return false;
-        }
-        let mut rng = StdRng::seed_from_u64(mix_key(self.seed ^ COORD_SALT, 0, epoch, 0));
-        let hit = rng.gen::<f64>() < plan.crash_prob;
-        if hit {
-            record_fault(&FaultEvent::CoordinatorCrashed, 0, epoch as usize, 0);
-        }
-        hit
     }
 
     /// Number of agents covered.
@@ -690,60 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_partitions_are_deterministic_and_seed_varied() {
-        let injector = FaultInjector::new(21, vec![FaultPlan::healthy(); 8])
-            .unwrap()
-            .with_shard_faults(ShardFaultPlan {
-                partition_prob: 0.5,
-            })
-            .unwrap();
-        let mut hits = 0;
-        for shard in 0..4 {
-            for window in 0..16 {
-                let a = injector.shard_partitioned(shard, 4, window);
-                let b = injector.shard_partitioned(shard, 4, window);
-                assert_eq!(a, b, "partition decision must be pure");
-                hits += usize::from(a);
-            }
-        }
-        // p=0.5 over 64 keys: both outcomes must occur.
-        assert!(hits > 0 && hits < 64, "{hits}/64 partitions");
-        // Shard decisions are independent of the per-agent delivery
-        // streams: an injector without shard faults never partitions.
-        let plain = FaultInjector::new(21, vec![FaultPlan::healthy(); 8]).unwrap();
-        assert!(!plain.shard_partitioned(0, 4, 0));
-    }
-
-    #[test]
-    fn coordinator_crash_honours_kill_epoch_and_probability() {
-        let healthy = FaultInjector::healthy(4);
-        assert!(!healthy.coordinator_crashes(0));
-
-        let killed = FaultInjector::new(5, vec![FaultPlan::healthy(); 4])
-            .unwrap()
-            .with_coordinator_faults(CoordinatorFaultPlan::kill_at(3))
-            .unwrap();
-        for epoch in 0..8 {
-            assert_eq!(killed.coordinator_crashes(epoch), epoch == 3);
-        }
-
-        let flaky = FaultInjector::new(5, vec![FaultPlan::healthy(); 4])
-            .unwrap()
-            .with_coordinator_faults(CoordinatorFaultPlan {
-                crash_prob: 0.5,
-                crash_at_epoch: None,
-            })
-            .unwrap();
-        let mut crashes = 0;
-        for epoch in 0..32 {
-            let a = flaky.coordinator_crashes(epoch);
-            assert_eq!(a, flaky.coordinator_crashes(epoch));
-            crashes += u32::from(a);
-        }
-        assert!(crashes > 0 && crashes < 32, "{crashes}/32 crashes");
-    }
-
-    #[test]
     fn invalid_plans_are_rejected() {
         assert!(FaultInjector::new(0, vec![FaultPlan::lossy(1.5)]).is_err());
         let bad_keep = FaultPlan {
@@ -752,16 +544,5 @@ mod tests {
         };
         assert!(FaultInjector::new(0, vec![bad_keep]).is_err());
         assert!(FaultPlan::healthy().validate().is_ok());
-        assert!(FaultInjector::healthy(2)
-            .with_shard_faults(ShardFaultPlan {
-                partition_prob: 1.2
-            })
-            .is_err());
-        assert!(FaultInjector::healthy(2)
-            .with_coordinator_faults(CoordinatorFaultPlan {
-                crash_prob: -0.5,
-                crash_at_epoch: None,
-            })
-            .is_err());
     }
 }

@@ -32,9 +32,7 @@ pub mod system;
 pub mod trace;
 
 pub use dist::Dist;
-pub use faults::{
-    CoordinatorFaultPlan, Delivery, FaultEvent, FaultInjector, FaultPlan, ShardFaultPlan,
-};
+pub use faults::{Delivery, FaultEvent, FaultInjector, FaultPlan};
 pub use monitor::{AgentReport, MonitoringAgent};
 pub use reporting::{simulate_reporting, ReportingConfig, ServerView};
 pub use resources::{Host, HostLayout};

@@ -51,7 +51,6 @@ fn main() -> ExitCode {
         "query" => cmd_query(rest),
         "violation" => cmd_violation(rest),
         "telemetry" => cmd_telemetry(rest),
-        "fleet" => cmd_fleet(rest),
         "serve" => cmd_serve(rest),
         "status" => cmd_status(rest),
         "stop" => cmd_stop(rest),
@@ -85,11 +84,6 @@ USAGE:
   kertctl violation --model model.json --threshold H [--given NODE=VALUE]...
   kertctl telemetry [--jsonl events.jsonl] [--prom snapshot.prom]
           [--require-ladder]
-  kertctl fleet chaos [--agents N] [--rows R] [--epochs E] [--seed S]
-          [--fleet-shards K] [--retries M] [--fault-rate F] [--cold-frac C]
-          [--partition-prob P] [--crash-at-epoch E] [--crash-prob P]
-          [--snapshot state.snap] [--out report.json]
-  kertctl fleet status --report report.json [--require-warm]
   kertctl serve --model model.json [--addr HOST:PORT] [--workers N]
           [--queue-cap Q] [--coalesce-us U] [--max-batch B] [--port-file F]
           [--trace] [--trace-cap T]
@@ -133,14 +127,7 @@ target) next to the measured p99 and burn rate.
 `telemetry` validates exporter output: every JSONL line must round-trip
 through the TelemetryEvent schema, the Prometheus snapshot must parse,
 and --require-ladder additionally demands agents.ladder events covering
-all three fallback rungs (fresh, stale, prior).
-
-`fleet chaos` runs a seeded deterministic chaos drill over a synthetic
-agent fleet (sharded collection, fallback ladder, snapshot/warm-restore)
-and writes a fully deterministic report — the same seed always produces
-byte-identical output, so CI can diff two runs. `fleet status` inspects
-such a report; --require-warm fails unless every coordinator restart
-came back warm and no node ever fell to the prior rung.";
+all three fallback rungs (fresh, stale, prior).";
 
 /// Minimal flag parser: `--key value` pairs, with repeatable keys.
 struct Flags {
@@ -156,10 +143,7 @@ impl Flags {
                 return Err(format!("expected a --flag, got {key:?}"));
             };
             // Boolean flags take no value.
-            if matches!(
-                name,
-                "ediamond" | "dot" | "require-ladder" | "require-warm" | "trace"
-            ) {
+            if matches!(name, "ediamond" | "dot" | "require-ladder" | "trace") {
                 pairs.push((name.to_string(), "true".to_string()));
                 continue;
             }
@@ -513,162 +497,6 @@ fn cmd_telemetry(args: &[String]) -> Result<(), String> {
             return Err(format!("{path}: no samples"));
         }
         println!("{path}: {} samples, exposition parses", samples.len());
-    }
-    Ok(())
-}
-
-fn cmd_fleet(args: &[String]) -> Result<(), String> {
-    let Some((sub, rest)) = args.split_first() else {
-        return Err("fleet: need a subcommand (chaos | status)".into());
-    };
-    match sub.as_str() {
-        "chaos" => cmd_fleet_chaos(rest),
-        "status" => cmd_fleet_status(rest),
-        other => Err(format!(
-            "fleet: unknown subcommand {other:?} (chaos | status)"
-        )),
-    }
-}
-
-fn cmd_fleet_chaos(args: &[String]) -> Result<(), String> {
-    use kert_bn::agents::{
-        run_fleet_chaos, ChaosOptions, ResilientOptions, RetryPolicy, ShardConfig,
-    };
-    use kert_bn::sim::CoordinatorFaultPlan;
-
-    let flags = Flags::parse(args)?;
-    let crash_prob: f64 = flags.parse_num("crash-prob", 0.0)?;
-    let crash_at: Option<u64> = match flags.get("crash-at-epoch") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--crash-at-epoch: cannot parse {v:?}"))?,
-        ),
-    };
-    let coordinator = if crash_prob > 0.0 || crash_at.is_some() {
-        Some(CoordinatorFaultPlan {
-            crash_prob,
-            crash_at_epoch: crash_at,
-        })
-    } else {
-        None
-    };
-    let options = ChaosOptions {
-        n_agents: flags.parse_num("agents", 1000)?,
-        rows_per_window: flags.parse_num("rows", 48)?,
-        epochs: flags.parse_num("epochs", 6)?,
-        seed: flags.parse_num("seed", 1)?,
-        shards: ShardConfig {
-            n_shards: flags.parse_num("fleet-shards", 8)?,
-            // Fleet-scale reports are self-contained; see ChaosOptions.
-            align_rows: false,
-            ..ShardConfig::default()
-        },
-        resilient: ResilientOptions {
-            retry: RetryPolicy {
-                max_retries: flags.parse_num("retries", 2usize)?,
-                ..RetryPolicy::default()
-            },
-            ..ResilientOptions::default()
-        },
-        fault_rate: flags.parse_num("fault-rate", 0.15)?,
-        cold_fraction: flags.parse_num("cold-frac", 0.0)?,
-        partition_prob: flags.parse_num("partition-prob", 0.0)?,
-        coordinator,
-        snapshot_path: flags.get("snapshot").map(std::path::PathBuf::from),
-    };
-    if options.n_agents == 0 || options.epochs == 0 {
-        return Err("fleet chaos: --agents and --epochs must be ≥ 1".into());
-    }
-
-    let report = run_fleet_chaos(&options).map_err(|e| e.to_string())?;
-    eprintln!(
-        "fleet chaos: {} agents × {} epochs over {} shards (seed {})",
-        report.n_agents,
-        report.epochs.len(),
-        report.n_shards,
-        report.seed
-    );
-    eprintln!(
-        "  rungs: {} fresh / {} stale / {} prior; crashes {}, warm restores {}",
-        report.total_fresh,
-        report.total_stale,
-        report.total_prior,
-        report.coordinator_crashes,
-        report.warm_restores
-    );
-    eprintln!(
-        "  simulated speedup {:.2}×, final fingerprint {}",
-        report.simulated_speedup, report.final_fingerprint
-    );
-    if let Some(out) = flags.get("out") {
-        // Deterministic serialization: the same seed and configuration
-        // must produce byte-identical files across runs and hosts.
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("report written to {out}");
-    }
-    Ok(())
-}
-
-fn cmd_fleet_status(args: &[String]) -> Result<(), String> {
-    use kert_bn::agents::FleetChaosReport;
-
-    let flags = Flags::parse(args)?;
-    let path = flags.require("report")?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let report: FleetChaosReport =
-        serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))?;
-
-    println!(
-        "fleet  : {} agents, {} shards, seed {}",
-        report.n_agents, report.n_shards, report.seed
-    );
-    println!(
-        "rungs  : {} fresh / {} stale / {} prior",
-        report.total_fresh, report.total_stale, report.total_prior
-    );
-    println!(
-        "crashes: {} injected, {} warm restores",
-        report.coordinator_crashes, report.warm_restores
-    );
-    println!("speedup: {:.2}× (simulated)", report.simulated_speedup);
-    println!("epoch  fresh  stale  prior  parts  restored  fingerprint");
-    for e in &report.epochs {
-        println!(
-            "{:>5}  {:>5}  {:>5}  {:>5}  {:>5}  {:>8}  {}",
-            e.epoch,
-            e.fresh,
-            e.stale,
-            e.prior,
-            e.partitioned_shards,
-            if e.restored {
-                if e.warm {
-                    "warm"
-                } else {
-                    "cold"
-                }
-            } else {
-                "-"
-            },
-            e.cpd_fingerprint
-        );
-    }
-
-    if flags.get("require-warm").is_some() {
-        if report.total_prior > 0 {
-            return Err(format!(
-                "{path}: {} prior-rung fallbacks (require-warm demands zero)",
-                report.total_prior
-            ));
-        }
-        if let Some(cold) = report.epochs.iter().find(|e| e.restored && !e.warm) {
-            return Err(format!(
-                "{path}: epoch {} restarted cold (snapshot missing or rejected)",
-                cold.epoch
-            ));
-        }
-        println!("require-warm ok: zero prior rungs, every restart warm");
     }
     Ok(())
 }
