@@ -114,18 +114,24 @@ fn bench_perf_path() -> std::path::PathBuf {
 ///
 /// Each bench binary owns a top-level key (`"inference"`, `"learning"`,
 /// `"construction"`) and replaces only its own section, so running the
-/// binaries in any order or subset keeps the others' numbers. The host
-/// core count is recorded every time: the decentralized-vs-centralized
-/// comparison only shows a wall-clock win with real parallel hardware.
+/// binaries in any order or subset keeps the others' numbers.
 pub fn merge_bench_perf(section: &str, entries: serde::Value) {
-    use serde::Value;
-
     if quick_mode() {
         eprintln!("(quick mode: section {section:?} not merged into BENCH_perf.json)");
         return;
     }
-    let path = bench_perf_path();
-    let mut root: Vec<(String, Value)> = match std::fs::read_to_string(&path)
+    merge_bench_perf_at(&bench_perf_path(), section, entries);
+}
+
+/// [`merge_bench_perf`] against the ledger at `path`. The section is
+/// stamped with the host core count it was measured on: the
+/// decentralized-vs-centralized comparison only shows a wall-clock win
+/// with real parallel hardware, so each section's parallel figures must
+/// sit next to *their* host's cores, not the last merger's.
+fn merge_bench_perf_at(path: &std::path::Path, section: &str, entries: serde::Value) {
+    use serde::Value;
+
+    let mut root: Vec<(String, Value)> = match std::fs::read_to_string(path)
         .ok()
         .and_then(|s| serde_json::value_from_str(&s).ok())
     {
@@ -135,18 +141,20 @@ pub fn merge_bench_perf(section: &str, entries: serde::Value) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut set = |key: &str, value: Value| {
-        if let Some(slot) = root.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        } else {
-            root.push((key.to_string(), value));
+    let entries = match entries {
+        Value::Map(mut m) => {
+            m.insert(0, ("host_cores".into(), Value::Num(cores as f64)));
+            Value::Map(m)
         }
+        other => other,
     };
-    set("host_cores", Value::Num(cores as f64));
-    set(section, entries);
+    match root.iter_mut().find(|(k, _)| k == section) {
+        Some(slot) => slot.1 = entries,
+        None => root.push((section.to_string(), entries)),
+    }
     match serde_json::to_string_pretty(&Value::Map(root)) {
         Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
+            if let Err(e) = std::fs::write(path, json + "\n") {
                 eprintln!("warning: could not write {}: {e}", path.display());
             } else {
                 eprintln!("(merged section {section:?} into {})", path.display());
@@ -185,4 +193,47 @@ pub fn before_after(before: &BenchResult, after: &BenchResult) -> serde::Value {
             Value::Num(before.median_ns / after.median_ns),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Value;
+
+    fn get<'a>(map: &'a Value, key: &str) -> Option<&'a Value> {
+        match map {
+            Value::Map(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn merge_stamps_host_cores_per_section() {
+        let path =
+            std::env::temp_dir().join(format!("kert-bench-perf-merge-{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            r#"{"learning": {"host_cores": 1, "speedup": 0.5}, "serving": {"old": 1}}"#,
+        )
+        .unwrap();
+        let fresh = || Value::Map(vec![("speedup".into(), Value::Num(2.5))]);
+        merge_bench_perf_at(&path, "serving", fresh());
+        merge_bench_perf_at(&path, "tracing", fresh());
+
+        let root = serde_json::value_from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as f64;
+        assert_eq!(get(&root, "host_cores"), None, "no file-wide core count");
+        // Merging one section never relabels another.
+        let learning = get(&root, "learning").unwrap();
+        assert_eq!(get(learning, "host_cores"), Some(&Value::Num(1.0)));
+        assert_eq!(get(learning, "speedup"), Some(&Value::Num(0.5)));
+        // Merged sections are replaced whole and carry this host's cores.
+        for section in ["serving", "tracing"] {
+            let merged = get(&root, section).unwrap();
+            assert_eq!(get(merged, "host_cores"), Some(&Value::Num(cores)));
+            assert_eq!(get(merged, "speedup"), Some(&Value::Num(2.5)));
+            assert_eq!(get(merged, "old"), None);
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //! daemon produces — posterior, dComp, pAccel, violation — is **bitwise
 //! identical** to the same query answered by a direct
 //! [`Session`](kert_core::serve::Session) call,
-//! *whatever* the worker count or coalescing window. Coalescing
+//! *whatever* the worker count or fold cap (`max_batch`). Coalescing
 //! only regroups pure marginal reads against identical evidence, and
 //! the vendored JSON layer prints `f64`s with shortest-round-trip
 //! formatting, so even the serialized wire bytes must match exactly.
@@ -125,25 +125,25 @@ fn direct_answer(engine: &SharedKert, request: &Request) -> String {
 }
 
 /// The headline gate: the same concurrent request batch against four
-/// daemon configurations — {1, 4} workers × {off, 2 ms} coalescing
-/// windows — must produce wire bytes identical to the direct engine,
-/// request for request.
+/// daemon configurations — {1, 4} workers × folding {off, on}
+/// (`max_batch` 1 and 64) — must produce wire bytes identical to the
+/// direct engine, request for request.
 #[test]
-fn daemon_wire_bytes_match_direct_engine_across_workers_and_windows() {
+fn daemon_wire_bytes_match_direct_engine_across_workers_and_fold_caps() {
     let seed = conf_seed();
     let engine = SharedKert::new(build_model(seed)).unwrap();
     let requests = request_batch(engine.model(), seed);
     let expected: Vec<String> = requests.iter().map(|r| direct_answer(&engine, r)).collect();
 
     for workers in [1usize, 4] {
-        for window_us in [0u64, 2000] {
+        for max_batch in [1usize, 64] {
             // Model construction is fully seeded, so rebuilding from the
             // same seed yields the identical model for each daemon.
             let handle = serve(
                 SharedKert::new(build_model(seed)).unwrap(),
                 ServeConfig {
                     workers,
-                    coalesce_window: Duration::from_micros(window_us),
+                    max_batch,
                     ..ServeConfig::default()
                 },
             )
@@ -169,7 +169,7 @@ fn daemon_wire_bytes_match_direct_engine_across_workers_and_windows() {
                 assert_eq!(
                     g, e,
                     "request {i} diverged from the direct engine under \
-                     {workers} workers / {window_us}µs window (seed {seed})"
+                     {workers} workers / max batch {max_batch} (seed {seed})"
                 );
             }
 

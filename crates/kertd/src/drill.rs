@@ -11,13 +11,15 @@
 //! reproducible across runs and across worker counts. The conformance
 //! suite gates exactly that.
 //!
-//! Work distribution is deliberately timing-free: requests are
-//! partitioned into coalesce groups by a deterministic scan (consecutive
-//! same-key runs, capped at `max_batch`), groups are dealt round-robin
-//! to scoped worker threads, and results are reassembled in group order.
-//! Whatever the interleaving, every group's spans land in that group's
-//! own contexts.
+//! Work distribution is deliberately timing-free: the whole script sits
+//! in one queue — the backed-up-queue case — and the live worker's fold
+//! ([`fold_queued`]) drains it into coalesce groups, so the drill groups
+//! exactly as a daemon with a backlog does. Groups are dealt round-robin
+//! to scoped worker threads and the trees are returned in trace-id
+//! order. Whatever the interleaving, every group's spans land in that
+//! group's own contexts.
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use kert_core::serve::SharedKert;
@@ -25,7 +27,7 @@ use kert_core::KertBn;
 use kert_obs::{TraceContext, TraceTree};
 
 use crate::protocol::{encode, Request};
-use crate::server::{coalesce_key, compute_group, open_request_root};
+use crate::server::{compute_group, fold_queued, open_request_root};
 
 /// Knobs for one drill run.
 #[derive(Debug, Clone)]
@@ -67,10 +69,10 @@ fn unit(state: &mut u64) -> f64 {
 }
 
 /// A seed-scripted request mix: bursts of 1–4 requests sharing a verb
-/// and one of two evidence sets, so the deterministic grouping below has
-/// real coalescing to exercise (same-key neighbors fold; targets vary
-/// inside a burst, which coalescing must tolerate). Targets stay off the
-/// evidence nodes; binning clamps, so any positive raw value is valid.
+/// and one of two evidence sets, so the fold below has real coalescing
+/// to exercise (same-key requests fold; targets vary inside a burst,
+/// which coalescing must tolerate). Targets stay off the evidence nodes;
+/// binning clamps, so any positive raw value is valid.
 pub fn scripted_requests(model: &KertBn, seed: u64, n: usize) -> Vec<Request> {
     let d = model.d_node();
     let free_targets: Vec<usize> = (2..=d).collect();
@@ -155,10 +157,11 @@ fn run_group(engine: &SharedKert, seed: u64, group: &[(u64, Request)]) -> Vec<Tr
         .collect()
 }
 
-/// Run the drill: script `cfg.requests` requests off `cfg.seed`, group
-/// them deterministically, replay every group through the daemon's
-/// compute path on `cfg.workers` threads, and return the finished span
-/// trees ordered by trace id (1-based request order).
+/// Run the drill: script `cfg.requests` requests off `cfg.seed`, fold
+/// them into groups as a backed-up daemon queue would, replay every group
+/// through the daemon's compute path on `cfg.workers` threads, and
+/// return the finished span trees ordered by trace id (1-based request
+/// order).
 ///
 /// Output is bitwise deterministic: a fixed `(seed, requests, max_batch)`
 /// triple yields identical trees whatever `workers` is and however the
@@ -167,22 +170,12 @@ pub fn run_trace_drill(engine: &SharedKert, cfg: &DrillConfig) -> Vec<TraceTree>
     let requests = scripted_requests(engine.model(), cfg.seed, cfg.requests);
     let max_batch = cfg.max_batch.max(1);
 
-    // Deterministic grouping: consecutive same-key runs, capped. This is
-    // the zero-contention analogue of the live window — the daemon folds
-    // same-key neighbors it finds in the queue; the drill folds same-key
-    // neighbors in arrival order.
+    // The whole script is queued before any worker frees up, so each
+    // group is the queue head plus every same-key request behind it.
+    let mut queue: VecDeque<(u64, Request)> = (1..).zip(requests).collect();
     let mut groups: Vec<Vec<(u64, Request)>> = Vec::new();
-    let mut current_key = String::new();
-    for (i, request) in requests.into_iter().enumerate() {
-        let trace_id = i as u64 + 1;
-        let key = coalesce_key(&request);
-        match groups.last_mut() {
-            Some(g) if key == current_key && g.len() < max_batch => g.push((trace_id, request)),
-            _ => {
-                current_key = key;
-                groups.push(vec![(trace_id, request)]);
-            }
-        }
+    while let Some(head) = queue.pop_front() {
+        groups.push(fold_queued(&mut queue, head, max_batch, |(_, r)| r));
     }
 
     let workers = cfg.workers.max(1);
@@ -201,8 +194,10 @@ pub fn run_trace_drill(engine: &SharedKert, cfg: &DrillConfig) -> Vec<TraceTree>
         }
     });
 
-    slots
+    let mut trees: Vec<TraceTree> = slots
         .into_iter()
         .flat_map(|m| m.into_inner().expect("drill slot poisoned"))
-        .collect()
+        .collect();
+    trees.sort_by_key(|t| t.trace_id);
+    trees
 }

@@ -13,16 +13,19 @@
 //!    calibrated tree is compiled once and read by every worker; each
 //!    request checks a pooled propagation state out, so the expensive
 //!    part is paid once per process, not per request.
-//! 2. **Request coalescing** ([`server`]): concurrent requests that
-//!    share an evidence set fold into one micro-batch — evidence is
-//!    propagated once, then one marginal read per folded request. This
-//!    is the in-process batch-dComp amortization, surfaced at the wire.
+//! 2. **Request coalescing** ([`server`]): a free worker takes the head
+//!    of the queue and folds in every request already queued behind it
+//!    with the same evidence — evidence is propagated once, then one
+//!    marginal read per folded request. This is the in-process
+//!    batch-dComp amortization, surfaced at the wire. Workers never wait
+//!    for a batch to form: an idle daemon answers each request at once,
+//!    and batches grow with the backlog.
 //! 3. **Admission control**: a bounded queue sheds excess load with a
 //!    typed `Overloaded` response instead of buffering without bound,
 //!    and `Stop` drains every admitted query before acknowledging.
 //!
 //! Responses are **bitwise identical** to direct [`kert_core`] calls,
-//! invariant across worker counts and coalescing windows — the vendored
+//! invariant across worker counts and fold caps — the vendored
 //! JSON layer prints `f64`s with shortest-round-trip formatting, so
 //! even the wire hop preserves bits. The conformance suite gates this.
 //!
@@ -56,7 +59,9 @@ mod tests {
     use kert_workflow::{derive_structure, ediamond_workflow, ResourceMap, WorkflowKnowledge};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::time::Duration;
+    use std::net::SocketAddr;
+    use std::thread::Scope;
+    use std::time::{Duration, Instant};
 
     fn setup(rows: usize, seed: u64) -> (WorkflowKnowledge, kert_bayes::Dataset) {
         let wf = ediamond_workflow();
@@ -87,6 +92,44 @@ mod tests {
 
     fn start(config: ServeConfig) -> ServerHandle {
         serve(SharedKert::new(discrete_model()).unwrap(), config).unwrap()
+    }
+
+    fn status(client: &mut Client) -> StatusInfo {
+        match client.status().unwrap() {
+            Response::Status(s) => s,
+            other => panic!("expected Status, got {other:?}"),
+        }
+    }
+
+    /// Poll STATUS, without sleeping, until `ready` holds.
+    fn await_status(client: &mut Client, ready: impl Fn(&StatusInfo) -> bool) -> StatusInfo {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let status = status(client);
+            if ready(&status) {
+                return status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "daemon never reached the awaited state: {status:?}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Back the queue up behind a busy worker: send a pAccel over 2000
+    /// distinct candidates (dedup cannot shrink it, and each costs a
+    /// projection) and return once a worker holds it with the queue
+    /// empty, so every later query queues behind it. The scope joins the
+    /// blocker.
+    fn hold_worker<'s>(s: &'s Scope<'s, '_>, addr: SocketAddr, control: &mut Client) {
+        let candidates = (0..2000).map(|i| (i % 6, 0.01 + i as f64 * 1e-4)).collect();
+        s.spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let resp = client.request(&Request::Paccel { candidates }).unwrap();
+            assert!(matches!(resp, Response::Paccel { .. }), "got {resp:?}");
+        });
+        await_status(control, |st| st.inflight == 1 && st.queue_depth == 0);
     }
 
     fn dbits(p: &Posterior) -> Vec<u64> {
@@ -305,21 +348,16 @@ mod tests {
     #[test]
     fn coalescing_and_worker_count_do_not_change_bits() {
         // The invariance dimension the conformance suite sweeps, in
-        // miniature: same concurrent load against {1 worker, window 0}
-        // and {4 workers, wide window} daemons must produce identical
-        // byte-for-byte responses.
-        let configs = [
-            ServeConfig {
-                workers: 1,
-                coalesce_window: Duration::ZERO,
+        // miniature: the same concurrent load against {1, 4} workers ×
+        // folding {off, on} must produce identical byte-for-byte
+        // responses.
+        let configs = [1usize, 4].into_iter().flat_map(|workers| {
+            [1usize, 64].map(|max_batch| ServeConfig {
+                workers,
+                max_batch,
                 ..ServeConfig::default()
-            },
-            ServeConfig {
-                workers: 4,
-                coalesce_window: Duration::from_millis(2),
-                ..ServeConfig::default()
-            },
-        ];
+            })
+        });
         let shared_evidence = vec![(0usize, 0.05), (1, 0.06)];
         let targets: Vec<usize> = vec![2, 3, 4, 5, 6, 2, 3, 4, 5, 6];
 
@@ -348,66 +386,74 @@ mod tests {
             handle.wait();
             per_config.push(answers);
         }
-        assert_eq!(
-            per_config[0], per_config[1],
-            "responses changed across worker count / coalescing window"
-        );
+        assert_eq!(per_config.len(), 4);
+        for answers in &per_config[1..] {
+            assert_eq!(
+                &per_config[0], answers,
+                "responses changed across worker count / fold cap"
+            );
+        }
     }
 
     #[test]
     fn coalescing_folds_concurrent_same_evidence_requests() {
         let handle = start(ServeConfig {
             workers: 1,
-            coalesce_window: Duration::from_millis(50),
             ..ServeConfig::default()
         });
         let addr = handle.addr();
+        let mut control = Client::connect(addr).unwrap();
 
-        // Pre-fill the queue while the single worker is parked on the
-        // first request's coalescing window: all ten share evidence, so
-        // they should fold into very few batches.
+        // Queue ten same-evidence posteriors behind a busy worker; when
+        // it frees up, it folds the whole backlog into one batch.
         let evidence = vec![(0usize, 0.05)];
+        let targets = [2usize, 3, 4, 5, 6, 2, 3, 4, 5, 6];
         std::thread::scope(|s| {
-            for target in [2usize, 3, 4, 5, 6, 2, 3, 4, 5, 6] {
+            hold_worker(s, addr, &mut control);
+            for target in targets {
                 let evidence = evidence.clone();
                 s.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
-                    client
+                    let resp = client
                         .request(&Request::Posterior { evidence, target })
                         .unwrap();
+                    assert!(matches!(resp, Response::Posterior(_)), "got {resp:?}");
                 });
             }
+            await_status(&mut control, |st| {
+                st.inflight == 1 && st.queue_depth == targets.len()
+            });
         });
 
-        let mut client = Client::connect(addr).unwrap();
-        let status = match client.status().unwrap() {
-            Response::Status(s) => s,
-            other => panic!("expected Status, got {other:?}"),
-        };
+        let status = status(&mut control);
         assert_eq!(status.served_posterior, 10);
-        assert!(
-            status.coalesced_requests >= 2,
-            "expected some coalescing under a 50ms window, got {status:?}"
+        assert_eq!(status.served_paccel, 1);
+        assert_eq!(
+            (status.coalesced_batches, status.coalesced_requests),
+            (1, 10),
+            "ten queued same-evidence posteriors fold into one batch: {status:?}"
         );
-        client.stop().unwrap();
+        control.stop().unwrap();
         handle.wait();
     }
 
     #[test]
     fn overload_sheds_with_typed_errors_and_drain_completes() {
-        // One slow-ish worker, a tiny queue, a long window: the flood
-        // below must see some Overloaded refusals, and every accepted
-        // request must still be answered before Stop acknowledges.
+        // One held worker, a tiny queue, folding off: of a 16-deep flood
+        // exactly queue_cap requests are admitted and the rest are shed,
+        // and every accepted request is still answered before Stop
+        // acknowledges.
         let handle = start(ServeConfig {
             workers: 1,
             queue_cap: 2,
-            coalesce_window: Duration::from_millis(30),
             max_batch: 1,
             ..ServeConfig::default()
         });
         let addr = handle.addr();
+        let mut control = Client::connect(addr).unwrap();
 
         let outcomes: Vec<&'static str> = std::thread::scope(|s| {
+            hold_worker(s, addr, &mut control);
             let handles: Vec<_> = (0..16)
                 .map(|i| {
                     s.spawn(move || {
@@ -426,24 +472,21 @@ mod tests {
                     })
                 })
                 .collect();
+            await_status(&mut control, |st| {
+                st.inflight == 1 && st.queue_depth == 2 && st.shed_overloaded == 14
+            });
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
 
         let answered = outcomes.iter().filter(|o| **o == "answered").count();
         let shed = outcomes.iter().filter(|o| **o == "shed").count();
-        assert_eq!(answered + shed, 16);
-        assert!(shed > 0, "16-deep flood against cap 2 must shed something");
-        assert!(answered > 0, "admitted requests must be answered");
+        assert_eq!((answered, shed), (2, 14), "a full queue sheds the rest");
 
-        let mut client = Client::connect(addr).unwrap();
-        let status = match client.status().unwrap() {
-            Response::Status(s) => s,
-            other => panic!("expected Status, got {other:?}"),
-        };
+        let status = status(&mut control);
         assert_eq!(status.served_posterior as usize, answered);
         assert_eq!(status.shed_overloaded as usize, shed);
 
-        client.stop().unwrap();
+        control.stop().unwrap();
         handle.wait();
 
         // After drain, new queries are refused as ShuttingDown (if the
@@ -510,18 +553,19 @@ mod tests {
         kert_obs::set_mode(kert_obs::ObsMode::Metrics);
         let handle = start(ServeConfig {
             workers: 1,
-            coalesce_window: Duration::from_millis(50),
             trace: true,
             ..ServeConfig::default()
         });
         let addr = handle.addr();
+        let mut client = Client::connect(addr).unwrap();
 
-        // Concurrent same-evidence posteriors, each carrying its own
-        // wire trace id: the single worker's 50ms window folds most of
-        // them, and every reply must echo its request's id.
+        // Same-evidence posteriors queued behind a busy worker, each
+        // carrying its own wire trace id: the worker folds all of them
+        // into one batch, and every reply must echo its request's id.
         let evidence = vec![(0usize, 0.05)];
         let targets = [2usize, 3, 4, 5, 6, 2, 3, 4];
         std::thread::scope(|s| {
+            hold_worker(s, addr, &mut client);
             for (i, &target) in targets.iter().enumerate() {
                 let evidence = evidence.clone();
                 s.spawn(move || {
@@ -534,44 +578,42 @@ mod tests {
                     assert_eq!(echoed, Some(tid), "reply must echo the request's trace id");
                 });
             }
+            await_status(&mut client, |st| {
+                st.inflight == 1 && st.queue_depth == targets.len()
+            });
         });
 
         // Recording happens just after the reply frame hits the wire,
-        // so the last few trees can trail the clients briefly.
-        let mut client = Client::connect(addr).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let status = loop {
-            let status = match client.status().unwrap() {
-                Response::Status(s) => s,
-                other => panic!("expected Status, got {other:?}"),
-            };
-            if status.traces_recorded >= targets.len() as u64
-                || std::time::Instant::now() >= deadline
-            {
-                break status;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        // so the last few trees can trail the clients briefly. The
+        // blocker is traced too, under a daemon-assigned id.
+        let recorded = targets.len() as u64 + 1;
+        let status = await_status(&mut client, |st| st.traces_recorded >= recorded);
         assert!(status.tracing);
-        assert_eq!(status.traces_recorded, targets.len() as u64);
+        assert_eq!(status.traces_recorded, recorded);
 
-        let traces = match client.traces(0).unwrap() {
+        let all = match client.traces(0).unwrap() {
             Response::Traces { traces } => traces,
             other => panic!("expected Traces, got {other:?}"),
         };
+        assert_eq!(all.len() as u64, recorded);
+        let (traces, blocker): (Vec<_>, Vec<_>) = all
+            .into_iter()
+            .partition(|t| (1000..1000 + targets.len() as u64).contains(&t.trace_id));
         assert_eq!(traces.len(), targets.len());
+        assert_eq!(blocker.len(), 1);
 
         // Every request yields a complete five-stage tree under its own
-        // wire-assigned trace id.
-        for tree in &traces {
-            assert!((1000..1000 + targets.len() as u64).contains(&tree.trace_id));
+        // trace id.
+        for tree in traces.iter().chain(&blocker) {
             let root = tree.find("kertd.request").expect("root span");
             assert_eq!(root.parent, 0);
             assert!(root.end_ns != 0, "root must be closed");
-            assert!(root
-                .labels
-                .iter()
-                .any(|(k, v)| k == "verb" && v == "posterior"));
+            let verb = if blocker.contains(tree) {
+                "paccel"
+            } else {
+                "posterior"
+            };
+            assert!(root.labels.iter().any(|(k, v)| k == "verb" && v == verb));
             let qw = tree.find("kertd.queue_wait").expect("queue-wait span");
             assert_eq!(qw.parent, root.id);
             assert!(qw.labels.iter().any(|(k, _)| k == "queue_depth"));
@@ -586,8 +628,9 @@ mod tests {
             }
         }
 
-        // Coalesced followers link their propagate span to the leader's
-        // shared compute span, and that target really exists.
+        // The posteriors formed one batch: one leader, and every other
+        // member links its propagate span to the leader's shared compute
+        // span, and that target really exists.
         let followers: Vec<_> = traces
             .iter()
             .filter(|t| {
@@ -598,10 +641,7 @@ mod tests {
                 })
             })
             .collect();
-        assert!(
-            !followers.is_empty(),
-            "a 50ms window on one worker must coalesce something"
-        );
+        assert_eq!(followers.len(), targets.len() - 1, "one batch, one leader");
         for follower in &followers {
             let p = follower.find("kertd.propagate").unwrap();
             let link = p

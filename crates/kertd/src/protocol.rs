@@ -218,7 +218,9 @@ pub struct StatusInfo {
     pub queue_depth: usize,
     /// Jobs checked out by workers right now.
     pub inflight: usize,
-    /// Coalescing window in microseconds (0 = coalescing off).
+    /// Always 0: workers fold only what is already queued and never
+    /// wait for more, so there is no coalescing window. Kept on the wire
+    /// for existing readers.
     pub coalesce_window_us: u64,
     /// Queries answered, by verb.
     pub served_posterior: u64,

@@ -9,7 +9,7 @@
 //!       │                 bounded admission queue ──▶ typed shed when full
 //!       │                        │
 //!       ▼                        ▼
-//!   worker threads ◀──pop + coalesce window──┘
+//!   worker threads ◀──pop head + fold queued same-key jobs──┘
 //!       │  one pooled Session per micro-batch:
 //!       │  evidence entered once, k marginal reads
 //!       ▼
@@ -21,16 +21,22 @@
 //! never locked on the query path; each micro-batch checks a pooled
 //! propagation state out, enters its evidence **once**, and answers
 //! every folded request with a single marginal read. Coalescing turns
-//! `k` concurrent single-target requests that share an evidence set
-//! into one propagation plus `k` reads — the same amortization that
-//! makes `dcomp_all` beat sequential queries in-process — and
-//! duplicated work items inside a batch (the hot-query case: many
-//! clients asking for the same decomposition at once) are computed
-//! once and fanned out to every requester.
+//! `k` queued single-target requests that share an evidence set into
+//! one propagation plus `k` reads — the same amortization that makes
+//! `dcomp_all` beat sequential queries in-process — and duplicated work
+//! items inside a batch (the hot-query case: many clients asking for
+//! the same decomposition at once) are computed once and fanned out to
+//! every requester.
+//!
+//! Workers are **work-conserving**: a free worker takes the head job at
+//! once and folds in only what is already queued behind it; it never
+//! waits for more. An idle daemon answers each request alone and
+//! immediately, and under a backlog the queue itself is the batch, so
+//! batches grow with load.
 //!
 //! Correctness contract: every response is **bitwise identical** to the
 //! same query answered by a direct in-process engine, whatever the
-//! worker count or coalescing window. Coalescing only ever regroups
+//! worker count or fold cap (`max_batch`). Coalescing only ever regroups
 //! *pure* reads against identical evidence, so grouping is invisible in
 //! the results — the conformance suite gates exactly this.
 
@@ -100,13 +106,9 @@ pub struct ServeConfig {
     /// with a typed `Overloaded` response instead of buffering without
     /// bound.
     pub queue_cap: usize,
-    /// How long a worker holding a fresh micro-batch lingers for more
-    /// requests with the same evidence key. Zero disables coalescing
-    /// (every request is its own batch) — results are identical either
-    /// way; the window only trades a bounded latency add for
-    /// propagation amortization.
-    pub coalesce_window: Duration,
-    /// Ceiling on requests folded into one micro-batch.
+    /// Ceiling on requests folded into one micro-batch; 1 turns folding
+    /// off (every request is its own batch). Results are identical
+    /// either way.
     pub max_batch: usize,
     /// Record a causal span tree per query into the flight recorder
     /// (accept → queue-wait → coalesce-group → propagate → serialize),
@@ -122,7 +124,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 0,
             queue_cap: 256,
-            coalesce_window: Duration::from_micros(500),
             max_batch: 64,
             trace: false,
             trace_cap: DEFAULT_FLIGHT_CAP,
@@ -152,8 +153,10 @@ struct Reply {
 }
 
 impl Job {
-    /// Close the queue-wait span the moment a worker checks the job out.
-    fn close_queue_span(&mut self) {
+    /// A worker took the job: record its queue wait and close its
+    /// queue-wait span. Every job of a folded group passes through here.
+    fn check_out(&mut self) {
+        LAT_QUEUE_WAIT.record(self.enqueued.elapsed().as_nanos() as u64);
         if let Some(ctx) = self.trace.as_mut() {
             ctx.close(self.queue_span);
             self.queue_span = 0;
@@ -327,7 +330,7 @@ impl Shared {
             queue_cap: self.cfg.queue_cap,
             queue_depth,
             inflight,
-            coalesce_window_us: self.cfg.coalesce_window.as_micros() as u64,
+            coalesce_window_us: 0,
             served_posterior: self.stats.served_posterior.load(Ordering::Relaxed),
             served_dcomp: self.stats.served_dcomp.load(Ordering::Relaxed),
             served_paccel: self.stats.served_paccel.load(Ordering::Relaxed),
@@ -348,33 +351,49 @@ impl Shared {
     }
 }
 
-/// Requests fold into one micro-batch iff they share this key: same
-/// verb, same evidence, byte-for-byte. Serialization is deterministic
-/// (same struct, same field order), so equal evidence ⇒ equal key.
-pub(crate) fn coalesce_key(request: &Request) -> String {
-    match request {
-        Request::Posterior { evidence, .. } => {
-            format!(
-                "posterior:{}",
-                serde_json::to_string(evidence).unwrap_or_default()
-            )
-        }
-        Request::Dcomp { observed, .. } => {
-            format!(
-                "dcomp:{}",
-                serde_json::to_string(observed).unwrap_or_default()
-            )
-        }
-        // Every pAccel projects against the shared no-evidence prior.
-        Request::Paccel { .. } => "paccel".into(),
-        Request::Violation { evidence, .. } => {
-            format!(
-                "violation:{}",
-                serde_json::to_string(evidence).unwrap_or_default()
-            )
-        }
-        other => format!("control:{}", other.verb()),
+/// Two requests fold into one micro-batch iff they are the same verb
+/// over the same evidence, compared by `f64` bit pattern — the rule
+/// [`dedup_work`] uses — so `0.0`/`-0.0` and `+inf`/`-inf` never alias.
+/// Every pAccel projects against the shared no-evidence prior, so any two
+/// pAccels fold. Control verbs never reach the queue and never fold.
+pub(crate) fn coalesces(a: &Request, b: &Request) -> bool {
+    fn same(x: &[(usize, f64)], y: &[(usize, f64)]) -> bool {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
     }
+    match (a, b) {
+        (Request::Posterior { evidence: x, .. }, Request::Posterior { evidence: y, .. })
+        | (Request::Dcomp { observed: x, .. }, Request::Dcomp { observed: y, .. })
+        | (Request::Violation { evidence: x, .. }, Request::Violation { evidence: y, .. }) => {
+            same(x, y)
+        }
+        (Request::Paccel { .. }, Request::Paccel { .. }) => true,
+        _ => false,
+    }
+}
+
+/// The fold: `head` plus every item already in `queue` that coalesces
+/// with it, removed in queue order, up to `max_batch` in all. Items with
+/// other keys keep their order. Never waits — shared by the live worker
+/// and the drill, so both group a backed-up queue identically.
+pub(crate) fn fold_queued<T>(
+    queue: &mut VecDeque<T>,
+    head: T,
+    max_batch: usize,
+    request: impl Fn(&T) -> &Request,
+) -> Vec<T> {
+    let mut group = vec![head];
+    let mut i = 0;
+    while group.len() < max_batch && i < queue.len() {
+        if coalesces(request(&group[0]), request(&queue[i])) {
+            group.push(queue.remove(i).expect("index in range"));
+        } else {
+            i += 1;
+        }
+    }
+    group
 }
 
 /// A running daemon. Dropping the handle does **not** stop the daemon;
@@ -667,13 +686,14 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Pop one job, then linger up to the coalescing window for more jobs
-/// with the same evidence key. Returns `None` when the queue is closed
-/// and empty (worker should exit). The whole group counts as **one**
-/// inflight unit: it is answered by one session checkout.
+/// Pop the head job and fold in every queued job that coalesces with
+/// it, in one lock hold and without waiting for more. Returns `None`
+/// when the queue is closed and empty (worker should exit). The whole
+/// group counts as **one** inflight unit: it is answered by one session
+/// checkout.
 fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Job>> {
     let mut q = shared.q.lock().expect("queue poisoned");
-    let mut first = loop {
+    let head = loop {
         if let Some(job) = q.jobs.pop_front() {
             break job;
         }
@@ -683,39 +703,12 @@ fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Job>> {
         q = shared.cv.wait(q).expect("queue poisoned");
     };
     q.inflight += 1;
-    LAT_QUEUE_WAIT.record(first.enqueued.elapsed().as_nanos() as u64);
-    first.close_queue_span();
-
-    let key = coalesce_key(&first.request);
-    let mut group = vec![first];
-    if shared.cfg.coalesce_window > Duration::ZERO {
-        let deadline = Instant::now() + shared.cfg.coalesce_window;
-        loop {
-            while group.len() < shared.cfg.max_batch {
-                match q.jobs.iter().position(|j| coalesce_key(&j.request) == key) {
-                    Some(i) => {
-                        let mut job = q.jobs.remove(i).expect("index in range");
-                        job.close_queue_span();
-                        group.push(job);
-                    }
-                    None => break,
-                }
-            }
-            if group.len() >= shared.cfg.max_batch {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline || !q.open {
-                break;
-            }
-            let (guard, _timeout) = shared
-                .cv
-                .wait_timeout(q, deadline - now)
-                .expect("queue poisoned");
-            q = guard;
-        }
-    }
+    let mut group = fold_queued(&mut q.jobs, head, shared.cfg.max_batch, |j| &j.request);
     set_gauge("kertd.queue_depth", q.jobs.len() as f64);
+    drop(q);
+    for job in &mut group {
+        job.check_out();
+    }
     Some(group)
 }
 
@@ -973,4 +966,109 @@ fn answer_one(engine: &SharedKert, request: &Request) -> Response {
 
 fn wire_or_error(r: std::result::Result<Response, WireError>) -> Response {
     r.unwrap_or_else(Response::Error)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn posterior(evidence: &[(usize, f64)], target: usize) -> Request {
+        Request::Posterior {
+            evidence: evidence.to_vec(),
+            target,
+        }
+    }
+
+    /// A scripted queue of `(id, request)` items, as the drill builds it.
+    fn queue(requests: Vec<Request>) -> VecDeque<(usize, Request)> {
+        requests.into_iter().enumerate().collect()
+    }
+
+    fn ids<T>(items: &[(usize, T)]) -> Vec<usize> {
+        items.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn fold_takes_same_key_jobs_anywhere_behind_the_head_in_order() {
+        let a = [(0usize, 0.05)];
+        let b = [(0usize, 0.07)];
+        let mut q = queue(vec![
+            posterior(&a, 2),
+            posterior(&b, 2),
+            Request::Violation {
+                evidence: a.to_vec(),
+                thresholds: vec![0.5],
+            },
+            posterior(&a, 3),
+            Request::Paccel {
+                candidates: vec![(0, 0.1)],
+            },
+            posterior(&b, 4),
+            posterior(&a, 4),
+        ]);
+        let head = q.pop_front().unwrap();
+        let group = fold_queued(&mut q, head, 64, |(_, r)| r);
+        assert_eq!(ids(&group), [0, 3, 6]);
+        // Other keys keep their queue order.
+        let rest: Vec<usize> = q.iter().map(|(id, _)| *id).collect();
+        assert_eq!(rest, [1, 2, 4, 5]);
+
+        // Any two pAccels fold; a lone dComp folds with nothing.
+        let mut q = queue(vec![
+            Request::Paccel {
+                candidates: vec![(0, 0.1)],
+            },
+            Request::Dcomp {
+                observed: a.to_vec(),
+                targets: vec![2],
+            },
+            Request::Paccel {
+                candidates: vec![(1, 0.2)],
+            },
+        ]);
+        let head = q.pop_front().unwrap();
+        assert_eq!(ids(&fold_queued(&mut q, head, 64, |(_, r)| r)), [0, 2]);
+        let head = q.pop_front().unwrap();
+        assert_eq!(ids(&fold_queued(&mut q, head, 64, |(_, r)| r)), [1]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn fold_is_capped_by_max_batch() {
+        let a = [(1usize, 0.2)];
+        let mut q = queue((0..7).map(|t| posterior(&a, 2 + t % 3)).collect());
+        let head = q.pop_front().unwrap();
+        assert_eq!(ids(&fold_queued(&mut q, head, 3, |(_, r)| r)), [0, 1, 2]);
+        let head = q.pop_front().unwrap();
+        assert_eq!(ids(&fold_queued(&mut q, head, 3, |(_, r)| r)), [3, 4, 5]);
+        // max_batch 1 turns folding off.
+        let head = q.pop_front().unwrap();
+        q.push_back((7, posterior(&a, 2)));
+        assert_eq!(ids(&fold_queued(&mut q, head, 1, |(_, r)| r)), [6]);
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn evidence_is_compared_by_bit_pattern() {
+        let pairs = [(0.0, -0.0), (f64::INFINITY, f64::NEG_INFINITY)];
+        for (x, y) in pairs {
+            assert!(coalesces(
+                &posterior(&[(0, x)], 2),
+                &posterior(&[(0, x)], 3)
+            ));
+            let mut q = queue(vec![posterior(&[(0, x)], 2), posterior(&[(0, y)], 2)]);
+            let head = q.pop_front().unwrap();
+            assert_eq!(ids(&fold_queued(&mut q, head, 64, |(_, r)| r)), [0]);
+            assert_eq!(q.len(), 1, "{x} and {y} must not fold");
+        }
+        // Same values on another node, or in another order, are other keys.
+        let ab = [(0usize, 0.1), (1, 0.2)];
+        let ba = [(1usize, 0.2), (0, 0.1)];
+        assert!(!coalesces(&posterior(&ab, 2), &posterior(&ba, 2)));
+        assert!(!coalesces(
+            &posterior(&[(0, 0.1)], 2),
+            &posterior(&[(1, 0.1)], 2)
+        ));
+        assert!(!coalesces(&Request::Ping, &Request::Ping));
+    }
 }

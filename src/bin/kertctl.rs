@@ -85,7 +85,7 @@ USAGE:
   kertctl telemetry [--jsonl events.jsonl] [--prom snapshot.prom]
           [--require-ladder]
   kertctl serve --model model.json [--addr HOST:PORT] [--workers N]
-          [--queue-cap Q] [--coalesce-us U] [--max-batch B] [--port-file F]
+          [--queue-cap Q] [--max-batch B] [--port-file F]
           [--trace] [--trace-cap T]
   kertctl query --addr HOST:PORT (--target NODE | --dcomp N,N,... |
           --paccel SVC=ELAPSED... | --threshold H...) [--given NODE=VALUE]...
@@ -135,13 +135,19 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parse `command`'s `args`, refusing any flag not in `accepted`
+    /// (space-separated names): a misspelled or retired flag must fail
+    /// before the command does any work, not silently do nothing.
+    fn parse(command: &str, args: &[String], accepted: &str) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected a --flag, got {key:?}"));
             };
+            if !accepted.split(' ').any(|flag| flag == name) {
+                return Err(format!("unknown flag --{name} for {command}"));
+            }
             // Boolean flags take no value.
             if matches!(name, "ediamond" | "dot" | "require-ladder" | "trace") {
                 pairs.push((name.to_string(), "true".to_string()));
@@ -186,7 +192,11 @@ impl Flags {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        "simulate",
+        args,
+        "services ediamond requests seed utilization out",
+    )?;
     let requests: usize = flags.parse_num("requests", 800)?;
     let seed: u64 = flags.parse_num("seed", 2026)?;
     let utilization: f64 = flags.parse_num("utilization", 0.5)?;
@@ -266,7 +276,7 @@ fn load_scenario(path: &str) -> Result<ScenarioFile, String> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("build", args, "scenario family mode bins restarts seed out")?;
     let scenario = load_scenario(flags.require("scenario")?)?;
     let family = flags.require("family")?;
     let mode = flags.get("mode").unwrap_or("discrete");
@@ -344,7 +354,7 @@ fn load_model(flags: &Flags) -> Result<SavedModel, String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("info", args, "model dot")?;
     let saved = load_model(&flags)?;
     if flags.get("dot").is_some() {
         // Graphviz view of the structure — pipe into `dot -Tsvg`.
@@ -414,7 +424,11 @@ fn run_query(
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        "query",
+        args,
+        "model target given addr dcomp paccel threshold concurrency repeat trace",
+    )?;
     if flags.get("addr").is_some() {
         return cmd_query_remote(&flags);
     }
@@ -438,7 +452,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_telemetry(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("telemetry", args, "jsonl prom require-ladder")?;
     if flags.get("jsonl").is_none() && flags.get("prom").is_none() {
         return Err("telemetry: nothing to validate (need --jsonl and/or --prom)".into());
     }
@@ -504,13 +518,16 @@ fn cmd_telemetry(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use kert_bn::serving::{serve, ServeConfig};
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        "serve",
+        args,
+        "model addr workers queue-cap max-batch port-file trace trace-cap",
+    )?;
     let saved = load_model(&flags)?;
     let config = ServeConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         workers: flags.parse_num("workers", 0usize)?,
         queue_cap: flags.parse_num("queue-cap", 256usize)?,
-        coalesce_window: std::time::Duration::from_micros(flags.parse_num("coalesce-us", 500u64)?),
         max_batch: flags.parse_num("max-batch", 64usize)?,
         trace: flags.get("trace").is_some(),
         // 0 falls back to the daemon's default flight-recorder capacity.
@@ -522,15 +539,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     kert_bn::obs::set_mode(kert_bn::obs::ObsMode::Metrics);
     let engine = kert_bn::model::SharedKert::from_saved(saved).map_err(|e| e.to_string())?;
     let queue_cap = config.queue_cap;
-    let window_us = config.coalesce_window.as_micros();
+    let max_batch = config.max_batch;
     let tracing = config.trace;
     let handle = serve(engine, config).map_err(|e| format!("starting daemon: {e}"))?;
     eprintln!(
-        "kertd listening on {} ({} workers, queue cap {}, coalesce window {}µs{})",
+        "kertd listening on {} ({} workers, queue cap {}, max batch {}{})",
         handle.addr(),
         handle.workers(),
         queue_cap,
-        window_us,
+        max_batch,
         if tracing { ", tracing" } else { "" }
     );
     if let Some(path) = flags.get("port-file") {
@@ -696,7 +713,7 @@ fn cmd_query_remote(flags: &Flags) -> Result<(), String> {
 fn cmd_status(args: &[String]) -> Result<(), String> {
     use kert_bn::serving::{Client, Response};
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("status", args, "addr prom")?;
     let addr = flags.require("addr")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     let status = match client.status().map_err(|e| e.to_string())? {
@@ -709,12 +726,11 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     );
     println!("tree     : width {}", status.width);
     println!(
-        "daemon   : {} workers, queue {}/{} ({} inflight), window {}µs{}",
+        "daemon   : {} workers, queue {}/{} ({} inflight){}",
         status.workers,
         status.queue_depth,
         status.queue_cap,
         status.inflight,
-        status.coalesce_window_us,
         if status.draining { ", draining" } else { "" }
     );
     println!(
@@ -745,7 +761,7 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 fn cmd_stop(args: &[String]) -> Result<(), String> {
     use kert_bn::serving::{Client, Response};
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("stop", args, "addr")?;
     let addr = flags.require("addr")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     match client.stop().map_err(|e| e.to_string())? {
@@ -772,7 +788,7 @@ fn fetch_traces(addr: &str, limit: usize) -> Result<Vec<kert_bn::obs::TraceTree>
 /// trace-event rendering is *always* built and validated — a file that
 /// would not load in Perfetto is a command failure, written or not.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("trace", args, "addr limit min chrome jsonl")?;
     let addr = flags.require("addr")?;
     let limit: usize = flags.parse_num("limit", 0usize)?;
     let min: usize = flags.parse_num("min", 1usize)?;
@@ -827,7 +843,7 @@ fn cmd_slo(args: &[String]) -> Result<(), String> {
     use kert_bn::bayes::learn::mle::ParamOptions;
     use kert_bn::model::StreamingWindow;
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("slo", args, "addr target limit min-rows window")?;
     let addr = flags.require("addr")?;
     let target: f64 = flags
         .require("target")?
@@ -927,7 +943,7 @@ fn cmd_slo(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_violation(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("violation", args, "model threshold given")?;
     let saved = load_model(&flags)?;
     let threshold: f64 = flags
         .require("threshold")?

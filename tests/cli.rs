@@ -176,3 +176,78 @@ fn errors_are_reported_not_panicked() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+#[test]
+fn unknown_flags_are_refused_before_any_work() {
+    // A retired flag: folding has no window any more.
+    let out = kertctl(&["serve", "--coalesce-us", "500"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --coalesce-us for serve"),
+        "{stderr}"
+    );
+
+    // A misspelled flag on another subcommand: refused, nothing written.
+    let scenario = tmp("misspelled.json");
+    let out = kertctl(&[
+        "simulate",
+        "--ediamond",
+        "--requets",
+        "400",
+        "--out",
+        scenario.to_str().unwrap(),
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --requets for simulate"),
+        "{stderr}"
+    );
+    assert!(!scenario.exists());
+}
+
+/// Every `kertctl` command line in the README and the CI workflow, as
+/// `(subcommand, args)`: `… --bin kertctl -- <subcommand> <args>`, with
+/// `\`-continued lines joined and workflow expressions filled in.
+fn documented_invocations() -> Vec<(String, Vec<String>)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    for doc in ["README.md", ".github/workflows/ci.yml"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for line in text.replace("\\\n", " ").lines() {
+            let Some((_, invocation)) = line.split_once("--bin kertctl -- ") else {
+                continue;
+            };
+            let invocation = invocation.replace("${{ matrix.seed }}", "1");
+            let mut tokens = invocation
+                .split_whitespace()
+                .take_while(|t| !matches!(*t, "&" | "&&" | "|" | "#"))
+                .map(str::to_string);
+            let subcommand = tokens.next().expect("a subcommand");
+            found.push((subcommand, tokens.collect()));
+        }
+    }
+    found
+}
+
+#[test]
+fn every_documented_command_line_parses() {
+    let invocations = documented_invocations();
+    assert!(invocations.len() >= 30, "found only {invocations:?}");
+    for (subcommand, args) in &invocations {
+        // Flags are checked left to right before any work, so when every
+        // documented flag is accepted the appended sentinel is the first
+        // one refused.
+        let mut argv = vec![subcommand.as_str()];
+        argv.extend(args.iter().map(String::as_str));
+        argv.extend(["--not-a-flag", "1"]);
+        let out = kertctl(&argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag --not-a-flag for {subcommand}")),
+            "`kertctl {}` does not parse: {stderr}",
+            argv.join(" ")
+        );
+    }
+}
