@@ -19,10 +19,14 @@
 //!   the greedy scan and across restarts — different random orderings
 //!   re-evaluate the same families constantly, and the score of a family
 //!   does not depend on the ordering that proposed it;
-//! - **parallel candidate scoring and restarts** on scoped threads. All
-//!   tie-breaks are resolved *after* collection, in predecessor/restart
-//!   order (earliest wins on equal score), so the structure and every
-//!   score are independent of thread count and scheduling.
+//! - **parallel restarts** on scoped threads. The winner is picked *after*
+//!   collection, in restart order (earliest wins on equal score), so the
+//!   structure and every score are independent of thread count and
+//!   scheduling.
+//!
+//! A single search runs on the caller's thread: spawning threads at every
+//! greedy step to score a handful of candidates cost more than it saved on
+//! a 2-vCPU host (DESIGN §8).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,10 +122,7 @@ pub fn k2_search(
     cards: &[usize],
     options: K2Options,
 ) -> Result<K2Result> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    k2_search_cached(ordering, data, cards, options, &ScoreCache::new(), workers)
+    k2_search_cached(ordering, data, cards, options, &ScoreCache::new())
 }
 
 fn k2_search_cached(
@@ -130,7 +131,6 @@ fn k2_search_cached(
     cards: &[usize],
     options: K2Options,
     cache: &ScoreCache,
-    workers: usize,
 ) -> Result<K2Result> {
     let mut dag = Dag::new(data.columns());
     let mut total_score = 0.0;
@@ -143,59 +143,20 @@ fn k2_search_cached(
         evaluations += 1;
 
         while parents.len() < options.max_parents {
-            // Score every remaining predecessor as the next addition.
-            let candidates: Vec<usize> = predecessors
-                .iter()
-                .copied()
-                .filter(|c| !parents.contains(c))
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let trial_of = |cand: usize| {
+            // Score every remaining predecessor as the next addition, in
+            // predecessor order; strictly-greater wins, so the earliest
+            // candidate keeps a tie.
+            let mut best_add: Option<(usize, f64)> = None;
+            for cand in predecessors.iter().copied() {
+                if parents.contains(&cand) {
+                    continue;
+                }
                 let mut trial = parents.clone();
                 // Keep the parent list sorted — the DAG and CPDs expect it.
                 let ins = trial.binary_search(&cand).unwrap_err();
                 trial.insert(ins, cand);
-                trial
-            };
-            let scores: Vec<Result<f64>> = if workers > 1 && candidates.len() > 1 {
-                let mut slots: Vec<Option<Result<f64>>> =
-                    (0..candidates.len()).map(|_| None).collect();
-                let chunk = candidates.len().div_ceil(workers.min(candidates.len()));
-                let candidates = &candidates;
-                let parents_ref = &parents;
-                std::thread::scope(|scope| {
-                    for (ci, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                        let start = ci * chunk;
-                        scope.spawn(move || {
-                            for (off, slot) in chunk_slots.iter_mut().enumerate() {
-                                let cand = candidates[start + off];
-                                let mut trial = parents_ref.clone();
-                                let ins = trial.binary_search(&cand).unwrap_err();
-                                trial.insert(ins, cand);
-                                *slot = Some(cache.score(options.score, node, &trial, data, cards));
-                            }
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every candidate chunk is processed"))
-                    .collect()
-            } else {
-                candidates
-                    .iter()
-                    .map(|&cand| cache.score(options.score, node, &trial_of(cand), data, cards))
-                    .collect()
-            };
-            evaluations += scores.len();
-
-            // Deterministic selection regardless of how the scores were
-            // computed: scan in predecessor order, strictly-greater wins.
-            let mut best_add: Option<(usize, f64)> = None;
-            for (cand, s) in candidates.iter().copied().zip(scores) {
-                let s = s?;
+                let s = cache.score(options.score, node, &trial, data, cards)?;
+                evaluations += 1;
                 if s > best && best_add.is_none_or(|(_, bs)| s > bs) {
                     best_add = Some((cand, s));
                 }
@@ -255,8 +216,6 @@ pub fn k2_with_random_restarts<R: Rng + ?Sized>(
         .map(|w| w.get())
         .unwrap_or(1);
     let results: Vec<Result<K2Result>> = if workers > 1 && restarts > 1 {
-        // One restart per task; candidate scoring inside each restart stays
-        // sequential (workers = 1) so the threads do not oversubscribe.
         let mut slots: Vec<Option<Result<K2Result>>> = (0..restarts).map(|_| None).collect();
         let chunk = restarts.div_ceil(workers.min(restarts));
         let orderings = &orderings;
@@ -272,7 +231,6 @@ pub fn k2_with_random_restarts<R: Rng + ?Sized>(
                             cards,
                             options,
                             cache,
-                            1,
                         ));
                     }
                 });
@@ -285,7 +243,7 @@ pub fn k2_with_random_restarts<R: Rng + ?Sized>(
     } else {
         orderings
             .iter()
-            .map(|o| k2_search_cached(o, data, cards, options, &cache, workers))
+            .map(|o| k2_search_cached(o, data, cards, options, &cache))
             .collect()
     };
 

@@ -141,34 +141,17 @@ pub fn fit_linear_gaussian(
 }
 
 /// Fit every node's CPD for a given structure, choosing the family from the
-/// variable kind. This is the *centralized* parameter-learning path the
-/// paper compares against in Figure 5.
+/// variable kind, one node after another on the caller's thread.
 ///
-/// Nodes are independent given the structure (§3.4's data-locality
-/// observation), so they are fitted on scoped worker threads — one chunk of
-/// nodes per available core. Results are identical to the sequential loop:
-/// every node's fit depends only on its own columns, and the output vector
-/// is assembled in node order.
+/// This is NRT-BN's parameter phase, and the batch oracle that the
+/// streaming learner and the control loop's refit are checked against.
+/// Figure 5's centralized/decentralized comparison runs through
+/// `kert_agents::{centralized_learn, decentralized_learn}` instead.
 pub fn fit_all_parameters(
     variables: &[Variable],
     dag: &Dag,
     data: &Dataset,
     options: ParamOptions,
-) -> Result<Vec<Cpd>> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    fit_all_parameters_with_workers(variables, dag, data, options, workers)
-}
-
-/// [`fit_all_parameters`] with an explicit worker-thread count (1 =
-/// sequential, no threads spawned).
-pub fn fit_all_parameters_with_workers(
-    variables: &[Variable],
-    dag: &Dag,
-    data: &Dataset,
-    options: ParamOptions,
-    workers: usize,
 ) -> Result<Vec<Cpd>> {
     if data.columns() != variables.len() {
         return Err(BayesError::InvalidData(format!(
@@ -177,41 +160,12 @@ pub fn fit_all_parameters_with_workers(
             variables.len()
         )));
     }
-    let n = variables.len();
     let cards: Vec<usize> = variables
         .iter()
         .map(|v| v.cardinality().unwrap_or(0))
         .collect();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        return (0..n)
-            .map(|i| fit_node(i, variables, dag.parents(i), data, &cards, options))
-            .collect();
-    }
-    let cards = &cards;
-    let mut slots: Vec<Option<Result<Cpd>>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (ci, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-            let start = ci * chunk;
-            scope.spawn(move || {
-                for (off, slot) in chunk_slots.iter_mut().enumerate() {
-                    let node = start + off;
-                    *slot = Some(fit_node(
-                        node,
-                        variables,
-                        dag.parents(node),
-                        data,
-                        cards,
-                        options,
-                    ));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every node chunk is processed"))
+    (0..variables.len())
+        .map(|i| fit_node(i, variables, dag.parents(i), data, &cards, options))
         .collect()
 }
 

@@ -24,7 +24,7 @@ use kert_bayes::BayesianNetwork;
 use kert_bench::scenario::{Environment, ScenarioOptions};
 use kert_core::posterior::McOptions;
 use kert_core::{
-    compensate_degraded, dcomp_via, paccel_via, query_posterior_via, violation_probability_via,
+    compensate_degraded, dcomp_all, dcomp_via, paccel_via, violation_probability_via,
     ContinuousKertOptions, Engine, KertBn, Posterior, ResilientKertOptions,
 };
 use kert_sim::monitor::agents_from_edges;
@@ -311,27 +311,19 @@ pub fn run_continuous_differential(
             .map_err(|e| format!("instance {i} discrete oracle: {e}"))?;
 
         // The compiled junction tree is exact — gate it at 1e-9 against
-        // the enumeration oracle through the same public pinned-engine
-        // entry point the autonomic loop uses.
-        let jt = query_posterior_via(
-            disc_net,
-            Some(disc),
-            &observed,
-            target,
-            Engine::JunctionTree,
-            mc,
-            &mut rng,
-        )
-        .map_err(|e| format!("instance {i} junction-tree: {e}"))?;
+        // the enumeration oracle through the production one-shot path:
+        // `dcomp_all` compiles a fresh tree and runs the serve verb on it.
+        let jt = dcomp_all(&inst.discrete, &observed, &[target], mc, &mut rng)
+            .map_err(|e| format!("instance {i} junction-tree: {e}"))?;
         let Posterior::Discrete {
             probs: jt_probs, ..
-        } = jt
+        } = &jt[0].posterior
         else {
             return Err(format!(
                 "instance {i}: junction tree returned a non-discrete posterior"
             ));
         };
-        let jt_gap = max_abs_diff(&jt_probs, &exact_probs);
+        let jt_gap = max_abs_diff(jt_probs, &exact_probs);
         if jt_gap > 1e-9 {
             return Err(format!(
                 "instance {i} (seed {inst_seed}) junction tree disagrees with \

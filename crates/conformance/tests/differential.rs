@@ -33,8 +33,8 @@ fn discrete_fast_paths_match_enumeration_oracle() {
 /// dComp, pAccel, and the Eq.-5 violation probability agree with the
 /// structural-equation Gaussian oracle to ≤1e-9 relative error on 100
 /// random exactly-solvable instances; each instance's discrete companion
-/// also gates the junction-tree engine (≤1e-9) against the enumeration
-/// oracle.
+/// also gates the compiled junction tree (≤1e-9), through `dcomp_all`'s
+/// one-shot serve path, against the enumeration oracle.
 #[test]
 fn continuous_fast_paths_match_gaussian_oracle_on_100_instances() {
     let report = run_continuous_differential(conf_seed(), 100).unwrap_or_else(|e| panic!("{e}"));

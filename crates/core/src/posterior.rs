@@ -290,11 +290,6 @@ pub enum Engine {
     /// Exact variable elimination over the full factor set with the given
     /// ordering heuristic (discrete models only).
     VariableElimination(ve::EliminationHeuristic),
-    /// Compiled junction-tree propagation (discrete models only): moralize,
-    /// triangulate with min-fill, calibrate by Shafer-Shenoy message
-    /// passing, read the marginal off the target's home clique. Exact, and
-    /// the engine behind [`crate::serve::SharedKert`]. Compiles per call.
-    JunctionTree,
     /// Exact joint-Gaussian conditioning (linear continuous models only).
     GaussianConditioning,
 }
@@ -392,22 +387,6 @@ pub fn query_posterior_via<R: Rng + ?Sized>(
         },
         Engine::VariableElimination(h) => {
             ve_posterior(network, need_disc(discretizer)?, evidence, target, h)
-        }
-        Engine::JunctionTree => {
-            let disc = need_disc(discretizer)?;
-            let tree = kert_bayes::compile::JunctionTree::compile(network)?;
-            let mut state = tree.new_state();
-            // Deterministic entry order regardless of evidence order.
-            let mut pins: Vec<(usize, usize)> = evidence
-                .iter()
-                .map(|&(node, value)| (node, disc.column(node).state(value)))
-                .collect();
-            pins.sort_unstable();
-            for (node, s) in pins {
-                tree.set_evidence(&mut state, node, s)?;
-            }
-            let probs = tree.marginal(&mut state, target)?;
-            Ok(discrete_posterior(disc, target, probs))
         }
         Engine::GaussianConditioning if joint::is_linear_gaussian(network) => {
             gaussian_posterior(network, evidence, target)

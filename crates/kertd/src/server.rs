@@ -715,9 +715,9 @@ fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Job>> {
 /// Answer a micro-batch with one pooled session. The grouped fast path
 /// enters the shared evidence once and reads one marginal per folded
 /// request; if anything in the group errors (e.g. one request names a
-/// bad target), fall back to answering each job individually so a bad
-/// neighbor cannot poison the batch. Both paths produce bitwise
-/// identical answers for the requests that succeed.
+/// bad target), fall back to answering each job as a group of one so a
+/// bad neighbor cannot poison the batch. A job's answer is bitwise the
+/// same whichever group it is answered in.
 fn process_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
     let verb = group[0].request.verb();
     let mut traces: Vec<Option<TraceContext>> = group.iter_mut().map(|j| j.trace.take()).collect();
@@ -784,7 +784,13 @@ pub(crate) fn compute_group(
     }
     let responses = match answer_group(engine, requests) {
         Ok(r) => r,
-        Err(_) => requests.iter().map(|r| answer_one(engine, r)).collect(),
+        Err(_) => requests
+            .iter()
+            .map(|r| match answer_group(engine, std::slice::from_ref(r)) {
+                Ok(mut one) => one.remove(0),
+                Err(e) => Response::Error(WireError::from_core(&e)),
+            })
+            .collect(),
     };
     if let Some((slot, _, _)) = leader {
         traces[slot] = trace::take();
@@ -806,8 +812,13 @@ pub(crate) fn compute_group(
 /// and fanning the result out is bitwise invisible — this is what makes
 /// a *hot query* (many clients asking for the same thing at once) cost
 /// one computation instead of N. Floats are keyed by bit pattern, not
-/// `==`, so `0.0`/`-0.0` (and NaN payloads) never alias.
-fn dedup_work<T: Clone, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> (Vec<T>, Vec<usize>) {
+/// `==`, so `0.0`/`-0.0` (and NaN payloads) never alias. The number of
+/// items saved is added to `deduped`.
+fn dedup_work<T: Clone, K: PartialEq>(
+    items: &[T],
+    key: impl Fn(&T) -> K,
+    deduped: &mut u64,
+) -> (Vec<T>, Vec<usize>) {
     let mut unique: Vec<T> = Vec::new();
     let mut keys: Vec<K> = Vec::new();
     let mut index = Vec::with_capacity(items.len());
@@ -822,7 +833,7 @@ fn dedup_work<T: Clone, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> (Ve
             }
         }
     }
-    COALESCED_DEDUPED.add((items.len() - unique.len()) as u64);
+    *deduped += (items.len() - unique.len()) as u64;
     (unique, index)
 }
 
@@ -831,7 +842,8 @@ fn dedup_work<T: Clone, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> (Ve
 /// a coalesce key by construction.
 fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Response>> {
     let mut session = engine.session();
-    match group[0] {
+    let mut deduped = 0;
+    let responses = match group[0] {
         Request::Posterior { evidence, .. } => {
             let targets: Vec<usize> = group
                 .iter()
@@ -840,13 +852,13 @@ fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Respo
                     _ => unreachable!("mixed verbs in a coalesce group"),
                 })
                 .collect();
-            let (unique, index) = dedup_work(&targets, |&t| t);
+            let (unique, index) = dedup_work(&targets, |&t| t, &mut deduped);
             let posteriors = session.posterior_group(evidence, &unique)?;
             let answers: Vec<Response> = posteriors
                 .iter()
                 .map(|p| wire_or_error(WirePosterior::from_posterior(p).map(Response::Posterior)))
                 .collect();
-            Ok(index.iter().map(|&i| answers[i].clone()).collect())
+            index.iter().map(|&i| answers[i].clone()).collect()
         }
         Request::Dcomp { observed, .. } => {
             let per_job: Vec<Vec<usize>> = group
@@ -857,10 +869,10 @@ fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Respo
                 })
                 .collect();
             let all_targets: Vec<usize> = per_job.iter().flatten().copied().collect();
-            let (unique, index) = dedup_work(&all_targets, |&t| t);
+            let (unique, index) = dedup_work(&all_targets, |&t| t, &mut deduped);
             let outcomes = session.dcomp(observed, &unique)?;
             let mut cursor = index.iter();
-            Ok(per_job
+            per_job
                 .iter()
                 .map(|targets| {
                     let picked: std::result::Result<Vec<_>, WireError> = cursor
@@ -870,7 +882,7 @@ fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Respo
                         .collect();
                     wire_or_error(picked.map(|outcomes| Response::Dcomp { outcomes }))
                 })
-                .collect())
+                .collect()
         }
         Request::Paccel { .. } => {
             let per_job: Vec<Vec<(usize, f64)>> = group
@@ -881,10 +893,10 @@ fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Respo
                 })
                 .collect();
             let all: Vec<(usize, f64)> = per_job.iter().flatten().copied().collect();
-            let (unique, index) = dedup_work(&all, |&(s, e)| (s, e.to_bits()));
+            let (unique, index) = dedup_work(&all, |&(s, e)| (s, e.to_bits()), &mut deduped);
             let outcomes = session.paccel(&unique)?;
             let mut cursor = index.iter();
-            Ok(per_job
+            per_job
                 .iter()
                 .map(|candidates| {
                     let picked: std::result::Result<Vec<_>, WireError> = cursor
@@ -894,7 +906,7 @@ fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Respo
                         .collect();
                     wire_or_error(picked.map(|outcomes| Response::Paccel { outcomes }))
                 })
-                .collect())
+                .collect()
         }
         Request::Violation { evidence, .. } => {
             let per_job: Vec<Vec<f64>> = group
@@ -905,10 +917,10 @@ fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Respo
                 })
                 .collect();
             let all: Vec<f64> = per_job.iter().flatten().copied().collect();
-            let (unique, index) = dedup_work(&all, |t| t.to_bits());
+            let (unique, index) = dedup_work(&all, |t| t.to_bits(), &mut deduped);
             let probs = session.violation_sweep(evidence, &unique)?;
             let mut cursor = index.iter();
-            Ok(per_job
+            per_job
                 .iter()
                 .map(|thresholds| Response::Violation {
                     probabilities: cursor
@@ -917,51 +929,20 @@ fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Respo
                         .map(|&i| probs[i])
                         .collect(),
                 })
-                .collect())
+                .collect()
         }
-        other => Ok(vec![
+        other => vec![
             Response::Error(WireError::new(
                 ErrorKind::Internal,
                 format!("{} reached the worker pool", other.verb()),
             ));
             group.len()
-        ]),
-    }
-}
-
-/// Individual fallback: one request, its own session. Produces the same
-/// bits as the grouped path for any request that succeeds (both route
-/// through the identical Session primitives).
-fn answer_one(engine: &SharedKert, request: &Request) -> Response {
-    let mut session = engine.session();
-    let result: CoreResult<Response> = match request {
-        Request::Posterior { evidence, target } => session
-            .posterior_group(evidence, std::slice::from_ref(target))
-            .map(|ps| {
-                wire_or_error(WirePosterior::from_posterior(&ps[0]).map(Response::Posterior))
-            }),
-        Request::Dcomp { observed, targets } => session.dcomp(observed, targets).map(|outcomes| {
-            let wired: std::result::Result<Vec<_>, WireError> =
-                outcomes.iter().map(WireDcomp::from_outcome).collect();
-            wire_or_error(wired.map(|outcomes| Response::Dcomp { outcomes }))
-        }),
-        Request::Paccel { candidates } => session.paccel(candidates).map(|outcomes| {
-            let wired: std::result::Result<Vec<_>, WireError> =
-                outcomes.iter().map(WirePaccel::from_outcome).collect();
-            wire_or_error(wired.map(|outcomes| Response::Paccel { outcomes }))
-        }),
-        Request::Violation {
-            evidence,
-            thresholds,
-        } => session
-            .violation_sweep(evidence, thresholds)
-            .map(|probabilities| Response::Violation { probabilities }),
-        other => Ok(Response::Error(WireError::new(
-            ErrorKind::Internal,
-            format!("{} reached the worker pool", other.verb()),
-        ))),
+        ],
     };
-    result.unwrap_or_else(|e| Response::Error(WireError::from_core(&e)))
+    // Count the saving only once the grouped verb has succeeded: a group
+    // that errors is answered job by job and saves nothing.
+    COALESCED_DEDUPED.add(deduped);
+    Ok(responses)
 }
 
 fn wire_or_error(r: std::result::Result<Response, WireError>) -> Response {

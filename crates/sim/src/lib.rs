@@ -24,7 +24,6 @@ pub mod dist;
 pub mod engine;
 pub mod faults;
 pub mod monitor;
-pub mod reporting;
 pub mod request;
 pub mod resources;
 pub mod service;
@@ -34,7 +33,6 @@ pub mod trace;
 pub use dist::Dist;
 pub use faults::{Delivery, FaultEvent, FaultInjector, FaultPlan};
 pub use monitor::{AgentReport, MonitoringAgent};
-pub use reporting::{simulate_reporting, ReportingConfig, ServerView};
 pub use resources::{Host, HostLayout};
 pub use service::ServiceConfig;
 pub use system::{SimOptions, SimSystem};
