@@ -10,12 +10,13 @@
 //!
 //! Two properties make the compiled engine fast in steady state:
 //!
-//! * **Incremental evidence.** Evidence is entered by zeroing the
-//!   inconsistent entries of the observed node's home-clique potential.
-//!   Only messages directed *away* from that clique are invalidated, and
-//!   messages are recomputed lazily, farthest-first, toward the queried
-//!   clique — so an enter → query → retract cycle over pAccel candidates
-//!   re-propagates only along the affected subtree.
+//! * **Incremental evidence.** [`JunctionTree::set_evidence`] replaces a
+//!   state's whole evidence set in one call, zeroing the inconsistent
+//!   entries of each changed home-clique potential once. Only messages
+//!   directed *away* from a changed clique are invalidated, and messages
+//!   are recomputed lazily, farthest-first, toward the queried clique —
+//!   so stepping through pAccel candidates, one pin each, re-propagates
+//!   only along the affected subtree.
 //! * **Zero-alloc queries.** All factor scratch flows through the
 //!   [`QueryWorkspace`] held by [`JtState`]; once the pools are warm, a
 //!   calibrated marginal read-off allocates nothing.
@@ -344,49 +345,44 @@ impl JunctionTree {
         2 * e + usize::from(self.edges[e].a != from)
     }
 
-    /// Enter (or change) evidence `node = state`, invalidating only the
-    /// messages directed away from the node's home clique.
-    pub fn set_evidence(&self, st: &mut JtState, node: usize, state: usize) -> Result<()> {
+    /// Replace the whole evidence set on `st` with `pins` (`(node, state)`
+    /// pairs, in any order). Every pin is checked first — node and state
+    /// in range, no node listed twice — so a refused call leaves `st`
+    /// untouched. Each home clique whose pins changed is then rebuilt
+    /// once, invalidating only the messages directed away from it.
+    pub fn set_evidence(&self, st: &mut JtState, pins: &[(usize, usize)]) -> Result<()> {
         self.check_state(st)?;
-        if node >= self.cards.len() {
-            return Err(BayesError::InvalidNode(node));
+        let mut wanted: Vec<Option<usize>> = vec![None; self.cards.len()];
+        for &(node, state) in pins {
+            if node >= self.cards.len() {
+                return Err(BayesError::InvalidNode(node));
+            }
+            if state >= self.cards[node] {
+                return Err(BayesError::InvalidData(format!(
+                    "evidence state {state} out of range for node {node}"
+                )));
+            }
+            if wanted[node].replace(state).is_some() {
+                return Err(BayesError::InvalidData(format!(
+                    "evidence lists node {node} more than once"
+                )));
+            }
         }
-        if state >= self.cards[node] {
-            return Err(BayesError::InvalidData(format!(
-                "evidence state {state} out of range for node {node}"
-            )));
+        let mut homes: Vec<usize> = Vec::new();
+        for (node, (old, new)) in st.evidence.iter_mut().zip(wanted).enumerate() {
+            if *old == new {
+                continue;
+            }
+            if new.is_some() {
+                OBS_JT_EVIDENCE_SET.incr();
+            } else {
+                OBS_JT_EVIDENCE_RETRACT.incr();
+            }
+            *old = new;
+            homes.push(self.node_home[node]);
         }
-        if st.evidence[node] == Some(state) {
-            return Ok(());
-        }
-        OBS_JT_EVIDENCE_SET.incr();
-        st.evidence[node] = Some(state);
-        self.refresh_clique(st, self.node_home[node]);
-        Ok(())
-    }
-
-    /// Retract evidence on `node` (no-op when none is set).
-    pub fn retract_evidence(&self, st: &mut JtState, node: usize) -> Result<()> {
-        self.check_state(st)?;
-        if node >= self.cards.len() {
-            return Err(BayesError::InvalidNode(node));
-        }
-        if st.evidence[node].take().is_some() {
-            OBS_JT_EVIDENCE_RETRACT.incr();
-            self.refresh_clique(st, self.node_home[node]);
-        }
-        Ok(())
-    }
-
-    /// Retract all evidence.
-    pub fn clear_evidence(&self, st: &mut JtState) -> Result<()> {
-        self.check_state(st)?;
-        let homes: BTreeSet<usize> = (0..self.cards.len())
-            .filter(|&v| st.evidence[v].is_some())
-            .map(|v| self.node_home[v])
-            .collect();
-        OBS_JT_EVIDENCE_RETRACT.add(st.evidence.iter().filter(|e| e.is_some()).count() as u64);
-        st.evidence.fill(None);
+        homes.sort_unstable();
+        homes.dedup();
         for c in homes {
             self.refresh_clique(st, c);
         }
@@ -725,7 +721,7 @@ mod tests {
             }
         }
         // Posterior given wet grass (classic exact values).
-        jt.set_evidence(&mut st, 3, 1).unwrap();
+        jt.set_evidence(&mut st, &[(3, 1)]).unwrap();
         let ps = jt.marginal(&mut st, 1).unwrap();
         assert!((ps[1] - 0.4298).abs() < 1e-3, "{ps:?}");
         let pr = jt.marginal(&mut st, 2).unwrap();
@@ -742,26 +738,31 @@ mod tests {
     }
 
     #[test]
-    fn incremental_enter_retract_reenter_matches_fresh_state() {
+    fn replacing_evidence_matches_a_fresh_state() {
         let bn = sprinkler();
         let jt = JunctionTree::compile(&bn).unwrap();
         let mut st = jt.new_state();
-        // Warm the caches with a different query first.
-        jt.set_evidence(&mut st, 2, 1).unwrap();
+        // Warm the caches with a different query first, then replace its
+        // pin (retracting node 2, entering node 3) in one call.
+        jt.set_evidence(&mut st, &[(2, 1)]).unwrap();
         let _ = jt.marginal(&mut st, 0).unwrap();
-        jt.retract_evidence(&mut st, 2).unwrap();
-        jt.set_evidence(&mut st, 3, 1).unwrap();
+        jt.set_evidence(&mut st, &[(3, 1)]).unwrap();
         let incremental = jt.marginal(&mut st, 1).unwrap();
 
         let mut fresh = jt.new_state();
-        jt.set_evidence(&mut fresh, 3, 1).unwrap();
+        jt.set_evidence(&mut fresh, &[(3, 1)]).unwrap();
         let direct = jt.marginal(&mut fresh, 1).unwrap();
         assert_eq!(incremental, direct, "stale message survived retraction");
 
-        // Re-entering the same evidence is a no-op for the caches.
-        jt.set_evidence(&mut st, 3, 1).unwrap();
+        // Re-entering the same evidence is a no-op for the caches, and
+        // pin order does not matter.
+        jt.set_evidence(&mut st, &[(3, 1)]).unwrap();
         assert_eq!(jt.marginal(&mut st, 1).unwrap(), direct);
-        jt.clear_evidence(&mut st).unwrap();
+        jt.set_evidence(&mut st, &[(3, 1), (0, 1)]).unwrap();
+        let a = jt.marginal(&mut st, 1).unwrap();
+        jt.set_evidence(&mut fresh, &[(0, 1), (3, 1)]).unwrap();
+        assert_eq!(a, jt.marginal(&mut fresh, 1).unwrap());
+        jt.set_evidence(&mut st, &[]).unwrap();
         let prior = jt.marginal(&mut st, 1).unwrap();
         let want = posterior_marginal(&bn, 1, &Evidence::new()).unwrap();
         for (a, b) in prior.iter().zip(&want) {
@@ -774,7 +775,7 @@ mod tests {
         let bn = sprinkler();
         let jt = JunctionTree::compile(&bn).unwrap();
         let mut st = jt.new_state();
-        jt.set_evidence(&mut st, 2, 1).unwrap();
+        jt.set_evidence(&mut st, &[(2, 1)]).unwrap();
         assert_eq!(jt.marginal(&mut st, 2).unwrap(), vec![0.0, 1.0]);
     }
 
@@ -789,8 +790,8 @@ mod tests {
         }
         let mut sa = a.new_state();
         let mut sb = b.new_state();
-        a.set_evidence(&mut sa, 3, 1).unwrap();
-        b.set_evidence(&mut sb, 3, 1).unwrap();
+        a.set_evidence(&mut sa, &[(3, 1)]).unwrap();
+        b.set_evidence(&mut sb, &[(3, 1)]).unwrap();
         assert_eq!(
             a.marginal(&mut sa, 1).unwrap(),
             b.marginal(&mut sb, 1).unwrap()
@@ -837,9 +838,7 @@ mod tests {
         let mut ev = Evidence::new();
         ev.insert(2, 1);
         ev.insert(7, 0);
-        for &(node, s) in &[(2usize, 1usize), (7, 0)] {
-            tree.set_evidence(&mut st, node, s).unwrap();
-        }
+        tree.set_evidence(&mut st, &[(2, 1), (7, 0)]).unwrap();
         for target in (0..bn.len()).filter(|t| !ev.contains_key(t)) {
             let got = tree.marginal(&mut st, target).unwrap();
             let want = posterior_marginal(&bn, target, &ev).unwrap();
@@ -854,8 +853,13 @@ mod tests {
         let bn = sprinkler();
         let jt = JunctionTree::compile(&bn).unwrap();
         let mut st = jt.new_state();
-        assert!(jt.set_evidence(&mut st, 99, 0).is_err());
-        assert!(jt.set_evidence(&mut st, 2, 9).is_err());
+        jt.set_evidence(&mut st, &[(3, 1)]).unwrap();
+        let before = jt.marginal(&mut st, 1).unwrap();
+        // A refused call leaves the entered evidence as it was.
+        for bad in [&[(99, 0)][..], &[(0, 1), (2, 9)], &[(0, 1), (0, 0)]] {
+            assert!(jt.set_evidence(&mut st, bad).is_err(), "{bad:?}");
+            assert_eq!(jt.marginal(&mut st, 1).unwrap(), before, "{bad:?}");
+        }
         assert!(jt.marginal(&mut st, 99).is_err());
 
         // Non-discrete networks don't compile.

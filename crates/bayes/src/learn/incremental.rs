@@ -172,10 +172,28 @@ impl GaussianStats {
     }
 
     fn insert(&mut self, node: usize, parents: &[usize], row: &[f64]) {
-        let y = row[node];
         self.n += 1;
-        self.sum_y += y;
-        self.yty += y * y;
+        self.update(parents, row[node], row, 1.0);
+    }
+
+    fn evict(&mut self, node: usize, parents: &[usize], row: &[f64]) -> Result<()> {
+        if self.n == 0 {
+            return Err(BayesError::InvalidData(format!(
+                "evicting from an empty window for node {node}"
+            )));
+        }
+        self.n -= 1;
+        self.update(parents, row[node], row, -1.0);
+        Ok(())
+    }
+
+    /// Add (`sign = 1.0`) or subtract (`sign = -1.0`) one row's terms.
+    /// Negation is exact, so `a + (−1·x)·y` is bitwise `a − x·y`: an
+    /// evict removes exactly the bits its insert added.
+    fn update(&mut self, parents: &[usize], y: f64, row: &[f64], sign: f64) {
+        let signed_y = sign * y;
+        self.sum_y += signed_y;
+        self.yty += signed_y * y;
         if parents.is_empty() {
             return;
         }
@@ -192,97 +210,12 @@ impl GaussianStats {
         };
         Self::fill_design(x, parents, row);
         for i in 0..p {
-            let xi = x[i];
+            let xi = sign * x[i];
             self.xty[i] += xi * y;
             for (g, &xj) in self.gram.row_mut(i)[..p].iter_mut().zip(x.iter()) {
                 *g += xi * xj;
             }
         }
-    }
-
-    fn evict(&mut self, node: usize, parents: &[usize], row: &[f64]) -> Result<()> {
-        if self.n == 0 {
-            return Err(BayesError::InvalidData(format!(
-                "evicting from an empty window for node {node}"
-            )));
-        }
-        let y = row[node];
-        self.n -= 1;
-        self.sum_y -= y;
-        self.yty -= y * y;
-        if parents.is_empty() {
-            return Ok(());
-        }
-        let p = parents.len() + 1;
-        let mut x_stack = [0.0f64; DESIGN_STACK];
-        let mut x_heap = Vec::new();
-        let x: &mut [f64] = if p <= DESIGN_STACK {
-            &mut x_stack[..p]
-        } else {
-            x_heap.resize(p, 0.0);
-            &mut x_heap
-        };
-        Self::fill_design(x, parents, row);
-        for i in 0..p {
-            let xi = x[i];
-            self.xty[i] -= xi * y;
-            for (g, &xj) in self.gram.row_mut(i)[..p].iter_mut().zip(x.iter()) {
-                *g -= xi * xj;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fused insert + evict for the sliding-window hot path. Each
-    /// accumulator sees exactly the same operation sequence as
-    /// `insert(new)` followed by `evict(old)` (add before subtract), so
-    /// the resulting statistics are bitwise identical to the two-call
-    /// path; only the loop and dispatch overhead is paid once instead of
-    /// twice.
-    fn replace(&mut self, node: usize, parents: &[usize], old: &[f64], new: &[f64]) -> Result<()> {
-        if self.n == 0 {
-            return Err(BayesError::InvalidData(format!(
-                "evicting from an empty window for node {node}"
-            )));
-        }
-        let yn = new[node];
-        let yo = old[node];
-        self.sum_y += yn;
-        self.sum_y -= yo;
-        self.yty += yn * yn;
-        self.yty -= yo * yo;
-        if parents.is_empty() {
-            return Ok(());
-        }
-        let p = parents.len() + 1;
-        let mut xn_stack = [0.0f64; DESIGN_STACK];
-        let mut xo_stack = [0.0f64; DESIGN_STACK];
-        let mut xn_heap = Vec::new();
-        let mut xo_heap = Vec::new();
-        let (xn, xo): (&mut [f64], &mut [f64]) = if p <= DESIGN_STACK {
-            (&mut xn_stack[..p], &mut xo_stack[..p])
-        } else {
-            xn_heap.resize(p, 0.0);
-            xo_heap.resize(p, 0.0);
-            (&mut xn_heap, &mut xo_heap)
-        };
-        Self::fill_design(xn, parents, new);
-        Self::fill_design(xo, parents, old);
-        for i in 0..p {
-            let xni = xn[i];
-            let xoi = xo[i];
-            self.xty[i] += xni * yn;
-            self.xty[i] -= xoi * yo;
-            for ((g, &xnj), &xoj) in self.gram.row_mut(i)[..p]
-                .iter_mut()
-                .zip(xn.iter())
-                .zip(xo.iter())
-            {
-                *g += xni * xnj;
-                *g -= xoi * xoj;
-            }
-        }
-        Ok(())
     }
 
     fn fit(&self, node: usize, parents: &[usize]) -> Result<LinearGaussianCpd> {
@@ -518,49 +451,6 @@ impl StreamingLearner {
         Ok(())
     }
 
-    /// Replace one previously inserted row with a new one — the shape of a
-    /// full sliding-window slide — in a single fused pass over the
-    /// families. Produces bitwise-identical sufficient statistics to
-    /// `insert_row(new)` followed by `evict_row(old)`, but pays the
-    /// dispatch and validation overhead once. Both rows are validated
-    /// before any family is touched, so a failure leaves the learner
-    /// unmodified.
-    pub fn replace_row(&mut self, old: &[f64], new: &[f64]) -> Result<()> {
-        self.check_row(old)?;
-        self.check_row(new)?;
-        if self.rows == 0 {
-            return Err(BayesError::InvalidData(
-                "evicting from an empty window".into(),
-            ));
-        }
-        for (i, fam) in self.families.iter().enumerate() {
-            if let FamilyStats::Discrete(d) = fam {
-                d.config_of(i, &self.parents[i], new)?;
-                let (idx, state) = d.config_of(i, &self.parents[i], old)?;
-                match d.counts.get(&idx) {
-                    Some(entry) if entry[state] > 0 => {}
-                    _ => {
-                        return Err(BayesError::InvalidData(format!(
-                            "evicting a row never inserted (node {i}, config {idx})"
-                        )))
-                    }
-                }
-            }
-        }
-        for (i, fam) in self.families.iter_mut().enumerate() {
-            match fam {
-                FamilyStats::Discrete(d) => {
-                    d.insert(i, &self.parents[i], new)?;
-                    d.evict(i, &self.parents[i], old)?;
-                }
-                FamilyStats::Gaussian(g) => g.replace(i, &self.parents[i], old, new)?,
-            }
-        }
-        OBS_STREAM_INSERTS.incr();
-        OBS_STREAM_EVICTS.incr();
-        Ok(())
-    }
-
     /// Rebuild one node's CPD from the current sufficient statistics.
     pub fn fit_node(&self, node: usize) -> Result<Cpd> {
         let parents = self
@@ -728,73 +618,6 @@ mod tests {
         assert_eq!(learner.rows(), 0);
     }
 
-    #[test]
-    fn replace_row_is_bitwise_identical_to_insert_then_evict() {
-        // The fused sliding-window path must leave every family holding
-        // bitwise-identical sufficient statistics to the two-call path —
-        // discrete counts and Gaussian accumulators alike.
-        let opts = ParamOptions::default();
-
-        let vars = discrete_vars();
-        let dag = chain_dag(2);
-        let rows = deterministic_rows(20);
-        let mut fused = StreamingLearner::new(&vars, &dag, opts).unwrap();
-        let mut twostep = fused.clone();
-        for row in &rows[..10] {
-            fused.insert_row(row).unwrap();
-            twostep.insert_row(row).unwrap();
-        }
-        for (old, new) in rows[..10].iter().zip(rows[10..].iter()) {
-            fused.replace_row(old, new).unwrap();
-            twostep.insert_row(new).unwrap();
-            twostep.evict_row(old).unwrap();
-        }
-        assert_eq!(fused.rows(), twostep.rows());
-        match (fused.fit_node(1).unwrap(), twostep.fit_node(1).unwrap()) {
-            (Cpd::Tabular(a), Cpd::Tabular(b)) => {
-                assert_eq!(a.table(), b.table(), "fused CPT diverged");
-            }
-            other => panic!("unexpected families {other:?}"),
-        }
-
-        let cvars = vec![
-            Variable::continuous("a"),
-            Variable::continuous("b"),
-            Variable::continuous("c"),
-        ];
-        let mut cdag = chain_dag(3);
-        cdag.add_edge(0, 2).unwrap();
-        let crows = linear_rows(40, 0);
-        let mut cfused = StreamingLearner::new(&cvars, &cdag, opts).unwrap();
-        let mut ctwostep = cfused.clone();
-        for row in &crows[..20] {
-            cfused.insert_row(row).unwrap();
-            ctwostep.insert_row(row).unwrap();
-        }
-        for (old, new) in crows[..20].iter().zip(crows[20..].iter()) {
-            cfused.replace_row(old, new).unwrap();
-            ctwostep.insert_row(new).unwrap();
-            ctwostep.evict_row(old).unwrap();
-        }
-        for (f, t) in cfused
-            .fit_all()
-            .unwrap()
-            .iter()
-            .zip(ctwostep.fit_all().unwrap().iter())
-        {
-            match (f, t) {
-                (Cpd::LinearGaussian(a), Cpd::LinearGaussian(b)) => {
-                    assert_eq!(a.intercept().to_bits(), b.intercept().to_bits());
-                    assert_eq!(a.variance().to_bits(), b.variance().to_bits());
-                    for (ca, cb) in a.coeffs().iter().zip(b.coeffs().iter()) {
-                        assert_eq!(ca.to_bits(), cb.to_bits(), "fused coeff diverged");
-                    }
-                }
-                other => panic!("unexpected families {other:?}"),
-            }
-        }
-    }
-
     fn linear_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {
         (0..n)
             .map(|i| {
@@ -910,7 +733,8 @@ mod tests {
             }
             for slide in [0, 20] {
                 for (old, new) in rows[..slide].iter().zip(&rows[60..60 + slide]) {
-                    learner.replace_row(old, new).unwrap();
+                    learner.insert_row(new).unwrap();
+                    learner.evict_row(old).unwrap();
                 }
                 let FamilyStats::Gaussian(stats) = &learner.families[2] else {
                     panic!("continuous child keeps Gaussian statistics");

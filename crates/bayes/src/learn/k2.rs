@@ -28,7 +28,7 @@
 //! greedy step to score a handful of candidates cost more than it saved on
 //! a 2-vCPU host (DESIGN §8).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -69,8 +69,10 @@ pub struct K2Result {
     /// paper's Figure 4 measures indirectly through wall-clock time). A
     /// lookup served from the memo cache still counts here.
     pub evaluations: usize,
-    /// Lookups that actually computed a score (cache misses). The gap to
-    /// `evaluations` is work the memo cache saved.
+    /// Distinct families scored (cache misses). The gap to
+    /// `evaluations` is work the memo cache saved. Two restart threads
+    /// can both score one family before either caches it; that counts
+    /// once, so the figure repeats from run to run.
     pub cache_misses: usize,
 }
 
@@ -103,12 +105,21 @@ impl ScoreCache {
             return Ok(s);
         }
         let s = family_score(kind, node, parents, data, cards)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
+        // Another restart may have scored this family while the lock was
+        // released. Scores are pure, so both values carry the same bits:
+        // keep the first and count one miss per family.
+        match self
+            .map
             .lock()
             .expect("score cache not poisoned")
-            .insert(key, s);
-        Ok(s)
+            .entry(key)
+        {
+            Entry::Occupied(first) => Ok(*first.get()),
+            Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Ok(*slot.insert(s))
+            }
+        }
     }
 }
 

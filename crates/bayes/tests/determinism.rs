@@ -73,3 +73,53 @@ fn k2_score_cache_saves_work_across_restarts() {
         r.evaluations
     );
 }
+
+/// Eight ternary nodes, each depending on the two before it: enough
+/// families and rows that two restart threads often reach one family at
+/// the same time.
+fn ladder() -> BayesianNetwork {
+    let n = 8;
+    let vars: Vec<Variable> = (0..n)
+        .map(|i| Variable::discrete(format!("x{i}"), 3))
+        .collect();
+    let mut dag = Dag::new(n);
+    let mut cpds = Vec::with_capacity(n);
+    for child in 0..n {
+        let parents: Vec<usize> = (child.saturating_sub(2)..child).collect();
+        for &p in &parents {
+            dag.add_edge(p, child).unwrap();
+        }
+        let configs = 3usize.pow(parents.len() as u32);
+        let table = (0..configs)
+            .flat_map(|c| {
+                let x = 0.15 + 0.1 * ((child + c) % 5) as f64;
+                let y = 0.2 + 0.05 * ((3 * child + c) % 4) as f64;
+                [x, y, 1.0 - x - y]
+            })
+            .collect();
+        cpds.push(Cpd::Tabular(
+            TabularCpd::new(child, parents.clone(), 3, vec![3; parents.len()], table).unwrap(),
+        ));
+    }
+    BayesianNetwork::new(vars, dag, cpds).unwrap()
+}
+
+#[test]
+fn k2_cache_misses_repeat_across_runs() {
+    let bn = ladder();
+    let data = bn.sample_dataset(&mut StdRng::seed_from_u64(11), 2000);
+    let cards = [3usize; 8];
+    let misses: Vec<usize> = (0..20)
+        .map(|_| {
+            let mut rng = StdRng::seed_from_u64(13);
+            let r =
+                k2_with_random_restarts(&data, &cards, K2Options::default(), 10, &mut rng).unwrap();
+            assert!(r.cache_misses < r.evaluations, "restarts share families");
+            r.cache_misses
+        })
+        .collect();
+    assert!(
+        misses.iter().all(|&m| m == misses[0]),
+        "cache_misses differ between identical runs: {misses:?}"
+    );
+}

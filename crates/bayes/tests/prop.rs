@@ -332,9 +332,8 @@ proptest! {
 
     /// Compiled-engine invariant: on random discrete networks the
     /// calibrated junction-tree marginal of *every* node matches pruned VE
-    /// to ≤1e-9, including after an evidence enter → retract → re-enter
-    /// cycle (the incremental-invalidation path must leave no stale
-    /// message behind).
+    /// to ≤1e-9, including after setting A∪{x} → A → A∪{x} (the
+    /// incremental-invalidation path must leave no stale message behind).
     #[test]
     fn junction_tree_matches_pruned_ve_on_random_networks(
         net_seed in 0u64..400,
@@ -344,8 +343,7 @@ proptest! {
         let (_, evidence) = kert_conformance::gen::random_discrete_query(&bn, query_seed);
         let jt = JunctionTree::compile(&bn).unwrap();
         let mut st = jt.new_state();
-        let mut pins: Vec<(usize, usize)> = evidence.iter().map(|(&k, &v)| (k, v)).collect();
-        pins.sort_unstable();
+        let pins: Vec<(usize, usize)> = evidence.iter().map(|(&k, &v)| (k, v)).collect();
 
         // Priors, then posteriors under the full evidence set.
         for t in 0..bn.len() {
@@ -355,9 +353,7 @@ proptest! {
                 kert_conformance::assert_close!(x, y, 1e-9);
             }
         }
-        for &(node, s) in &pins {
-            jt.set_evidence(&mut st, node, s).unwrap();
-        }
+        jt.set_evidence(&mut st, &pins).unwrap();
         for t in 0..bn.len() {
             let got = jt.marginal(&mut st, t).unwrap();
             let want = posterior_marginal_pruned(&bn, t, &evidence).unwrap();
@@ -366,12 +362,13 @@ proptest! {
             }
         }
 
-        // Enter → retract → re-enter on a node outside the evidence set:
+        // A∪{x} → A → A∪{x} for a node x outside the evidence set A:
         // after the cycle every marginal must match the evidence-only run.
         if let Some(extra) = (0..bn.len()).find(|v| !evidence.contains_key(v)) {
-            jt.set_evidence(&mut st, extra, 0).unwrap();
+            let with_extra = [pins.as_slice(), &[(extra, 0)]].concat();
+            jt.set_evidence(&mut st, &with_extra).unwrap();
             let _ = jt.marginal(&mut st, extra % bn.len()).unwrap();
-            jt.retract_evidence(&mut st, extra).unwrap();
+            jt.set_evidence(&mut st, &pins).unwrap();
             for t in 0..bn.len() {
                 let got = jt.marginal(&mut st, t).unwrap();
                 let want = posterior_marginal_pruned(&bn, t, &evidence).unwrap();
@@ -380,12 +377,9 @@ proptest! {
                 }
             }
             // Re-enter and compare against a fresh, never-incremental state.
-            jt.set_evidence(&mut st, extra, 0).unwrap();
+            jt.set_evidence(&mut st, &with_extra).unwrap();
             let mut fresh = jt.new_state();
-            for &(node, s) in &pins {
-                jt.set_evidence(&mut fresh, node, s).unwrap();
-            }
-            jt.set_evidence(&mut fresh, extra, 0).unwrap();
+            jt.set_evidence(&mut fresh, &with_extra).unwrap();
             for t in 0..bn.len() {
                 let inc = jt.marginal(&mut st, t).unwrap();
                 let dir = jt.marginal(&mut fresh, t).unwrap();

@@ -98,12 +98,9 @@ fn main() {
         JunctionTree::compile(black_box(bn)).unwrap()
     });
     let tree = JunctionTree::compile(bn).unwrap();
-    let mut pins: Vec<(usize, usize)> = evidence.iter().map(|(&n, &s)| (n, s)).collect();
-    pins.sort_unstable();
+    let pins: Vec<(usize, usize)> = evidence.iter().map(|(&n, &s)| (n, s)).collect();
     let mut calibrated = tree.new_state();
-    for &(node, s) in &pins {
-        tree.set_evidence(&mut calibrated, node, s).unwrap();
-    }
+    tree.set_evidence(&mut calibrated, &pins).unwrap();
     tree.marginal(&mut calibrated, 3).unwrap(); // calibrate once
     let jt_marginal = bench("jt/calibrated_marginal", || {
         tree.marginal(black_box(&mut calibrated), 3).unwrap()
@@ -112,8 +109,9 @@ fn main() {
     // 10-query dComp-style batch: fresh evidence each control period, then
     // the posterior of every hidden service (round-robin to 10 queries).
     // Per-query VE rebuilds the factor stack from the network every time;
-    // the compiled engine enters evidence incrementally into a reusable
-    // state and reads each marginal off the calibrated tree.
+    // the compiled engine clears the last period's evidence, enters the
+    // new set into a reusable state and reads each marginal off the
+    // calibrated tree.
     let hidden: Vec<usize> = (0..bn.len())
         .filter(|n| !evidence.contains_key(n))
         .collect();
@@ -126,10 +124,8 @@ fn main() {
     });
     let mut batch_state = tree.new_state();
     let jt_batch = bench("batch_dcomp_10/junction_tree", || {
-        tree.clear_evidence(&mut batch_state).unwrap();
-        for &(node, s) in &pins {
-            tree.set_evidence(&mut batch_state, node, s).unwrap();
-        }
+        tree.set_evidence(&mut batch_state, &[]).unwrap();
+        tree.set_evidence(&mut batch_state, &pins).unwrap();
         batch_targets
             .iter()
             .map(|&t| tree.marginal(black_box(&mut batch_state), t).unwrap())

@@ -58,9 +58,8 @@ fn main() {
     evidence.insert(d_node, 4);
     let tree = JunctionTree::compile(bn).unwrap();
     let mut state = tree.new_state();
-    for (&node, &s) in evidence.iter() {
-        tree.set_evidence(&mut state, node, s).unwrap();
-    }
+    let pins: Vec<(usize, usize)> = evidence.iter().map(|(&n, &s)| (n, s)).collect();
+    tree.set_evidence(&mut state, &pins).unwrap();
     tree.marginal(&mut state, 3).unwrap(); // calibrate once
 
     // Decentralized rebuild at 40 services, identical to the committed

@@ -78,12 +78,9 @@ fn discrete_fast_paths(
         let tree = kert_bayes::compile::JunctionTree::compile(network)
             .map_err(|e| format!("junction-tree: {e}"))?;
         let mut state = tree.new_state();
-        let mut pins: Vec<(usize, usize)> = evidence.iter().map(|(&n, &s)| (n, s)).collect();
-        pins.sort_unstable();
-        for (node, s) in pins {
-            tree.set_evidence(&mut state, node, s)
-                .map_err(|e| format!("junction-tree: {e}"))?;
-        }
+        let pins: Vec<(usize, usize)> = evidence.iter().map(|(&n, &s)| (n, s)).collect();
+        tree.set_evidence(&mut state, &pins)
+            .map_err(|e| format!("junction-tree: {e}"))?;
         tree.marginal(&mut state, target)
             .map_err(|e| format!("junction-tree: {e}"))?
     }));

@@ -93,9 +93,8 @@ fn direct_answer(engine: &SharedKert, request: &Request) -> String {
     let mut session = engine.session();
     let response = match request {
         Request::Posterior { evidence, target } => {
-            session.set_evidence(evidence).unwrap();
-            let p = session.posterior(*target).unwrap();
-            Response::Posterior(WirePosterior::from_posterior(&p).unwrap())
+            let p = session.posterior_group(evidence, &[*target]).unwrap();
+            Response::Posterior(WirePosterior::from_posterior(&p[0]).unwrap())
         }
         Request::Dcomp { observed, targets } => Response::Dcomp {
             outcomes: session
@@ -181,8 +180,8 @@ fn daemon_wire_bytes_match_direct_engine_across_workers_and_fold_caps() {
 }
 
 /// Repeating the same query through one long-lived connection must be
-/// deterministic: state pooling and recycling can never bleed one
-/// request's evidence into the next.
+/// deterministic: a worker's session, reused for every request it
+/// answers, can never bleed one request's evidence into the next.
 #[test]
 fn repeated_queries_over_one_connection_are_deterministic() {
     let seed = conf_seed();

@@ -17,10 +17,10 @@
 //!   (exact Gaussian conditioning, discrete variable elimination, or
 //!   likelihood weighting for nonlinear continuous nets).
 //! * [`serve`] — the discrete query facade: one calibrated junction tree
-//!   compiled once, many concurrent per-client [`serve::Session`]s with
-//!   pooled propagation states answering dComp/pAccel/violation queries
-//!   by incremental evidence propagation (what the `kertd` daemon is
-//!   built on).
+//!   compiled once, many concurrent [`serve::Session`]s, each with its
+//!   own propagation state, answering dComp/pAccel/violation queries by
+//!   incremental evidence propagation (what the `kertd` daemon is built
+//!   on; each of its workers holds one session).
 //! * [`dcomp`] — **dComp**: estimate an unobservable service's elapsed-time
 //!   distribution from the observable services (§5.1).
 //! * [`paccel`] — **pAccel**: project the end-to-end response-time

@@ -6,23 +6,25 @@
 //! *different* evidence. Both run through this module:
 //!
 //! * [`SharedKert`] owns a discrete [`KertBn`] and its calibrated
-//!   [`JunctionTree`], compiled **once** and read without locks on the
-//!   query path;
-//! * a [`Session`] is one client's cheap, mutable slice — a pooled
-//!   [`JtState`] holding its evidence and message caches, checked out per
-//!   request (or held across requests) and recycled on drop;
+//!   [`JunctionTree`], compiled **once** and read without locks;
+//! * a [`Session`] is one caller's mutable slice — its own [`JtState`]
+//!   (message caches and scratch buffers). A serving worker holds one for
+//!   its whole life;
 //! * each verb (posterior group, dComp, pAccel, violation sweep) is
-//!   written once, over `(model, tree, state)`. Sessions run it on their
-//!   pooled state; the one-shot entry points [`crate::dcomp_all`],
+//!   written once, over `(model, tree, state)`: it bins and checks its
+//!   request once, then enters the evidence through one
+//!   [`JunctionTree::set_evidence`] call that replaces whatever the state
+//!   held, so no evidence outlives a call. Sessions run the verbs on
+//!   their own state; the one-shot entry points [`crate::dcomp_all`],
 //!   [`crate::paccel_candidates`] and [`crate::assess_violation_sweep`]
-//!   run it on a freshly compiled tree.
+//!   run them on a freshly compiled tree.
 //!
 //! Every path bins and orders evidence identically and shares the same
-//! propagation kernels, so answers are **bitwise identical** whichever
-//! path asked. That identity is what lets a conformance harness gate a
-//! network daemon against direct in-process calls.
-
-use std::sync::Mutex;
+//! propagation kernels, and a message's value depends only on the
+//! evidence in its dependency cone, never on what a state cached before.
+//! So answers are **bitwise identical** whichever path asked, on a fresh
+//! state or a reused one. That identity is what lets a conformance
+//! harness gate a network daemon against direct in-process calls.
 
 use kert_bayes::compile::{JtState, JunctionTree};
 use kert_bayes::discretize::Discretizer;
@@ -31,18 +33,11 @@ use crate::dcomp::DCompOutcome;
 use crate::kert::KertBn;
 use crate::paccel::PAccelOutcome;
 use crate::persist::SavedModel;
-use crate::posterior::{
-    check_evidence_value, check_query, discrete_posterior, duplicate_node, Posterior,
-};
+use crate::posterior::{check_evidence_value, discrete_posterior, duplicate_node, Posterior};
 use crate::{CoreError, Result};
 
 static OBS_SESSIONS: kert_obs::Counter = kert_obs::Counter::new("core.serve.sessions");
 static OBS_QUERIES: kert_obs::Counter = kert_obs::Counter::new("core.serve.queries");
-
-/// Ceiling on parked [`JtState`]s. States above the cap are dropped on
-/// session return instead of parked; the cap only bounds idle memory,
-/// never concurrency — `session()` always succeeds.
-const DEFAULT_POOL_CAP: usize = 64;
 
 fn disc(model: &KertBn) -> &Discretizer {
     model
@@ -98,29 +93,32 @@ fn bin_evidence(model: &KertBn, evidence: &[(usize, f64)]) -> Result<Vec<(usize,
     Ok(pins)
 }
 
-/// Replace all evidence on `st` with the given sorted pins (clear, then
-/// enter in ascending node order).
-fn apply_pins(tree: &JunctionTree, st: &mut JtState, pins: &[(usize, usize)]) -> Result<()> {
-    tree.clear_evidence(st)?;
-    for &(node, s) in pins {
-        tree.set_evidence(st, node, s)?;
-    }
-    Ok(())
-}
-
-/// Replace all evidence on `st` with `evidence` (raw measurement values).
-fn set_evidence(
+/// A verb's one validation pass, before anything is entered: bin
+/// `evidence`, then refuse a target that does not exist or that the
+/// evidence observes.
+fn checked_pins(
     model: &KertBn,
-    tree: &JunctionTree,
-    st: &mut JtState,
     evidence: &[(usize, f64)],
-) -> Result<()> {
-    let _span = kert_obs::span("serve.evidence");
+    targets: &[usize],
+) -> Result<Vec<(usize, usize)>> {
     let pins = bin_evidence(model, evidence)?;
-    apply_pins(tree, st, &pins)
+    for &target in targets {
+        if target >= model.network().len() {
+            return Err(CoreError::BadRequest(format!("no node {target}")));
+        }
+        if pins
+            .binary_search_by_key(&target, |&(node, _)| node)
+            .is_ok()
+        {
+            return Err(CoreError::BadRequest(format!(
+                "node {target} is both target and evidence"
+            )));
+        }
+    }
+    Ok(pins)
 }
 
-/// Posterior of `target` under the evidence entered on `st`.
+/// Posterior of a checked `target` under the evidence entered on `st`.
 fn marginal(
     model: &KertBn,
     tree: &JunctionTree,
@@ -128,27 +126,24 @@ fn marginal(
     target: usize,
 ) -> Result<Posterior> {
     OBS_QUERIES.incr();
-    if target >= model.network().len() {
-        return Err(CoreError::BadRequest(format!("no node {target}")));
-    }
     let probs = tree.marginal(st, target)?;
     Ok(discrete_posterior(disc(model), target, probs))
 }
 
-/// Enter `evidence` once, then answer every target with one marginal
-/// read against the now-cached messages: `k` targets cost one evidence
-/// propagation plus `k` collect passes.
-fn posterior_group(
+/// Replace all evidence on `st` with checked `pins` once, then answer
+/// every target with one marginal read against the now-cached messages:
+/// `k` targets cost one evidence propagation plus `k` collect passes.
+fn read_group(
     model: &KertBn,
     tree: &JunctionTree,
     st: &mut JtState,
-    evidence: &[(usize, f64)],
+    pins: &[(usize, usize)],
     targets: &[usize],
 ) -> Result<Vec<Posterior>> {
-    for &target in targets {
-        check_query(model.network(), evidence, target)?;
+    {
+        let _span = kert_obs::span("serve.evidence");
+        tree.set_evidence(st, pins)?;
     }
-    set_evidence(model, tree, st, evidence)?;
     targets
         .iter()
         .map(|&t| marginal(model, tree, st, t))
@@ -164,11 +159,9 @@ pub(crate) fn dcomp(
     observed: &[(usize, f64)],
     targets: &[usize],
 ) -> Result<Vec<DCompOutcome>> {
-    for &target in targets {
-        check_query(model.network(), observed, target)?;
-    }
-    let priors = posterior_group(model, tree, st, &[], targets)?;
-    let posteriors = posterior_group(model, tree, st, observed, targets)?;
+    let pins = checked_pins(model, observed, targets)?;
+    let priors = read_group(model, tree, st, &[], targets)?;
+    let posteriors = read_group(model, tree, st, &pins, targets)?;
     Ok(targets
         .iter()
         .zip(priors)
@@ -182,9 +175,8 @@ pub(crate) fn dcomp(
 }
 
 /// pAccel: one projection per `(service, predicted_elapsed)` candidate
-/// against the shared prior. Only the candidate's own pin changes
-/// between candidates, so each projection re-propagates just the
-/// affected subtree.
+/// against the shared prior. Each candidate's pin replaces the previous
+/// one, so each projection re-propagates just the affected subtree.
 pub(crate) fn paccel(
     model: &KertBn,
     tree: &JunctionTree,
@@ -192,26 +184,22 @@ pub(crate) fn paccel(
     candidates: &[(usize, f64)],
 ) -> Result<Vec<PAccelOutcome>> {
     let d_node = model.d_node();
-    for &(service, value) in candidates {
-        check_query(model.network(), &[(service, value)], d_node)?;
-    }
-    set_evidence(model, tree, st, &[])?;
-    let prior_d = marginal(model, tree, st, d_node)?;
+    let pins: Vec<Vec<(usize, usize)>> = candidates
+        .iter()
+        .map(|&candidate| checked_pins(model, &[candidate], &[d_node]))
+        .collect::<Result<_>>()?;
+    let prior_d = read_group(model, tree, st, &[], &[d_node])?.remove(0);
     let degraded = model.is_degraded();
-    let disc = disc(model);
     candidates
         .iter()
-        .map(|&(service, predicted_elapsed)| {
-            OBS_QUERIES.incr();
-            let s = disc.column(service).state(predicted_elapsed);
-            tree.set_evidence(st, service, s)?;
-            let probs = tree.marginal(st, d_node)?;
-            tree.retract_evidence(st, service)?;
+        .zip(&pins)
+        .map(|(&(service, predicted_elapsed), pin)| {
+            tree.set_evidence(st, pin)?;
             Ok(PAccelOutcome {
                 service,
                 predicted_elapsed,
                 prior_d: prior_d.clone(),
-                projected_d: discrete_posterior(disc, d_node, probs),
+                projected_d: marginal(model, tree, st, d_node)?,
                 degraded,
             })
         })
@@ -228,9 +216,8 @@ pub(crate) fn violation_sweep(
     thresholds: &[f64],
 ) -> Result<Vec<f64>> {
     let d_node = model.d_node();
-    check_query(model.network(), evidence, d_node)?;
-    set_evidence(model, tree, st, evidence)?;
-    let posterior = marginal(model, tree, st, d_node)?;
+    let pins = checked_pins(model, evidence, &[d_node])?;
+    let posterior = read_group(model, tree, st, &pins, &[d_node])?.remove(0);
     Ok(thresholds
         .iter()
         .map(|&h| posterior.exceedance(h))
@@ -238,29 +225,22 @@ pub(crate) fn violation_sweep(
 }
 
 /// An owned, thread-safe query engine: a discrete [`KertBn`] compiled
-/// once into a calibrated [`JunctionTree`], plus a pool of per-session
-/// propagation states.
+/// once into a calibrated [`JunctionTree`].
 ///
 /// `&SharedKert` is `Sync`: any number of threads may hold [`Session`]s
-/// concurrently. The only synchronization on the query path is a
-/// short-lived mutex around the state pool at checkout/return; evidence
-/// entry and message propagation run lock-free on the session's own
-/// state against the immutable tree.
+/// concurrently. Nothing on the query path takes a lock: evidence entry
+/// and message propagation run on the session's own state against the
+/// immutable tree.
 pub struct SharedKert {
     model: KertBn,
     tree: JunctionTree,
-    pool: Mutex<Vec<JtState>>,
 }
 
 impl SharedKert {
     /// Compile `model` for querying. Requires a discrete model.
     pub fn new(model: KertBn) -> Result<Self> {
         let tree = compile_tree(&model)?;
-        Ok(SharedKert {
-            model,
-            tree,
-            pool: Mutex::new(Vec::new()),
-        })
+        Ok(SharedKert { model, tree })
     }
 
     /// Rehydrate a persisted model and compile it for serving — the
@@ -280,84 +260,34 @@ impl SharedKert {
         self.tree.width()
     }
 
-    /// Idle states currently parked in the pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.lock().expect("state pool poisoned").len()
-    }
-
-    /// Check a session out of the pool (or mint a fresh state when the
-    /// pool is empty). The session starts with **no evidence** entered:
-    /// recycled states are cleared on checkout, so a session never
-    /// observes a previous client's pins.
+    /// A session on a fresh propagation state. Hold it across calls to
+    /// keep its message caches and scratch buffers warm.
     pub fn session(&self) -> Session<'_> {
         OBS_SESSIONS.incr();
-        let parked = self.pool.lock().expect("state pool poisoned").pop();
-        let mut st = parked.unwrap_or_else(|| self.tree.new_state());
-        // Clearing on an already-clean state is a no-op; on a recycled
-        // state it retracts leftover pins without touching still-valid
-        // message caches for the prior-evidence case.
-        self.tree
-            .clear_evidence(&mut st)
-            .expect("clear_evidence on a pooled state cannot fail");
         Session {
             core: self,
-            st: Some(st),
-        }
-    }
-
-    fn return_state(&self, st: JtState) {
-        let mut pool = self.pool.lock().expect("state pool poisoned");
-        if pool.len() < DEFAULT_POOL_CAP {
-            pool.push(st);
+            st: self.tree.new_state(),
         }
     }
 }
 
-/// One client's cheap, mutable slice of a [`SharedKert`]: a pooled
-/// propagation state plus the evidence currently entered on it. Dropping
-/// the session recycles the state into the pool.
+/// One caller's mutable slice of a [`SharedKert`]: its own propagation
+/// state. Every verb replaces the whole evidence set before it reads, so
+/// a reused session answers exactly as a fresh one would; reuse only
+/// keeps caches and buffers warm.
 ///
 /// All methods take `&mut self`; concurrency comes from many sessions,
 /// not from sharing one.
 pub struct Session<'k> {
     core: &'k SharedKert,
-    /// `Some` until drop; `Option` only so `Drop` can move the state out.
-    st: Option<JtState>,
-}
-
-impl Drop for Session<'_> {
-    fn drop(&mut self) {
-        if let Some(st) = self.st.take() {
-            self.core.return_state(st);
-        }
-    }
+    st: JtState,
 }
 
 impl<'k> Session<'k> {
     /// The engine's model and tree plus this session's state, split so
     /// the verbs can borrow them together.
     fn parts(&mut self) -> (&'k KertBn, &'k JunctionTree, &mut JtState) {
-        let core = self.core;
-        let st = self.st.as_mut().expect("state present until drop");
-        (&core.model, &core.tree, st)
-    }
-
-    /// The engine this session belongs to.
-    pub fn core(&self) -> &SharedKert {
-        self.core
-    }
-
-    /// Replace all evidence with `evidence` (raw measurement values,
-    /// binned through the model's discretizer).
-    pub fn set_evidence(&mut self, evidence: &[(usize, f64)]) -> Result<()> {
-        let (model, tree, st) = self.parts();
-        set_evidence(model, tree, st, evidence)
-    }
-
-    /// Posterior of `target` under the evidence currently entered.
-    pub fn posterior(&mut self, target: usize) -> Result<Posterior> {
-        let (model, tree, st) = self.parts();
-        marginal(model, tree, st, target)
+        (&self.core.model, &self.core.tree, &mut self.st)
     }
 
     /// The coalescing primitive: enter `evidence` **once**, then answer
@@ -370,7 +300,8 @@ impl<'k> Session<'k> {
         targets: &[usize],
     ) -> Result<Vec<Posterior>> {
         let (model, tree, st) = self.parts();
-        posterior_group(model, tree, st, evidence, targets)
+        let pins = checked_pins(model, evidence, targets)?;
+        read_group(model, tree, st, &pins, targets)
     }
 
     /// dComp for every target given one shared evidence set: prior and
@@ -516,19 +447,24 @@ mod tests {
         }
     }
 
+    /// Posterior of `target` under `evidence`, one call on `session`.
+    fn posterior(session: &mut Session<'_>, evidence: &[(usize, f64)], target: usize) -> Posterior {
+        session
+            .posterior_group(evidence, &[target])
+            .unwrap()
+            .remove(0)
+    }
+
     #[test]
     fn evidence_is_order_insensitive_and_resettable() {
         let model = discrete_model();
         let shared = SharedKert::new(discrete_model()).unwrap();
         let mut session = shared.session();
-        session.set_evidence(&[(0, 0.05), (1, 0.06)]).unwrap();
-        let a = session.posterior(6).unwrap();
-        session.set_evidence(&[(1, 0.06), (0, 0.05)]).unwrap();
-        let b = session.posterior(6).unwrap();
+        let a = posterior(&mut session, &[(0, 0.05), (1, 0.06)], 6);
+        let b = posterior(&mut session, &[(1, 0.06), (0, 0.05)], 6);
         assert_eq!(dbits(&a), dbits(&b));
-        // Clearing restores the prior.
-        session.set_evidence(&[]).unwrap();
-        let prior = session.posterior(6).unwrap();
+        // No evidence restores the prior.
+        let prior = posterior(&mut session, &[], 6);
         let mut rng = StdRng::seed_from_u64(8);
         let fresh = query_posterior(
             model.network(),
@@ -546,8 +482,8 @@ mod tests {
     fn invalid_queries_are_reported() {
         let shared = SharedKert::new(discrete_model()).unwrap();
         let mut session = shared.session();
-        assert!(session.posterior(99).is_err());
-        assert!(session.set_evidence(&[(99, 1.0)]).is_err());
+        assert!(session.posterior_group(&[], &[99]).is_err());
+        assert!(session.posterior_group(&[(99, 1.0)], &[6]).is_err());
         // Target also observed.
         assert!(session.dcomp(&[(2, 0.05)], &[2]).is_err());
         assert!(session.paccel(&[(6, 0.5)]).is_err());
@@ -564,7 +500,11 @@ mod tests {
             assert!(refused(
                 session.posterior_group(&[(0, bad)], &[3]).map(drop)
             ));
-            assert!(refused(session.set_evidence(&[(1, 0.06), (0, bad)])));
+            assert!(refused(
+                session
+                    .posterior_group(&[(1, 0.06), (0, bad)], &[3])
+                    .map(drop)
+            ));
             assert!(refused(session.dcomp(&[(0, bad)], &[3]).map(drop)));
             assert!(refused(session.paccel(&[(3, bad)]).map(drop)));
             assert!(refused(
@@ -572,9 +512,12 @@ mod tests {
             ));
         }
         // The session is still usable and holds no leftover pins.
-        let prior = session.posterior(6).unwrap();
+        let prior = posterior(&mut session, &[], 6);
         let fresh = SharedKert::new(discrete_model()).unwrap();
-        assert_eq!(dbits(&prior), dbits(&fresh.session().posterior(6).unwrap()));
+        assert_eq!(
+            dbits(&prior),
+            dbits(&posterior(&mut fresh.session(), &[], 6))
+        );
     }
 
     /// A node listed twice would answer with whichever pin sorts last;
@@ -586,7 +529,6 @@ mod tests {
         let mut session = shared.session();
         let twice = [(0usize, 0.01), (1, 0.06), (0, 0.2)];
         let refused = |r: Result<()>| matches!(r, Err(CoreError::BadRequest(_)));
-        assert!(refused(session.set_evidence(&twice)));
         assert!(refused(session.posterior_group(&twice, &[3]).map(drop)));
         assert!(refused(session.posterior_group(&twice, &[]).map(drop)));
         assert!(refused(session.dcomp(&twice, &[3]).map(drop)));
@@ -661,11 +603,7 @@ mod tests {
                 .iter()
                 .map(|(evidence, target)| {
                     let shared = &shared;
-                    s.spawn(move || {
-                        let mut session = shared.session();
-                        session.set_evidence(evidence).unwrap();
-                        dbits(&session.posterior(*target).unwrap())
-                    })
+                    s.spawn(move || dbits(&posterior(&mut shared.session(), evidence, *target)))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -673,9 +611,7 @@ mod tests {
 
         for ((evidence, target), got) in clients.iter().zip(&concurrent) {
             let fresh = SharedKert::new(discrete_model()).unwrap();
-            let mut session = fresh.session();
-            session.set_evidence(evidence).unwrap();
-            let expect = dbits(&session.posterior(*target).unwrap());
+            let expect = dbits(&posterior(&mut fresh.session(), evidence, *target));
             assert_eq!(
                 &expect, got,
                 "session diverged from fresh engine for evidence {evidence:?}"
@@ -683,27 +619,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sessions_recycle_states_and_never_leak_evidence() {
-        let shared = SharedKert::new(discrete_model()).unwrap();
-        assert_eq!(shared.pooled(), 0);
-        {
-            let mut sessions: Vec<Session<'_>> = (0..DEFAULT_POOL_CAP + 1)
-                .map(|_| shared.session())
-                .collect();
-            sessions[0].set_evidence(&[(0, 0.05)]).unwrap();
-            sessions[1].set_evidence(&[(3, 0.4)]).unwrap();
-            sessions[2].set_evidence(&[(6, 0.7)]).unwrap();
+    /// Step `step` of a fixed mixed request sequence, as the bit patterns
+    /// of every probability it answers (`None` when it is refused).
+    fn mixed_step(session: &mut Session<'_>, step: usize) -> Option<Vec<u64>> {
+        const A: [(usize, f64); 2] = [(0, 0.05), (1, 0.06)];
+        let group =
+            |r: Result<Vec<Posterior>>| r.ok().map(|ps| ps.iter().flat_map(dbits).collect());
+        match step {
+            0 => group(session.posterior_group(&A, &[2, 3, 6])),
+            1 => session
+                .dcomp(&[(0, 0.05), (1, 0.06), (6, 0.6)], &[2, 3, 4, 5])
+                .ok()
+                .map(|outs| {
+                    outs.iter()
+                        .flat_map(|o| [dbits(&o.prior), dbits(&o.posterior)].concat())
+                        .collect()
+                }),
+            2 => session
+                .paccel(&[(3, 0.3), (0, 0.04), (3, 0.2), (4, 0.05)])
+                .ok()
+                .map(|outs| {
+                    outs.iter()
+                        .flat_map(|o| [dbits(&o.prior_d), dbits(&o.projected_d)].concat())
+                        .collect()
+                }),
+            3 => session
+                .violation_sweep(&[(3, 0.4), (4, 0.05)], &[0.4, 0.6, 0.8])
+                .ok()
+                .map(|p| bits(&p)),
+            // Refused: node 0 listed twice.
+            4 => group(session.posterior_group(&[(0, 0.05), (1, 0.06), (0, 0.2)], &[3])),
+            5 => group(session.posterior_group(&[], &[2, 3, 6])),
+            _ => group(session.posterior_group(&A, &[2, 3, 6])),
         }
-        // One state above the cap was dropped, the rest parked.
-        assert_eq!(shared.pooled(), DEFAULT_POOL_CAP);
+    }
 
-        // A recycled state starts clean: its posterior equals the prior
-        // from a never-evidenced engine built on the same data.
-        let prior = shared.session().posterior(6).unwrap();
-        let fresh_shared = SharedKert::new(discrete_model()).unwrap();
-        let fresh = fresh_shared.session().posterior(6).unwrap();
-        assert_eq!(dbits(&fresh), dbits(&prior));
+    /// One session reused through the mixed sequence, refusal included,
+    /// answers every step bitwise as a fresh session does: no evidence
+    /// and no stale message outlives a call.
+    #[test]
+    fn a_reused_session_answers_like_a_fresh_one() {
+        let shared = SharedKert::new(discrete_model()).unwrap();
+        let mut reused = shared.session();
+        for step in 0..7 {
+            let got = mixed_step(&mut reused, step);
+            assert_eq!(got, mixed_step(&mut shared.session(), step), "step {step}");
+            assert_eq!(got.is_none(), step == 4, "step {step}");
+        }
     }
 
     #[test]
@@ -722,9 +684,9 @@ mod tests {
         let model = discrete_model();
         let json = model.to_saved().to_json().unwrap();
         let shared = SharedKert::from_saved(SavedModel::from_json(&json).unwrap()).unwrap();
-        let a = shared.session().posterior(shared.model().d_node()).unwrap();
+        let a = posterior(&mut shared.session(), &[], shared.model().d_node());
         let direct = SharedKert::new(model).unwrap();
-        let b = direct.session().posterior(direct.model().d_node()).unwrap();
+        let b = posterior(&mut direct.session(), &[], direct.model().d_node());
         assert_eq!(dbits(&a), dbits(&b));
     }
 }

@@ -198,10 +198,10 @@ impl StreamingWindow {
             )));
         }
         if self.len == self.capacity {
-            // At capacity the incoming row replaces the oldest in place
-            // through the learner's fused slide; both rows are validated
-            // before any statistic moves, so a rejected row leaves the
-            // window untouched.
+            // At capacity the incoming row replaces the oldest in place:
+            // the learner inserts the new row, then evicts the old one.
+            // The old row is one the learner holds, so its evict cannot
+            // fail once the insert has passed.
             let start = self.head * self.columns;
             let mut new_buf = std::mem::take(&mut self.scratch);
             let mut old_buf = std::mem::take(&mut self.scratch_old);
@@ -212,7 +212,10 @@ impl StreamingWindow {
                 self.learned_nodes,
                 &self.buf[start..start + self.columns],
             );
-            let outcome = self.learner.replace_row(&old_buf, &new_buf);
+            let outcome = self
+                .learner
+                .insert_row(&new_buf)
+                .and_then(|()| self.learner.evict_row(&old_buf));
             self.scratch = new_buf;
             self.scratch_old = old_buf;
             outcome?;

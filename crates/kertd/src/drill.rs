@@ -15,14 +15,15 @@
 //! in one queue — the backed-up-queue case — and the live worker's fold
 //! ([`fold_queued`]) drains it into coalesce groups, so the drill groups
 //! exactly as a daemon with a backlog does. Groups are dealt round-robin
-//! to scoped worker threads and the trees are returned in trace-id
-//! order. Whatever the interleaving, every group's spans land in that
-//! group's own contexts.
+//! to scoped worker threads, each holding one session as a daemon
+//! worker does, and the trees are returned in trace-id order. Whatever
+//! the interleaving, every group's spans land in that group's own
+//! contexts.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use kert_core::serve::SharedKert;
+use kert_core::serve::{Session, SharedKert};
 use kert_core::KertBn;
 use kert_obs::{TraceContext, TraceTree};
 
@@ -124,7 +125,7 @@ pub fn scripted_requests(model: &KertBn, seed: u64, n: usize) -> Vec<Request> {
 /// virtual clocks: request root → queue-wait → the shared
 /// [`compute_group`] threading (group / propagate / leader capture /
 /// follower links) → serialize, then finish every tree.
-fn run_group(engine: &SharedKert, seed: u64, group: &[(u64, Request)]) -> Vec<TraceTree> {
+fn run_group(session: &mut Session<'_>, seed: u64, group: &[(u64, Request)]) -> Vec<TraceTree> {
     let mut contexts: Vec<Option<TraceContext>> = group
         .iter()
         .enumerate()
@@ -141,7 +142,7 @@ fn run_group(engine: &SharedKert, seed: u64, group: &[(u64, Request)]) -> Vec<Tr
         })
         .collect();
     let requests: Vec<&Request> = group.iter().map(|(_, r)| r).collect();
-    let responses = compute_group(engine, &requests, &mut contexts);
+    let responses = compute_group(session, &requests, &mut contexts);
     responses
         .iter()
         .zip(contexts)
@@ -186,8 +187,9 @@ pub fn run_trace_drill(engine: &SharedKert, cfg: &DrillConfig) -> Vec<TraceTree>
             let groups = &groups;
             let slots = &slots;
             scope.spawn(move || {
+                let mut session = engine.session();
                 for gi in (w..groups.len()).step_by(workers) {
-                    let trees = run_group(engine, cfg.seed, &groups[gi]);
+                    let trees = run_group(&mut session, cfg.seed, &groups[gi]);
                     *slots[gi].lock().expect("drill slot poisoned") = trees;
                 }
             });

@@ -11,8 +11,9 @@
 //!
 //! 1. **Shared-core sessions** ([`kert_core::serve::SharedKert`]): the
 //!    calibrated tree is compiled once and read by every worker; each
-//!    request checks a pooled propagation state out, so the expensive
-//!    part is paid once per process, not per request.
+//!    worker holds one session (its own propagation state) for its whole
+//!    life, so the expensive part is paid once per process, not per
+//!    request.
 //! 2. **Request coalescing** ([`server`]): a free worker takes the head
 //!    of the queue and folds in every request already queued behind it
 //!    with the same evidence — evidence is propagated once, then one
@@ -157,8 +158,10 @@ mod tests {
                 target: 3,
             })
             .unwrap();
-        direct_session.set_evidence(&evidence).unwrap();
-        let direct = direct_session.posterior(3).unwrap();
+        let direct = direct_session
+            .posterior_group(&evidence, &[3])
+            .unwrap()
+            .remove(0);
         match resp {
             Response::Posterior(wp) => {
                 assert_eq!(
@@ -307,6 +310,68 @@ mod tests {
 
         drop(stream);
         Client::connect(handle.addr()).unwrap().stop().unwrap();
+        handle.wait();
+    }
+
+    /// `request` answered on a fresh session through the daemon's own
+    /// group code, encoded as the daemon encodes its reply.
+    fn fresh_reply(engine: &SharedKert, request: &Request) -> Vec<u8> {
+        let replies = server::compute_group(&mut engine.session(), &[request], &mut [None]);
+        crate::protocol::encode(&replies[0]).unwrap()
+    }
+
+    /// The one worker reuses its session for every request on the
+    /// connection, a refused one included; each reply carries the bytes
+    /// a fresh session answers.
+    #[test]
+    fn a_worker_reusing_its_session_answers_like_a_fresh_one() {
+        let handle = start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let direct = SharedKert::new(discrete_model()).unwrap();
+        let a = vec![(0usize, 0.05), (1, 0.06)];
+        let requests = [
+            Request::Posterior {
+                evidence: a.clone(),
+                target: 3,
+            },
+            Request::Dcomp {
+                observed: vec![(0, 0.05), (1, 0.06), (6, 0.6)],
+                targets: vec![2, 3, 4, 5],
+            },
+            Request::Paccel {
+                candidates: vec![(3, 0.3), (0, 0.04), (3, 0.2), (4, 0.05)],
+            },
+            Request::Violation {
+                evidence: vec![(3, 0.4), (4, 0.05)],
+                thresholds: vec![0.4, 0.6, 0.8],
+            },
+            // Refused: node 0 listed twice.
+            Request::Posterior {
+                evidence: vec![(0, 0.05), (1, 0.06), (0, 0.2)],
+                target: 3,
+            },
+            Request::Posterior {
+                evidence: vec![],
+                target: 3,
+            },
+            Request::Posterior {
+                evidence: a,
+                target: 3,
+            },
+        ];
+        let mut client = Client::connect(handle.addr()).unwrap();
+        for (i, request) in requests.iter().enumerate() {
+            let reply = client.request(request).unwrap();
+            assert_eq!(
+                crate::protocol::encode(&reply).unwrap(),
+                fresh_reply(&direct, request),
+                "request {i}"
+            );
+            assert_eq!(matches!(reply, Response::Error(_)), i == 4, "request {i}");
+        }
+        client.stop().unwrap();
         handle.wait();
     }
 

@@ -10,17 +10,18 @@
 //!       │                        │
 //!       ▼                        ▼
 //!   worker threads ◀──pop head + fold queued same-key jobs──┘
-//!       │  one pooled Session per micro-batch:
-//!       │  evidence entered once, k marginal reads
+//!       │  one Session per worker, for its whole life:
+//!       │  evidence entered once per batch, k marginal reads
 //!       ▼
 //!   reply channels ──▶ connection threads ──▶ frames out
 //! ```
 //!
 //! The perf core is the shared-immutable / per-session-mutable split of
 //! [`SharedKert`]: the calibrated junction tree is compiled once and
-//! never locked on the query path; each micro-batch checks a pooled
-//! propagation state out, enters its evidence **once**, and answers
-//! every folded request with a single marginal read. Coalescing turns
+//! never locked on the query path; each worker holds one session (its
+//! own propagation state) for its whole life, and each micro-batch
+//! enters its evidence **once** on it and answers every folded request
+//! with a single marginal read. Coalescing turns
 //! `k` queued single-target requests that share an evidence set into
 //! one propagation plus `k` reads — the same amortization that makes
 //! `dcomp_all` beat sequential queries in-process — and duplicated work
@@ -48,7 +49,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kert_core::serve::SharedKert;
+use kert_core::serve::{Session, SharedKert};
 use kert_core::Result as CoreResult;
 use kert_obs::trace::{self, DEFAULT_FLIGHT_CAP};
 use kert_obs::{set_gauge, Counter, FlightRecorder, Histogram, TraceContext};
@@ -659,6 +660,7 @@ fn handle_control(request: &Request, shared: &Arc<Shared>) -> Response {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
+    let mut session = shared.engine.session();
     loop {
         let group = match next_batch(shared) {
             Some(g) => g,
@@ -676,7 +678,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             COALESCED_BATCHES.incr();
             COALESCED_REQUESTS.add(group.len() as u64);
         }
-        process_group(shared, group);
+        process_group(shared, &mut session, group);
         {
             let mut q = shared.q.lock().expect("queue poisoned");
             q.inflight -= 1;
@@ -689,8 +691,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// Pop the head job and fold in every queued job that coalesces with
 /// it, in one lock hold and without waiting for more. Returns `None`
 /// when the queue is closed and empty (worker should exit). The whole
-/// group counts as **one** inflight unit: it is answered by one session
-/// checkout.
+/// group counts as **one** inflight unit: it is answered in one pass on
+/// the worker's session.
 fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Job>> {
     let mut q = shared.q.lock().expect("queue poisoned");
     let head = loop {
@@ -712,17 +714,17 @@ fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Job>> {
     Some(group)
 }
 
-/// Answer a micro-batch with one pooled session. The grouped fast path
+/// Answer a micro-batch on the worker's session. The grouped fast path
 /// enters the shared evidence once and reads one marginal per folded
 /// request; if anything in the group errors (e.g. one request names a
-/// bad target), fall back to answering each job as a group of one so a
-/// bad neighbor cannot poison the batch. A job's answer is bitwise the
-/// same whichever group it is answered in.
-fn process_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
+/// bad target), fall back to answering each job as a group of one on the
+/// same session so a bad neighbor cannot poison the batch. A job's
+/// answer is bitwise the same whichever group it is answered in.
+fn process_group(shared: &Arc<Shared>, session: &mut Session<'_>, mut group: Vec<Job>) {
     let verb = group[0].request.verb();
     let mut traces: Vec<Option<TraceContext>> = group.iter_mut().map(|j| j.trace.take()).collect();
     let requests: Vec<&Request> = group.iter().map(|j| &j.request).collect();
-    let responses = compute_group(&shared.engine, &requests, &mut traces);
+    let responses = compute_group(session, &requests, &mut traces);
     drop(requests);
     let hist = latency_histogram(verb);
     let served = shared.stats.served(verb);
@@ -747,7 +749,7 @@ fn process_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
 /// Shared by the live worker path and the deterministic drill: the span
 /// structure a drill gates is exactly the structure live traffic gets.
 pub(crate) fn compute_group(
-    engine: &SharedKert,
+    session: &mut Session<'_>,
     requests: &[&Request],
     traces: &mut [Option<TraceContext>],
 ) -> Vec<Response> {
@@ -782,11 +784,11 @@ pub(crate) fn compute_group(
         let displaced = trace::install(ctx);
         debug_assert!(displaced.is_none(), "workers never nest captures");
     }
-    let responses = match answer_group(engine, requests) {
+    let responses = match answer_group(session, requests) {
         Ok(r) => r,
         Err(_) => requests
             .iter()
-            .map(|r| match answer_group(engine, std::slice::from_ref(r)) {
+            .map(|r| match answer_group(session, std::slice::from_ref(r)) {
                 Ok(mut one) => one.remove(0),
                 Err(e) => Response::Error(WireError::from_core(&e)),
             })
@@ -837,11 +839,10 @@ fn dedup_work<T: Clone, K: PartialEq>(
     (unique, index)
 }
 
-/// Grouped processing: one session checkout, shared evidence entered
-/// once, duplicated work items computed once. All jobs in a group share
-/// a coalesce key by construction.
-fn answer_group(engine: &SharedKert, group: &[&Request]) -> CoreResult<Vec<Response>> {
-    let mut session = engine.session();
+/// Grouped processing: shared evidence entered once, duplicated work
+/// items computed once. All jobs in a group share a coalesce key by
+/// construction.
+fn answer_group(session: &mut Session<'_>, group: &[&Request]) -> CoreResult<Vec<Response>> {
     let mut deduped = 0;
     let responses = match group[0] {
         Request::Posterior { evidence, .. } => {

@@ -21,16 +21,17 @@ const EVIDENCE: [(usize, f64); 1] = [(0, 0.05)];
 fn fold_one_group(targets: &[usize]) -> f64 {
     let engine = SharedKert::new(discrete_model()).unwrap();
     let mut direct = engine.session();
-    direct.set_evidence(&EVIDENCE).unwrap();
     let expected: Vec<Option<Vec<u64>>> = targets
         .iter()
-        .map(|&t| match direct.posterior(t) {
-            Ok(Posterior::Discrete { probs, .. }) => {
-                Some(probs.iter().map(|v| v.to_bits()).collect())
-            }
-            Ok(other) => panic!("expected a discrete posterior, got {other:?}"),
-            Err(_) => None,
-        })
+        .map(
+            |&t| match direct.posterior_group(&EVIDENCE, &[t]).as_deref() {
+                Ok([Posterior::Discrete { probs, .. }]) => {
+                    Some(probs.iter().map(|v| v.to_bits()).collect())
+                }
+                Ok(other) => panic!("expected one discrete posterior, got {other:?}"),
+                Err(_) => None,
+            },
+        )
         .collect();
     drop(direct);
 
