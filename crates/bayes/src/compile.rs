@@ -10,13 +10,16 @@
 //!
 //! Two properties make the compiled engine fast in steady state:
 //!
-//! * **Incremental evidence.** [`JunctionTree::set_evidence`] replaces a
-//!   state's whole evidence set in one call, zeroing the inconsistent
-//!   entries of each changed home-clique potential once. Only messages
-//!   directed *away* from a changed clique are invalidated, and messages
-//!   are recomputed lazily, farthest-first, toward the queried clique —
-//!   so stepping through pAccel candidates, one pin each, re-propagates
-//!   only along the affected subtree.
+//! * **Incremental evidence as slices.** [`JunctionTree::set_evidence`]
+//!   replaces a state's whole evidence set in one call and rebuilds each
+//!   clique holding a changed pin once, as its evidence-free base
+//!   restricted to the pinned states: a clique of `k` variables with `e`
+//!   of them pinned holds `bins^(k−e)` entries, so evidence entry, message
+//!   passing and every read scale with the slice, not the joint. Only
+//!   messages directed *away* from a changed clique are invalidated, and
+//!   messages are recomputed lazily, farthest-first, toward the queried
+//!   clique — so stepping through pAccel candidates, one pin each,
+//!   re-propagates only along the affected subtree.
 //! * **Zero-alloc queries.** All factor scratch flows through the
 //!   [`QueryWorkspace`] held by [`JtState`]; once the pools are warm, a
 //!   calibrated marginal read-off allocates nothing.
@@ -27,7 +30,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::infer::factor::{strides, Factor, QueryWorkspace};
+use crate::infer::factor::{Factor, QueryWorkspace};
 use crate::infer::ve::{elimination_ordering, EliminationHeuristic};
 use crate::network::BayesianNetwork;
 use crate::{BayesError, Result};
@@ -69,25 +72,36 @@ struct Neighbor {
 ///
 /// Immutable after [`JunctionTree::compile`]; all evidence and message
 /// state lives in a [`JtState`] obtained from [`JunctionTree::new_state`].
-#[derive(Debug)]
 pub struct JunctionTree {
     /// Cardinality per network node.
     cards: Vec<usize>,
     /// Maximal cliques of the triangulated moral graph (scopes ascending).
     cliques: Vec<Vec<usize>>,
-    /// Row-major strides per clique, aligned with the clique scope.
-    clique_strides: Vec<Vec<usize>>,
     /// Max-weight spanning forest over separator sizes.
     edges: Vec<TreeEdge>,
     /// Adjacency list per clique.
     neighbors: Vec<Vec<Neighbor>>,
     /// Evidence-free clique potentials over the *full* clique scope (a
-    /// ones table multiplied by every CPD factor assigned to the clique),
-    /// so evidence zeroing always finds its variable in scope.
+    /// ones table multiplied by every CPD factor assigned to the clique).
+    /// The tree keeps these products only, not the CPD factors.
     base: Vec<Factor>,
-    /// Per node: the smallest-table clique containing it (queries and
-    /// evidence for the node route through this clique).
+    /// Per node: the smallest-table clique containing it (marginal reads
+    /// for the node route through this clique).
     node_home: Vec<usize>,
+    /// Per node: every clique whose scope holds it, ascending (a pin on
+    /// the node slices each of them).
+    node_cliques: Vec<Vec<usize>>,
+}
+
+/// The structure only: a clique potential can hold 5⁷ entries, which do not
+/// belong in a failure message.
+impl std::fmt::Debug for JunctionTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JunctionTree")
+            .field("cliques", &self.cliques)
+            .field("edges", &self.edges)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Mutable propagation state over one [`JunctionTree`]: current evidence,
@@ -97,7 +111,8 @@ pub struct JunctionTree {
 pub struct JtState {
     /// Observed state per network node.
     evidence: Vec<Option<usize>>,
-    /// Evidence-adjusted potential per clique; `None` = use the base.
+    /// Per clique: the base restricted to every pinned variable in its
+    /// scope; `None` = no pin in scope, use the base.
     potentials: Vec<Option<Factor>>,
     /// Directed messages: slots `2e` (a→b) and `2e + 1` (b→a) for edge `e`.
     /// `None` marks an invalidated (or never computed) message.
@@ -273,12 +288,19 @@ impl JunctionTree {
             debug_assert!(absorbed, "the home clique covers its factor's scope");
         }
 
-        let clique_strides: Vec<Vec<usize>> = base.iter().map(|f| strides(f.cards())).collect();
-        let node_home: Vec<usize> = (0..n)
+        let node_cliques: Vec<Vec<usize>> = (0..n)
             .map(|v| {
                 (0..m)
                     .filter(|&i| cliques[i].binary_search(&v).is_ok())
-                    .min_by_key(|&i| (base[i].values().len(), i))
+                    .collect()
+            })
+            .collect();
+        let node_home: Vec<usize> = node_cliques
+            .iter()
+            .map(|holding| {
+                *holding
+                    .iter()
+                    .min_by_key(|&&i| (base[i].values().len(), i))
                     .expect("every node appears in its own elimination clique")
             })
             .collect();
@@ -286,11 +308,11 @@ impl JunctionTree {
         Ok(JunctionTree {
             cards,
             cliques,
-            clique_strides,
             edges,
             neighbors,
             base,
             node_home,
+            node_cliques,
         })
     }
 
@@ -348,8 +370,8 @@ impl JunctionTree {
     /// Replace the whole evidence set on `st` with `pins` (`(node, state)`
     /// pairs, in any order). Every pin is checked first — node and state
     /// in range, no node listed twice — so a refused call leaves `st`
-    /// untouched. Each home clique whose pins changed is then rebuilt
-    /// once, invalidating only the messages directed away from it.
+    /// untouched. Every clique holding a node whose pin changed is then
+    /// rebuilt once, invalidating only the messages directed away from it.
     pub fn set_evidence(&self, st: &mut JtState, pins: &[(usize, usize)]) -> Result<()> {
         self.check_state(st)?;
         let mut wanted: Vec<Option<usize>> = vec![None; self.cards.len()];
@@ -368,7 +390,7 @@ impl JunctionTree {
                 )));
             }
         }
-        let mut homes: Vec<usize> = Vec::new();
+        let mut changed: Vec<usize> = Vec::new();
         for (node, (old, new)) in st.evidence.iter_mut().zip(wanted).enumerate() {
             if *old == new {
                 continue;
@@ -379,51 +401,42 @@ impl JunctionTree {
                 OBS_JT_EVIDENCE_RETRACT.incr();
             }
             *old = new;
-            homes.push(self.node_home[node]);
+            changed.extend_from_slice(&self.node_cliques[node]);
         }
-        homes.sort_unstable();
-        homes.dedup();
-        for c in homes {
+        changed.sort_unstable();
+        changed.dedup();
+        for c in changed {
             self.refresh_clique(st, c);
         }
         Ok(())
     }
 
-    /// Rebuild clique `c`'s evidence-adjusted potential and invalidate the
-    /// outgoing message subtree. Evidence is applied by zeroing every base
-    /// table entry whose coordinate for an observed home node disagrees
-    /// with the observed state; the adds downstream then simply skip the
-    /// zeroed mass, bit-for-bit equivalent to reducing then re-expanding.
+    /// Rebuild clique `c`'s potential as its base restricted to every
+    /// pinned variable in its scope (one contiguous-run copy per pin, each
+    /// on the previous slice) and invalidate the outgoing message subtree.
+    /// Every clique holding a pinned variable is sliced, so messages carry
+    /// the separator minus the evidence and always meet a potential over
+    /// the same reduced scope. The answers are bit-for-bit those of
+    /// zeroing the disagreeing entries of the full table: the slice keeps
+    /// exactly the entries zeroing would leave, and zeroing would only add
+    /// exact zeros to them (`PROB_FLOOR` keeps every potential positive).
     fn refresh_clique(&self, st: &mut JtState, c: usize) {
         if let Some(old) = st.potentials[c].take() {
             st.ws.recycle(old);
         }
-        let scope = &self.cliques[c];
-        let pinned: Vec<(usize, usize)> = scope
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| self.node_home[v] == c)
-            .filter_map(|(pos, &v)| st.evidence[v].map(|s| (pos, s)))
-            .collect();
-        if !pinned.is_empty() {
-            let mut pot = self.base[c].clone_using(&mut st.ws);
-            let values = pot.values_mut();
-            for (pos, s) in pinned {
-                let stride = self.clique_strides[c][pos];
-                let card = self.base[c].cards()[pos];
-                let super_block = stride * card;
-                for start in (0..values.len()).step_by(super_block) {
-                    for k in 0..card {
-                        if k == s {
-                            continue;
-                        }
-                        let off = start + k * stride;
-                        values[off..off + stride].fill(0.0);
-                    }
+        let mut slice: Option<Factor> = None;
+        for &v in &self.cliques[c] {
+            if let Some(s) = st.evidence[v] {
+                let next = slice
+                    .as_ref()
+                    .unwrap_or(&self.base[c])
+                    .reduce_ws(v, s, &mut st.ws);
+                if let Some(old) = slice.replace(next) {
+                    st.ws.recycle(old);
                 }
             }
-            st.potentials[c] = Some(pot);
         }
+        st.potentials[c] = slice;
         self.invalidate_from(st, c);
     }
 
@@ -498,9 +511,10 @@ impl JunctionTree {
     }
 
     /// m_{from→to} = Σ_{C_from ∖ S} ψ_from · Π_{k ≠ to} m_{k→from}.
-    /// Message scopes are separators ⊆ the sending clique's scope, so
-    /// absorption runs through the in-place subset product — no
-    /// intermediate tables.
+    /// Message scopes are separators minus the evidence, a subset of the
+    /// sending clique's sliced scope (summing out a pinned variable, no
+    /// longer in scope, is a no-op), so absorption runs through the
+    /// in-place subset product — no intermediate tables.
     fn compute_message(
         &self,
         potentials: &[Option<Factor>],
@@ -830,20 +844,32 @@ mod tests {
         BayesianNetwork::new(vars, dag, cpds).unwrap()
     }
 
+    /// Both inputs run through one reused state; the second pins the hub
+    /// X0, which lies in every separator, so every clique is sliced and
+    /// every message loses the hub from its scope. Each read must match
+    /// VE and, bit for bit, a fresh state.
     #[test]
     fn multi_clique_collect_matches_ve_on_the_star() {
         let bn = star_of_chains(4, 3);
         let tree = JunctionTree::compile(&bn).unwrap();
+        assert!(tree.n_cliques() > 1);
         let mut st = tree.new_state();
-        let mut ev = Evidence::new();
-        ev.insert(2, 1);
-        ev.insert(7, 0);
-        tree.set_evidence(&mut st, &[(2, 1), (7, 0)]).unwrap();
-        for target in (0..bn.len()).filter(|t| !ev.contains_key(t)) {
-            let got = tree.marginal(&mut st, target).unwrap();
-            let want = posterior_marginal(&bn, target, &ev).unwrap();
-            for (a, b) in got.iter().zip(&want) {
-                assert!((a - b).abs() < 1e-9, "target {target}: {got:?} vs {want:?}");
+        for pins in [&[(2, 1), (7, 0)][..], &[(0, 2), (2, 1), (7, 0)]] {
+            let ev: Evidence = pins.iter().copied().collect();
+            tree.set_evidence(&mut st, pins).unwrap();
+            let mut fresh = tree.new_state();
+            tree.set_evidence(&mut fresh, pins).unwrap();
+            for target in (0..bn.len()).filter(|t| !ev.contains_key(t)) {
+                let got = tree.marginal(&mut st, target).unwrap();
+                let want = posterior_marginal(&bn, target, &ev).unwrap();
+                for (a, b) in got.iter().zip(&want) {
+                    assert!((a - b).abs() < 1e-9, "target {target}: {got:?} vs {want:?}");
+                }
+                assert_eq!(
+                    got,
+                    tree.marginal(&mut fresh, target).unwrap(),
+                    "pins {pins:?}, target {target}: reused state diverged"
+                );
             }
         }
     }

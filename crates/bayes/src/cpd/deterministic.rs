@@ -18,12 +18,24 @@
 //! * **Continuous** child: Gaussian measurement noise around `f(X)` —
 //!   `D ~ N(f(X), σ²)`. The paper's §4 experiments set `l = 0`, which here
 //!   corresponds to σ at the numeric floor.
+//!
+//! A discrete child's predicted state depends only on the parent
+//! configuration, so [`DeterministicCpd::predicted_states`] evaluates `f`
+//! once per configuration, the first time a factor is built from the CPD,
+//! and keeps the result: a junction tree recompiled after a refresh (which
+//! replaces only the learned CPDs) reads the index instead of evaluating
+//! `f` again. The index is derived data and is never persisted.
+
+use std::fmt;
+use std::sync::OnceLock;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::cpd::config_count;
 use crate::cpd::linear_gaussian::{standard_normal, VARIANCE_FLOOR};
 use crate::expr::Expr;
+use crate::variable::Variable;
 use crate::{BayesError, Result};
 
 const LN_2PI: f64 = 1.8378770664093453;
@@ -59,6 +71,67 @@ pub struct DeterministicCpd {
     /// `f`, re-indexed so `Var(k)` refers to `parents[k]`.
     local_expr: Expr,
     noise: DetNoise,
+    /// Discrete noise: the predicted child state per parent configuration
+    /// over the midpoint counts, filled on first use.
+    #[serde(skip)]
+    predicted: PredictedStates,
+}
+
+/// The lazily filled predicted-state index. Its `Debug` output names only
+/// its length, so a 5⁶-entry table never lands in a failure message.
+#[derive(Clone, Default)]
+struct PredictedStates(OnceLock<Vec<u32>>);
+
+impl fmt::Debug for PredictedStates {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0.get() {
+            Some(states) => write!(f, "<{} predicted states>", states.len()),
+            None => f.write_str("<not tabulated>"),
+        }
+    }
+}
+
+/// The discrete-noise checks shared by construction and load-time
+/// validation (everything that needs no network context).
+fn check_noise(noise: &DetNoise, n_parents: usize) -> Result<()> {
+    let DetNoise::Discrete {
+        leak,
+        card,
+        child_edges,
+        parent_mids,
+    } = noise
+    else {
+        return Ok(());
+    };
+    if !(0.0..1.0).contains(leak) {
+        return Err(BayesError::InvalidCpd(format!("leak {leak} out of [0,1)")));
+    }
+    if *card < 2 {
+        return Err(BayesError::InvalidCpd(
+            "discrete child needs ≥ 2 states".into(),
+        ));
+    }
+    if child_edges.len() + 1 != *card {
+        return Err(BayesError::InvalidCpd(format!(
+            "{} edges for cardinality {card}",
+            child_edges.len()
+        )));
+    }
+    if !child_edges.is_sorted() {
+        return Err(BayesError::InvalidCpd(
+            "child bin edges are not ascending".into(),
+        ));
+    }
+    if parent_mids.len() != n_parents {
+        return Err(BayesError::InvalidCpd(format!(
+            "{} parent midpoint vectors for {n_parents} parents",
+            parent_mids.len(),
+        )));
+    }
+    if parent_mids.iter().any(Vec::is_empty) {
+        return Err(BayesError::InvalidCpd("a parent has no midpoints".into()));
+    }
+    Ok(())
 }
 
 impl DeterministicCpd {
@@ -73,35 +146,7 @@ impl DeterministicCpd {
                 "deterministic CPD for node {child} reads its own value"
             )));
         }
-        if let DetNoise::Discrete {
-            leak,
-            card,
-            child_edges,
-            parent_mids,
-        } = &noise
-        {
-            if !(0.0..1.0).contains(leak) {
-                return Err(BayesError::InvalidCpd(format!("leak {leak} out of [0,1)")));
-            }
-            if *card < 2 {
-                return Err(BayesError::InvalidCpd(
-                    "discrete child needs ≥ 2 states".into(),
-                ));
-            }
-            if child_edges.len() + 1 != *card {
-                return Err(BayesError::InvalidCpd(format!(
-                    "{} edges for cardinality {card}",
-                    child_edges.len()
-                )));
-            }
-            if parent_mids.len() != parents.len() {
-                return Err(BayesError::InvalidCpd(format!(
-                    "{} parent midpoint vectors for {} parents",
-                    parent_mids.len(),
-                    parents.len()
-                )));
-            }
-        }
+        check_noise(&noise, parents.len())?;
         // Re-index Var(network idx) → Var(position in parent list).
         let local_expr = expr.remap(&|i| {
             parents
@@ -113,7 +158,37 @@ impl DeterministicCpd {
             parents,
             local_expr,
             noise,
+            predicted: PredictedStates::default(),
         })
+    }
+
+    /// Re-run construction's checks on a CPD that bypassed
+    /// [`DeterministicCpd::from_network_expr`] (a deserialized one),
+    /// changing nothing: the noise model is well formed, every expression
+    /// variable names a parent, and with discrete noise each parent has one
+    /// midpoint per state of its variable in `variables`.
+    pub(crate) fn validate(&self, variables: &[Variable]) -> Result<()> {
+        check_noise(&self.noise, self.parents.len())?;
+        if let Some(&v) = self.local_expr.variables().last() {
+            if v >= self.parents.len() {
+                return Err(BayesError::InvalidCpd(format!(
+                    "expression reads parent {v} of {}",
+                    self.parents.len()
+                )));
+            }
+        }
+        if let DetNoise::Discrete { parent_mids, .. } = &self.noise {
+            for (&p, mids) in self.parents.iter().zip(parent_mids) {
+                if variables[p].cardinality() != Some(mids.len()) {
+                    return Err(BayesError::InvalidCpd(format!(
+                        "parent {p} has {} midpoints for {:?} states",
+                        mids.len(),
+                        variables[p].cardinality()
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Node index of the child.
@@ -153,6 +228,45 @@ impl DeterministicCpd {
                 self.local_expr.eval(&mids)
             }
         }
+    }
+
+    /// For a discrete child: the state `f` predicts for every parent
+    /// configuration, row-major over the parents' midpoint counts (last
+    /// parent fastest). `f` is evaluated on the first call only; later
+    /// calls, on this CPD or a clone made after it, read the index. `None`
+    /// for Gaussian noise.
+    pub fn predicted_states(&self) -> Option<&[u32]> {
+        let DetNoise::Discrete {
+            child_edges,
+            parent_mids,
+            ..
+        } = &self.noise
+        else {
+            return None;
+        };
+        let states = self.predicted.0.get_or_init(|| {
+            let cards: Vec<usize> = parent_mids.iter().map(Vec::len).collect();
+            let total = config_count(&cards);
+            let mut states = Vec::with_capacity(total);
+            let mut config = vec![0usize; cards.len()];
+            let mut mids = vec![0.0; cards.len()];
+            for _ in 0..total {
+                for ((m, mids_k), &s) in mids.iter_mut().zip(parent_mids).zip(&config) {
+                    *m = mids_k[s];
+                }
+                let v = self.local_expr.eval(&mids);
+                states.push(child_edges.iter().take_while(|&&e| v >= e).count() as u32);
+                for (p, &card) in cards.iter().enumerate().rev() {
+                    config[p] += 1;
+                    if config[p] < card {
+                        break;
+                    }
+                    config[p] = 0;
+                }
+            }
+            states
+        });
+        Some(states)
     }
 
     /// For a discrete child: the state `f(X)` lands in.
@@ -333,6 +447,34 @@ mod tests {
         assert_eq!(cpd.sample(&mut rng, &[1.0, 5.0, 3.0]), 6.0);
     }
 
+    /// The predicted-state index is derived data: filling it leaves the
+    /// CPD's JSON as it was (no index key), and a deserialized copy, which
+    /// starts with an empty index, rebuilds the same factor bit for bit.
+    #[test]
+    fn the_predicted_state_index_is_never_persisted() {
+        use crate::cpd::Cpd;
+        use crate::infer::factor::Factor;
+        let cpd = Cpd::Deterministic(disc_cpd(0.2));
+        let cards = [2usize, 2, 3];
+        let before = serde_json::to_string(&cpd).unwrap();
+        let Cpd::Deterministic(d) = &cpd else {
+            unreachable!()
+        };
+        assert!(format!("{d:?}").contains("<not tabulated>"));
+        let filled = Factor::from_cpd(&cpd, &cards).unwrap();
+        assert!(format!("{d:?}").contains("<4 predicted states>"));
+        assert_eq!(d.predicted_states(), Some(&[0, 1, 1, 2][..]));
+        let after = serde_json::to_string(&cpd).unwrap();
+        assert_eq!(before, after);
+        assert!(!after.contains("predicted"), "{after}");
+
+        let copy: Cpd = serde_json::from_str(&after).unwrap();
+        assert!(format!("{copy:?}").contains("<not tabulated>"));
+        let rebuilt = Factor::from_cpd(&copy, &cards).unwrap();
+        let bits = |f: &Factor| f.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rebuilt), bits(&filled));
+    }
+
     #[test]
     fn validation_of_discrete_noise() {
         let expr = Expr::Var(0);
@@ -350,5 +492,19 @@ mod tests {
             parent_mids: vec![vec![0.0, 1.0]],
         };
         assert!(DeterministicCpd::from_network_expr(1, &expr, bad_edges).is_err());
+        let empty_mids = DetNoise::Discrete {
+            leak: 0.1,
+            card: 2,
+            child_edges: vec![0.5],
+            parent_mids: vec![vec![]],
+        };
+        assert!(DeterministicCpd::from_network_expr(1, &expr, empty_mids).is_err());
+        let descending = DetNoise::Discrete {
+            leak: 0.1,
+            card: 3,
+            child_edges: vec![1.0, 0.5],
+            parent_mids: vec![vec![0.0, 1.0]],
+        };
+        assert!(DeterministicCpd::from_network_expr(1, &expr, descending).is_err());
     }
 }

@@ -18,6 +18,23 @@ const LN_2PI: f64 = 1.8378770664093453;
 /// density improper.
 pub const VARIANCE_FLOOR: f64 = 1e-9;
 
+/// The parameter checks shared by [`LinearGaussianCpd::new`] and
+/// load-time validation.
+fn check_params(n_parents: usize, n_coeffs: usize, variance: f64) -> Result<()> {
+    if n_parents != n_coeffs {
+        return Err(BayesError::InvalidCpd(format!(
+            "{} parents but {} coefficients",
+            n_parents, n_coeffs
+        )));
+    }
+    if !variance.is_finite() || variance < 0.0 {
+        return Err(BayesError::InvalidCpd(format!(
+            "invalid variance {variance}"
+        )));
+    }
+    Ok(())
+}
+
 /// A conditional linear-Gaussian distribution.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinearGaussianCpd {
@@ -39,18 +56,7 @@ impl LinearGaussianCpd {
         coeffs: Vec<f64>,
         variance: f64,
     ) -> Result<Self> {
-        if parents.len() != coeffs.len() {
-            return Err(BayesError::InvalidCpd(format!(
-                "{} parents but {} coefficients",
-                parents.len(),
-                coeffs.len()
-            )));
-        }
-        if !variance.is_finite() || variance < 0.0 {
-            return Err(BayesError::InvalidCpd(format!(
-                "invalid variance {variance}"
-            )));
-        }
+        check_params(parents.len(), coeffs.len(), variance)?;
         Ok(LinearGaussianCpd {
             child,
             parents,
@@ -58,6 +64,12 @@ impl LinearGaussianCpd {
             coeffs,
             variance: variance.max(VARIANCE_FLOOR),
         })
+    }
+
+    /// Re-run [`LinearGaussianCpd::new`]'s checks on a CPD that bypassed
+    /// it (a deserialized one), changing nothing.
+    pub(crate) fn validate(&self) -> Result<()> {
+        check_params(self.parents.len(), self.coeffs.len(), self.variance)
     }
 
     /// A root Gaussian `N(mean, variance)` with no parents.

@@ -10,6 +10,50 @@ use crate::{BayesError, Result};
 /// `-∞` log-likelihoods from a single unseen test configuration.
 pub(crate) const PROB_FLOOR: f64 = 1e-12;
 
+/// Shape and normalization checks shared by [`TabularCpd::new`] and
+/// load-time validation: aligned parent cardinalities, no zero
+/// cardinality, one entry per (configuration, state), and every row
+/// non-negative and summing to 1 within 1e-6.
+fn check_table(
+    parents: &[usize],
+    card: usize,
+    parent_cards: &[usize],
+    table: &[f64],
+) -> Result<()> {
+    if parents.len() != parent_cards.len() {
+        return Err(BayesError::InvalidCpd(format!(
+            "{} parents but {} parent cardinalities",
+            parents.len(),
+            parent_cards.len()
+        )));
+    }
+    if card == 0 || parent_cards.contains(&0) {
+        return Err(BayesError::InvalidCpd("zero cardinality".into()));
+    }
+    let configs = config_count(parent_cards);
+    if table.len() != configs * card {
+        return Err(BayesError::InvalidCpd(format!(
+            "table has {} entries, expected {}",
+            table.len(),
+            configs * card
+        )));
+    }
+    for (j, row) in table.chunks_exact(card).enumerate() {
+        if row.iter().any(|&p| p < 0.0) {
+            return Err(BayesError::InvalidCpd(format!(
+                "negative probability in config {j}"
+            )));
+        }
+        let s: f64 = row.iter().sum();
+        if (s - 1.0).abs() > 1e-6 || s.is_nan() {
+            return Err(BayesError::InvalidCpd(format!(
+                "config {j} sums to {s}, expected 1"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A conditional probability table `P(child | parents)`.
 ///
 /// Values are stored row-major by parent configuration: entry
@@ -34,37 +78,9 @@ impl TabularCpd {
         parent_cards: Vec<usize>,
         mut table: Vec<f64>,
     ) -> Result<Self> {
-        if parents.len() != parent_cards.len() {
-            return Err(BayesError::InvalidCpd(format!(
-                "{} parents but {} parent cardinalities",
-                parents.len(),
-                parent_cards.len()
-            )));
-        }
-        if card == 0 || parent_cards.contains(&0) {
-            return Err(BayesError::InvalidCpd("zero cardinality".into()));
-        }
-        let configs = config_count(&parent_cards);
-        if table.len() != configs * card {
-            return Err(BayesError::InvalidCpd(format!(
-                "table has {} entries, expected {}",
-                table.len(),
-                configs * card
-            )));
-        }
-        for j in 0..configs {
-            let row = &mut table[j * card..(j + 1) * card];
-            if row.iter().any(|&p| p < 0.0) {
-                return Err(BayesError::InvalidCpd(format!(
-                    "negative probability in config {j}"
-                )));
-            }
+        check_table(&parents, card, &parent_cards, &table)?;
+        for row in table.chunks_exact_mut(card) {
             let s: f64 = row.iter().sum();
-            if (s - 1.0).abs() > 1e-6 {
-                return Err(BayesError::InvalidCpd(format!(
-                    "config {j} sums to {s}, expected 1"
-                )));
-            }
             for p in row.iter_mut() {
                 *p /= s;
             }
@@ -76,6 +92,13 @@ impl TabularCpd {
             parent_cards,
             table,
         })
+    }
+
+    /// Re-run [`TabularCpd::new`]'s checks on a CPT that bypassed it (a
+    /// deserialized one). Nothing is renormalized, so a table that passes
+    /// keeps its exact bits.
+    pub(crate) fn validate(&self) -> Result<()> {
+        check_table(&self.parents, self.card, &self.parent_cards, &self.table)
     }
 
     /// Uniform CPT (the zero-knowledge prior).

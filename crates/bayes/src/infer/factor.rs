@@ -424,12 +424,16 @@ impl Factor {
     ///
     /// `cards[i]` must give the cardinality of node `i`. For tabular CPDs
     /// this is a direct stride re-indexing of the stored table (no `ln`/
-    /// `exp` roundtrip); for discrete deterministic CPDs the workflow
-    /// expression is evaluated once per *parent* configuration and the
-    /// child row filled from the leak model — still exponential in the
-    /// parent count, so only sensible for small networks (documented
-    /// limitation; the continuous path avoids it entirely). Any other CPD
-    /// family falls back to the generic per-entry [`naive::from_cpd`].
+    /// `exp` roundtrip); for discrete deterministic CPDs the child row of
+    /// each *parent* configuration is filled from the leak model around
+    /// the CPD's predicted state ([`DeterministicCpd::predicted_states`],
+    /// which evaluates the workflow expression on the first build only) —
+    /// still exponential in the parent count, so only sensible for small
+    /// networks (documented limitation; the continuous path avoids it
+    /// entirely). Any other CPD family falls back to the generic per-entry
+    /// [`naive::from_cpd`].
+    ///
+    /// [`DeterministicCpd::predicted_states`]: crate::cpd::DeterministicCpd::predicted_states
     pub fn from_cpd(cpd: &Cpd, cards: &[usize]) -> Result<Self> {
         let child = cpd.child();
         let parents = cpd.parents();
@@ -492,13 +496,21 @@ impl Factor {
                 DetNoise::Discrete {
                     leak,
                     card,
-                    child_edges,
                     parent_mids,
-                } if scope_cards[child_pos] == *card && parent_mids.len() == parents.len() => {
-                    // One expression evaluation per parent configuration
-                    // (not per table entry): walk parent configs with an
-                    // odometer tracking the base scope index, then fill the
-                    // child's `card` slots from the leak model.
+                    ..
+                } if scope_cards[child_pos] == *card
+                    && parent_mids.len() == parents.len()
+                    && parents
+                        .iter()
+                        .zip(parent_mids)
+                        .all(|(&p, m)| cards[p] == m.len()) =>
+                {
+                    // One predicted state per parent configuration, from
+                    // the CPD's index (`f` is evaluated on the first build
+                    // only, and each parent's states are its midpoints):
+                    // walk parent configs with an odometer tracking the
+                    // base scope index, then fill the child's `card` slots
+                    // from the leak model.
                     let pcards: Vec<usize> = (0..vars.len())
                         .filter(|&p| p != child_pos)
                         .map(|p| scope_cards[p])
@@ -507,24 +519,21 @@ impl Factor {
                         .filter(|&p| p != child_pos)
                         .map(|p| scope_strides[p])
                         .collect();
+                    let predicted = d
+                        .predicted_states()
+                        .expect("discrete noise predicts states");
                     let child_stride = scope_strides[child_pos];
                     let hit = (1.0 - leak).max(1e-12);
                     let miss = (leak / (*card as f64 - 1.0)).max(1e-12);
                     let mut values = vec![0.0; total];
-                    let mut mids = vec![0.0; parents.len()];
                     let mut counters = vec![0usize; pcards.len()];
                     let mut odo = Odometer::new(&pcards, &mut counters);
                     let mut idx = [0usize];
-                    for _ in 0..config_count(&pcards) {
-                        for (k, m) in parent_mids.iter().enumerate() {
-                            mids[k] = m[odo.counters[k].min(m.len().saturating_sub(1))];
-                        }
-                        let v = d.local_expr().eval(&mids);
-                        let predicted = child_edges.iter().take_while(|&&e| v >= e).count();
+                    for &state in predicted.iter() {
                         let base = idx[0];
                         for k in 0..*card {
                             values[base + k * child_stride] =
-                                if k == predicted { hit } else { miss };
+                                if k == state as usize { hit } else { miss };
                         }
                         odo.advance(&[&pstrides], &mut idx);
                     }
@@ -534,12 +543,6 @@ impl Factor {
             },
             _ => naive::from_cpd(cpd, cards),
         }
-    }
-
-    /// Mutable raw values — crate-internal so the junction-tree engine can
-    /// zero evidence-inconsistent entries in place.
-    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
     }
 
     /// Clone this factor using buffers drawn from `ws`.

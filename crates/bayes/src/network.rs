@@ -75,6 +75,36 @@ impl BayesianNetwork {
         })
     }
 
+    /// Re-run every construction check on a network that bypassed the
+    /// constructors (a deserialized one), changing no value: the DAG is
+    /// rebuilt edge by edge (refusing out-of-range nodes and cycles, and
+    /// recomputing the topological order), [`BayesianNetwork::new`]'s
+    /// family checks run, and each CPD passes its own constructor's checks
+    /// (a CPT's rows must already sum to 1; nothing is renormalized).
+    pub fn validated(self) -> Result<Self> {
+        let BayesianNetwork {
+            variables,
+            dag,
+            cpds,
+            ..
+        } = self;
+        let mut rebuilt = Dag::new(dag.len());
+        for child in 0..dag.len() {
+            for &parent in dag.parents(child) {
+                rebuilt.add_edge(parent, child)?;
+            }
+        }
+        let network = BayesianNetwork::new(variables, rebuilt, cpds)?;
+        for cpd in &network.cpds {
+            match cpd {
+                Cpd::Tabular(t) => t.validate()?,
+                Cpd::LinearGaussian(g) => g.validate()?,
+                Cpd::Deterministic(d) => d.validate(&network.variables)?,
+            }
+        }
+        Ok(network)
+    }
+
     fn check_family(variables: &[Variable], i: usize, cpd: &Cpd) -> Result<()> {
         let kind = variables[i].kind;
         match (cpd, kind) {

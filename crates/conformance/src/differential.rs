@@ -309,7 +309,7 @@ pub fn run_continuous_differential(
 
         // The compiled junction tree is exact — gate it at 1e-9 against
         // the enumeration oracle through the production one-shot path:
-        // `dcomp_all` compiles a fresh tree and runs the serve verb on it.
+        // `dcomp_all` runs the serve verb on the model's compiled tree.
         let jt = dcomp_all(&inst.discrete, &observed, &[target], mc, &mut rng)
             .map_err(|e| format!("instance {i} junction-tree: {e}"))?;
         let Posterior::Discrete {

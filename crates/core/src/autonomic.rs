@@ -55,8 +55,8 @@ pub fn compensate_degraded<R: Rng + ?Sized>(
         .filter(|(node, _)| !degraded.contains(node))
         .collect();
     // All degraded services share the same healthy evidence, so the whole
-    // sweep is one batched dComp: discrete models compile the junction
-    // tree once and propagate the evidence once for every service.
+    // sweep is one batched dComp: discrete models read the model's
+    // junction tree and propagate the evidence once for every service.
     let outcomes = dcomp_all(model, &healthy_obs, &degraded, mc, rng)?;
     degraded
         .into_iter()

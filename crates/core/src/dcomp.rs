@@ -69,8 +69,8 @@ pub fn dcomp<R: Rng + ?Sized>(
 }
 
 /// Batched dComp: prior and posterior of every `target` under one shared
-/// evidence set. Discrete models compile the network into a junction tree
-/// once and answer every query off the calibrated tree (the same verb a
+/// evidence set. Discrete models answer every query off the model's
+/// junction tree, compiled once per model version (the same verb a
 /// [`crate::serve::Session`] runs); continuous models fall back to one
 /// [`dcomp`] per target, preserving that path's semantics (and RNG
 /// stream) exactly.

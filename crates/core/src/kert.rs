@@ -16,6 +16,7 @@
 //! Both model families of the paper are supported: continuous
 //! (linear-Gaussian CPDs, §4) and discrete (binned CPTs, §5).
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use kert_agents::runtime::{
@@ -23,6 +24,7 @@ use kert_agents::runtime::{
     CpdCache, LearnOptions, ResilientOptions,
 };
 use kert_agents::{ModelHealth, ReportSource};
+use kert_bayes::compile::JunctionTree;
 use kert_bayes::cpd::{Cpd, DetNoise, DeterministicCpd};
 use kert_bayes::discretize::{BinStrategy, Discretizer};
 use kert_bayes::learn::mle::ParamOptions;
@@ -128,6 +130,9 @@ pub struct KertBn {
     report: BuildReport,
     /// Per-node CPD provenance; all-fresh for conventional builds.
     health: ModelHealth,
+    /// The junction tree of the current network, compiled on first use
+    /// ([`KertBn::compiled_tree`]) and dropped by [`KertBn::network_mut`].
+    tree: OnceLock<JunctionTree>,
 }
 
 impl KertBn {
@@ -230,6 +235,7 @@ impl KertBn {
                 node_parameter_times: node_times,
             },
             health: ModelHealth::all_fresh(learned_nodes, train.rows()),
+            tree: OnceLock::new(),
         })
     }
 
@@ -299,6 +305,7 @@ impl KertBn {
                 node_parameter_times: Vec::new(),
             },
             health: res.health,
+            tree: OnceLock::new(),
         })
     }
 
@@ -415,6 +422,7 @@ impl KertBn {
                 node_parameter_times: node_times,
             },
             health: ModelHealth::all_fresh(learned_nodes, train.rows()),
+            tree: OnceLock::new(),
         })
     }
 
@@ -433,6 +441,7 @@ impl KertBn {
             discretizer,
             report: BuildReport::default(),
             health: ModelHealth::default(),
+            tree: OnceLock::new(),
         }
     }
 
@@ -441,9 +450,32 @@ impl KertBn {
         &self.network
     }
 
-    /// Mutable network access for the streaming refresh path.
+    /// Mutable network access for the streaming refresh path — the only
+    /// way the network changes, so dropping the compiled tree here is the
+    /// whole cache invalidation.
     pub(crate) fn network_mut(&mut self) -> &mut BayesianNetwork {
+        self.tree.take();
         &mut self.network
+    }
+
+    /// The junction tree of the current network, compiled on first use and
+    /// shared by every later query until the network changes: the one-shot
+    /// verbs and [`crate::serve::SharedKert`] all read this one. Requires
+    /// a discrete model (propagation runs over tabular factors);
+    /// continuous models get `BadRequest`.
+    pub(crate) fn compiled_tree(&self) -> Result<&JunctionTree> {
+        if self.discretizer.is_none() {
+            return Err(CoreError::BadRequest(
+                "junction-tree compilation requires a discrete model".into(),
+            ));
+        }
+        if let Some(tree) = self.tree.get() {
+            return Ok(tree);
+        }
+        // Two racing first uses may both compile; one tree is kept, and
+        // the two are identical.
+        let tree = JunctionTree::compile(&self.network)?;
+        Ok(self.tree.get_or_init(|| tree))
     }
 
     /// Record that every learned CPD was just refitted over `rows` rows

@@ -51,9 +51,13 @@ impl SavedModel {
         serde_json::to_string(self).map_err(|e| CoreError::BadRequest(format!("serialize: {e}")))
     }
 
-    /// Deserialize from a JSON string, checking the format version.
+    /// Deserialize from a JSON string, checking the format version and
+    /// re-running every check the builders' constructors run (the derived
+    /// deserializer bypasses them). A malformed model is refused here with
+    /// `BadRequest` instead of panicking later at compile or query time;
+    /// a well-formed one loads with every value unchanged.
     pub fn from_json(json: &str) -> Result<Self> {
-        let saved: SavedModel = serde_json::from_str(json)
+        let mut saved: SavedModel = serde_json::from_str(json)
             .map_err(|e| CoreError::BadRequest(format!("deserialize: {e}")))?;
         if saved.format_version != FORMAT_VERSION {
             return Err(CoreError::BadRequest(format!(
@@ -68,8 +72,42 @@ impl SavedModel {
                 saved.network.len()
             )));
         }
+        saved.network = saved
+            .network
+            .validated()
+            .map_err(|e| CoreError::BadRequest(format!("saved network: {e}")))?;
+        if let Some(disc) = &saved.discretizer {
+            check_discretizer(disc, &saved.network)?;
+        }
         Ok(saved)
     }
+}
+
+/// A discretizer must bin every node into exactly its states: one column
+/// per node, each with one edge fewer than the node's cardinality and one
+/// midpoint per state. (A short one would panic when evidence is binned.)
+fn check_discretizer(disc: &Discretizer, network: &BayesianNetwork) -> Result<()> {
+    if disc.columns() != network.len() {
+        return Err(CoreError::BadRequest(format!(
+            "saved discretizer has {} columns for {} nodes",
+            disc.columns(),
+            network.len()
+        )));
+    }
+    for (node, var) in network.variables().iter().enumerate() {
+        let column = disc.column(node);
+        let states = Some(column.bins());
+        if var.cardinality() != states || column.midpoints.len() != column.bins() {
+            return Err(CoreError::BadRequest(format!(
+                "saved discretizer bins node {node} into {} states with {} midpoints; \
+                 the node has {:?}",
+                column.bins(),
+                column.midpoints.len(),
+                var.cardinality()
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl KertBn {
@@ -141,6 +179,7 @@ mod tests {
     use kert_workflow::{derive_structure, ediamond_workflow, ResourceMap};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use serde_json::Value;
 
     fn build_models() -> (KertBn, NrtBn, kert_bayes::Dataset) {
         let wf = ediamond_workflow();
@@ -232,5 +271,84 @@ mod tests {
         assert!(SavedModel::from_json(&json).is_err());
 
         assert!(SavedModel::from_json("not json").is_err());
+    }
+
+    /// The object field `key` of `v`.
+    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Map(entries) => {
+                &mut entries
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("no field {key}"))
+                    .1
+            }
+            other => panic!("{key}: not an object: {other:?}"),
+        }
+    }
+
+    /// The array `v`'s items.
+    fn items(v: &mut Value) -> &mut Vec<Value> {
+        match v {
+            Value::Seq(items) => items,
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    /// Edit `saved`'s JSON tree and load the result.
+    fn load_edited(saved: &SavedModel, edit: impl FnOnce(&mut Value)) -> Result<SavedModel> {
+        let mut tree = serde_json::value_from_str(&saved.to_json().unwrap()).unwrap();
+        edit(&mut tree);
+        SavedModel::from_json(&serde_json::to_string(&tree).unwrap())
+    }
+
+    /// The `i`-th CPD's payload (`{"Tabular": {..}}` → `{..}`).
+    fn cpd(tree: &mut Value, i: usize) -> &mut Value {
+        match &mut items(field(field(tree, "network"), "cpds"))[i] {
+            Value::Map(entries) => &mut entries[0].1,
+            other => panic!("not a CPD: {other:?}"),
+        }
+    }
+
+    /// An edit of a saved model's JSON tree, given `D`'s node index.
+    type Edit = fn(&mut Value, usize);
+
+    /// Malformed models used to load and then panic when compiled or
+    /// queried (the derived deserializer bypasses every constructor
+    /// check); each is refused at load with `BadRequest` now.
+    #[test]
+    fn malformed_saved_models_are_refused_at_load() {
+        let (kert, _, _) = build_models();
+        let saved = kert.to_saved();
+        let d = kert.d_node();
+        let cases: [(&str, Edit); 5] = [
+            ("a CPT lost an entry", |t, _| {
+                items(field(cpd(t, 1), "table")).pop();
+            }),
+            ("a CPT row does not sum to 1", |t, _| {
+                let first = &mut items(field(cpd(t, 1), "table"))[0];
+                *first = Value::Num(first.as_f64().unwrap() + 0.1);
+            }),
+            ("one of D's midpoint lists is empty", |t, d| {
+                let noise = field(field(cpd(t, d), "noise"), "Discrete");
+                items(field(noise, "parent_mids"))[0] = Value::Seq(Vec::new());
+            }),
+            ("the DAG has a cycle", |t, d| {
+                let parents = field(field(field(t, "network"), "dag"), "parents");
+                items(&mut items(parents)[0]).push(Value::Num(d as f64));
+            }),
+            ("the discretizer lost a column", |t, _| {
+                items(field(field(t, "discretizer"), "columns")).pop();
+            }),
+        ];
+        for (what, edit) in cases {
+            assert!(
+                matches!(
+                    load_edited(&saved, |t| edit(t, d)),
+                    Err(CoreError::BadRequest(_))
+                ),
+                "{what}: not refused"
+            );
+        }
     }
 }

@@ -5,8 +5,11 @@
 //! daemon asks them on behalf of many clients at once, each with
 //! *different* evidence. Both run through this module:
 //!
-//! * [`SharedKert`] owns a discrete [`KertBn`] and its calibrated
-//!   [`JunctionTree`], compiled **once** and read without locks;
+//! * a discrete [`KertBn`] owns its calibrated [`JunctionTree`], compiled
+//!   on first use and dropped when a refresh changes the network, so each
+//!   model version compiles **once** whichever entry point asks first;
+//! * [`SharedKert`] owns a model whose tree it compiles up front and then
+//!   reads without locks;
 //! * a [`Session`] is one caller's mutable slice — its own [`JtState`]
 //!   (message caches and scratch buffers). A serving worker holds one for
 //!   its whole life;
@@ -17,7 +20,8 @@
 //!   held, so no evidence outlives a call. Sessions run the verbs on
 //!   their own state; the one-shot entry points [`crate::dcomp_all`],
 //!   [`crate::paccel_candidates`] and [`crate::assess_violation_sweep`]
-//!   run them on a freshly compiled tree.
+//!   run them on the model's tree with one fresh state each, so a
+//!   control tick's three questions after a refresh share one compile.
 //!
 //! Every path bins and orders evidence identically and shares the same
 //! propagation kernels, and a message's value depends only on the
@@ -45,28 +49,17 @@ fn disc(model: &KertBn) -> &Discretizer {
         .expect("discrete model checked at compile")
 }
 
-/// Compile `model` into a junction tree. Requires a discrete model
-/// (propagation runs over tabular CPDs); continuous models return
-/// `BadRequest` — use the per-query entry points, which dispatch to
-/// Gaussian conditioning or likelihood weighting.
-fn compile_tree(model: &KertBn) -> Result<JunctionTree> {
-    if model.discretizer().is_none() {
-        return Err(CoreError::BadRequest(
-            "junction-tree compilation requires a discrete model".into(),
-        ));
-    }
-    Ok(JunctionTree::compile(model.network())?)
-}
-
-/// Answer one verb on a freshly compiled tree with a single fresh state:
-/// the discrete branch of the one-shot batch entry points.
+/// Answer one verb on the model's compiled tree with a single fresh
+/// state: the discrete branch of the one-shot batch entry points. The
+/// tree is compiled once per model version, so the control loop's three
+/// questions after a refresh share one compile.
 pub(crate) fn answer_once<T>(
     model: &KertBn,
     verb: impl FnOnce(&JunctionTree, &mut JtState) -> Result<T>,
 ) -> Result<T> {
-    let tree = compile_tree(model)?;
+    let tree = model.compiled_tree()?;
     let mut st = tree.new_state();
-    verb(&tree, &mut st)
+    verb(tree, &mut st)
 }
 
 /// Bin raw measurement evidence into sorted `(node, state)` pins.
@@ -224,23 +217,29 @@ pub(crate) fn violation_sweep(
         .collect())
 }
 
-/// An owned, thread-safe query engine: a discrete [`KertBn`] compiled
-/// once into a calibrated [`JunctionTree`].
+/// An owned, thread-safe query engine: a discrete [`KertBn`] whose
+/// calibrated [`JunctionTree`] is compiled once, at construction.
 ///
 /// `&SharedKert` is `Sync`: any number of threads may hold [`Session`]s
 /// concurrently. Nothing on the query path takes a lock: evidence entry
 /// and message propagation run on the session's own state against the
-/// immutable tree.
+/// immutable tree, which the model owns and nothing here can change.
 pub struct SharedKert {
     model: KertBn,
-    tree: JunctionTree,
 }
 
 impl SharedKert {
     /// Compile `model` for querying. Requires a discrete model.
     pub fn new(model: KertBn) -> Result<Self> {
-        let tree = compile_tree(&model)?;
-        Ok(SharedKert { model, tree })
+        model.compiled_tree()?;
+        Ok(SharedKert { model })
+    }
+
+    /// The model's tree, compiled by [`SharedKert::new`].
+    fn tree(&self) -> &JunctionTree {
+        self.model
+            .compiled_tree()
+            .expect("SharedKert::new compiled the tree and holds the only model")
     }
 
     /// Rehydrate a persisted model and compile it for serving — the
@@ -257,7 +256,7 @@ impl SharedKert {
     /// Induced width of the compiled tree (largest clique size minus
     /// one) — the quantity that governs per-query cost.
     pub fn width(&self) -> usize {
-        self.tree.width()
+        self.tree().width()
     }
 
     /// A session on a fresh propagation state. Hold it across calls to
@@ -266,7 +265,7 @@ impl SharedKert {
         OBS_SESSIONS.incr();
         Session {
             core: self,
-            st: self.tree.new_state(),
+            st: self.tree().new_state(),
         }
     }
 }
@@ -287,7 +286,7 @@ impl<'k> Session<'k> {
     /// The engine's model and tree plus this session's state, split so
     /// the verbs can borrow them together.
     fn parts(&mut self) -> (&'k KertBn, &'k JunctionTree, &mut JtState) {
-        (&self.core.model, &self.core.tree, &mut self.st)
+        (&self.core.model, self.core.tree(), &mut self.st)
     }
 
     /// The coalescing primitive: enter `evidence` **once**, then answer
@@ -540,9 +539,9 @@ mod tests {
         );
     }
 
-    /// The one-shot entry points compile a fresh tree and run the same
-    /// verb functions a session does, so their discrete answers are
-    /// bitwise equal to a session's.
+    /// The one-shot entry points run the same verb functions a session
+    /// does, on the model's own tree with a fresh state, so their discrete
+    /// answers are bitwise equal to a session's.
     #[test]
     fn one_shot_entry_points_match_a_session_bitwise() {
         let model = discrete_model();
@@ -679,14 +678,23 @@ mod tests {
         ));
     }
 
+    /// Load-time validation changes no value: a model that went through
+    /// JSON saves to the same bytes once compiled (the tree and the Eq. 4
+    /// index are not persisted) and answers the mixed sequence bitwise as
+    /// the model built in process.
     #[test]
     fn saved_model_roundtrips_into_serving() {
         let model = discrete_model();
         let json = model.to_saved().to_json().unwrap();
         let shared = SharedKert::from_saved(SavedModel::from_json(&json).unwrap()).unwrap();
-        let a = posterior(&mut shared.session(), &[], shared.model().d_node());
+        assert_eq!(shared.model().to_saved().to_json().unwrap(), json);
         let direct = SharedKert::new(model).unwrap();
-        let b = posterior(&mut direct.session(), &[], direct.model().d_node());
-        assert_eq!(dbits(&a), dbits(&b));
+        for step in 0..7 {
+            assert_eq!(
+                mixed_step(&mut shared.session(), step),
+                mixed_step(&mut direct.session(), step),
+                "step {step}"
+            );
+        }
     }
 }

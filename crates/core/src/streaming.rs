@@ -13,8 +13,9 @@
 //!   stay comparable with the deployed network). It refuses rows with
 //!   non-finite values, which no fit over the window could absorb.
 //! * [`KertBn::refresh_from_window`] swaps refreshed CPDs into the model
-//!   in place. Compiled engines are built from the refreshed model: the
-//!   one-shot query entry points compile a fresh tree per call.
+//!   in place, which drops the model's compiled tree: the next one-shot
+//!   query compiles one from the refreshed model, and the queries after it
+//!   reuse it.
 //!
 //! The equivalence contract — streaming CPTs bitwise-equal batch relearn,
 //! linear-Gaussian CPDs within 1e-9 — is enforced by
@@ -433,6 +434,58 @@ mod tests {
                 "node {node} CPT not bitwise equal"
             );
         }
+    }
+
+    /// A refresh drops the model's compiled tree: after it, the one-shot
+    /// verbs answer bitwise as the same model reloaded through JSON, which
+    /// compiles a tree of its own, and no longer as before the refresh.
+    #[test]
+    fn one_shot_answers_after_a_refresh_come_from_a_fresh_tree() {
+        use crate::persist::SavedModel;
+        use crate::posterior::{McOptions, Posterior};
+        use crate::{assess_violation_sweep, dcomp_all, paccel_candidates};
+
+        let (knowledge, data) = ediamond_data(900, 14);
+        let (train, rest) = data.split_at(600);
+        let mut model =
+            KertBn::build_discrete(&knowledge, &train, DiscreteKertOptions::default()).unwrap();
+        let mut window = StreamingWindow::new(&model, 600, ParamOptions::default()).unwrap();
+        window.extend(&train).unwrap();
+        let answers = |model: &KertBn| -> Vec<u64> {
+            let mc = McOptions::default();
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut out: Vec<f64> = assess_violation_sweep(
+                model,
+                &[(0, 0.05), (1, 0.06)],
+                &[0.2, 0.3, 0.5],
+                mc,
+                &mut rng,
+            )
+            .unwrap()
+            .iter()
+            .map(|a| a.probability)
+            .collect();
+            let mut push = |p: &Posterior| match p {
+                Posterior::Discrete { probs, .. } => out.extend(probs),
+                other => panic!("expected a discrete posterior, got {other:?}"),
+            };
+            for o in dcomp_all(model, &[(0, 0.05), (6, 0.3)], &[2, 3], mc, &mut rng).unwrap() {
+                push(&o.prior);
+                push(&o.posterior);
+            }
+            for o in paccel_candidates(model, &[(3, 0.04), (5, 0.05)], mc, &mut rng).unwrap() {
+                push(&o.projected_d);
+            }
+            out.iter().map(|v| v.to_bits()).collect()
+        };
+        let before = answers(&model);
+        window.extend(&rest).unwrap();
+        model.refresh_from_window(&mut window).unwrap();
+        let after = answers(&model);
+        let json = model.to_saved().to_json().unwrap();
+        let reloaded = KertBn::from_saved(SavedModel::from_json(&json).unwrap()).unwrap();
+        assert_eq!(after, answers(&reloaded));
+        assert_ne!(after, before, "the refresh moved no answer");
     }
 
     #[test]
