@@ -7,11 +7,13 @@
 //! * **pAccel** — posterior of the end-to-end response time given an
 //!   intervention-style observation of one service: the same machinery.
 //!
-//! On discrete networks both are exact via [`ve`] (one-shot queries) or
-//! the compiled junction tree in [`crate::compile`] (sessions and
-//! batches); on continuous networks with `max` CPDs (which Matlab BNT
-//! could not express) they run through [`sampling`]; on linear continuous
-//! networks `crate::joint` conditioning is exact and cheaper.
+//! On discrete networks both are answered exactly by the compiled
+//! junction tree in [`crate::compile`]. [`ve`] serves three jobs only:
+//! the min-fill elimination order compilation triangulates with, the
+//! barren-node pruning ablation, and the exact reference the tree is
+//! tested against. On continuous networks with `max` CPDs (which Matlab
+//! BNT could not express) queries run through [`sampling`]; on linear
+//! continuous networks `crate::joint` conditioning is exact and cheaper.
 
 pub mod factor;
 pub mod sampling;

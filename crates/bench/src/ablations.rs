@@ -146,16 +146,9 @@ pub fn update_vs_reconstruct(seed: u64) -> UpdateAblation {
     let actual = kert_linalg::stats::mean(&probe.column(6));
     let mut q_rng = StdRng::seed_from_u64(seed ^ 11);
     let mut predict = |m: &KertBn| {
-        query_posterior(
-            m.network(),
-            m.discretizer(),
-            &[],
-            m.d_node(),
-            McOptions::default(),
-            &mut q_rng,
-        )
-        .expect("inference runs")
-        .mean()
+        query_posterior(m, &[], m.d_node(), McOptions::default(), &mut q_rng)
+            .expect("inference runs")
+            .mean()
     };
     let windowed = windowed_model.expect("six rebuilds happened");
     let cumulative_m = cumulative_model.expect("six rebuilds happened");

@@ -164,15 +164,8 @@ fn run_point(rate: f64, seed: u64) -> FaultSweepPoint {
     let x4_actual_mean = kert_linalg::stats::mean(&eval.column(CRASHED_SERVICE));
     let mc = McOptions::default();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let marginal = query_posterior(
-        model.network(),
-        model.discretizer(),
-        &[],
-        CRASHED_SERVICE,
-        mc,
-        &mut rng,
-    )
-    .expect("marginal query");
+    let marginal =
+        query_posterior(&model, &[], CRASHED_SERVICE, mc, &mut rng).expect("marginal query");
     let x4_fallback_error = (marginal.mean() - x4_actual_mean).abs();
 
     // Compensated estimate: dComp from the healthy observables (current

@@ -13,7 +13,7 @@
 //! observations come from the current (improved) system.
 
 use kert_core::posterior::McOptions;
-use kert_core::{dcomp, DiscreteKertOptions, KertBn};
+use kert_core::{dcomp_all, DiscreteKertOptions, KertBn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -67,15 +67,15 @@ pub fn run(seed: u64) -> Fig6Result {
     let actual_mean = kert_linalg::stats::mean(&current.column(HIDDEN_SERVICE));
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x600d);
-    let outcome = dcomp(
-        model.network(),
-        model.discretizer(),
+    let outcome = dcomp_all(
+        &model,
         &observed,
-        HIDDEN_SERVICE,
+        &[HIDDEN_SERVICE],
         McOptions::default(),
         &mut rng,
     )
-    .expect("dComp runs on the discrete model");
+    .expect("dComp runs on the discrete model")
+    .remove(0);
 
     let (support, prior, posterior) = match (&outcome.prior, &outcome.posterior) {
         (

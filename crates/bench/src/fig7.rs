@@ -9,7 +9,7 @@
 //! much better than the unaccelerated prior does.
 
 use kert_core::posterior::McOptions;
-use kert_core::{paccel, DiscreteKertOptions, KertBn};
+use kert_core::{paccel_candidates, DiscreteKertOptions, KertBn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -52,16 +52,14 @@ pub fn run(seed: u64) -> Fig7Result {
     // What-if projection: X₄ at 90% of its current mean.
     let x4_mean = kert_linalg::stats::mean(&train.column(ACCELERATED_SERVICE));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7ac1);
-    let outcome = paccel(
-        model.network(),
-        model.discretizer(),
-        model.d_node(),
-        ACCELERATED_SERVICE,
-        FACTOR * x4_mean,
+    let outcome = paccel_candidates(
+        &model,
+        &[(ACCELERATED_SERVICE, FACTOR * x4_mean)],
         McOptions::default(),
         &mut rng,
     )
-    .expect("pAccel runs on the discrete model");
+    .expect("pAccel runs on the discrete model")
+    .remove(0);
 
     // Ground truth: actually perform the resource action and measure.
     env.scale_service(ACCELERATED_SERVICE, FACTOR);

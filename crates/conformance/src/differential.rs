@@ -5,10 +5,15 @@
 //! * Discrete: stride-kernel VE (plain and pruned, all three ordering
 //!   heuristics), the naive greedy VE, and the compiled junction tree
 //!   against the joint-enumeration oracle at `1e-9`.
-//! * Continuous: the Cholesky joint-conditioning path (both the automatic
-//!   dispatch and the pinned engine) and the dComp/pAccel/Eq.-5 entry
-//!   points against the closed-form [`GaussianOracle`] at ≤1e-9 relative
-//!   error on posterior means.
+//! * Continuous: the production `dcomp_all`, `paccel_candidates` and
+//!   `assess_violation_sweep` on linear-Gaussian KERT-BNs (the Cholesky
+//!   joint-conditioning path) against the closed-form [`GaussianOracle`]
+//!   at ≤1e-9 relative error on posterior means.
+//! * Model trees: `query_posterior` and `shifted_posterior` on a discrete
+//!   KERT-BN and a discrete NRT-BN read the model's own junction tree;
+//!   both are gated at `1e-9` against variable elimination, the shifted
+//!   posterior through [`shifted_posterior_oracle`] (its mixture of VE
+//!   conditionals).
 //! * Degraded mode: a resilient rebuild with a crashed agent, its
 //!   compensation posteriors checked against the Gaussian oracle built on
 //!   the *degraded* network itself.
@@ -19,13 +24,15 @@ use std::collections::HashMap;
 
 use kert_agents::{CpdCache, FaultyFleet};
 use kert_bayes::cpd::{Cpd, TabularCpd};
+use kert_bayes::discretize::Discretizer;
 use kert_bayes::infer::ve::{self, EliminationHeuristic};
 use kert_bayes::BayesianNetwork;
 use kert_bench::scenario::{Environment, ScenarioOptions};
 use kert_core::posterior::McOptions;
 use kert_core::{
-    compensate_degraded, dcomp_all, dcomp_via, paccel_via, violation_probability_via,
-    ContinuousKertOptions, Engine, KertBn, Posterior, ResilientKertOptions,
+    assess_violation_sweep, compensate_degraded, dcomp_all, paccel_candidates, query_posterior,
+    shifted_posterior, ContinuousKertOptions, KertBn, NrtBn, NrtOptions, Posterior,
+    ResilientKertOptions, ResponseTimeModel,
 };
 use kert_sim::monitor::agents_from_edges;
 use kert_sim::{FaultInjector, FaultPlan};
@@ -186,14 +193,126 @@ fn check_moments(
     Ok(())
 }
 
+/// The shifted-posterior oracle: `Σ_s w_s · P_VE(target | service = s)`,
+/// with `w_s` the share of `shifted_values` that `discretizer` bins into
+/// state `s` — the mixture [`kert_core::shifted_posterior`] reads off a
+/// model's tree, computed by variable elimination instead.
+pub fn shifted_posterior_oracle(
+    network: &BayesianNetwork,
+    discretizer: &Discretizer,
+    service: usize,
+    shifted_values: &[f64],
+    target: usize,
+) -> Result<Vec<f64>, String> {
+    let mut weights = vec![0.0f64; discretizer.column(service).bins()];
+    for &v in shifted_values {
+        weights[discretizer.column(service).state(v)] += 1.0;
+    }
+    let total = shifted_values.len() as f64;
+    let mut probs = vec![0.0f64; discretizer.column(target).bins()];
+    for (s, &w) in weights.iter().enumerate() {
+        if w == 0.0 {
+            continue;
+        }
+        let ev = ve::Evidence::from([(service, s)]);
+        let conditional =
+            ve::posterior_marginal(network, target, &ev).map_err(|e| format!("VE: {e}"))?;
+        for (p, &c) in probs.iter_mut().zip(conditional.iter()) {
+            *p += (w / total) * c;
+        }
+    }
+    Ok(probs)
+}
+
+fn discrete_probs(p: &Posterior) -> Result<&[f64], String> {
+    match p {
+        Posterior::Discrete { probs, .. } => Ok(probs),
+        other => Err(format!("expected a discrete posterior, got {other:?}")),
+    }
+}
+
+fn check_gap(label: &str, fast: &[f64], exact: &[f64], worst: &mut f64) -> Result<(), String> {
+    if fast.len() != exact.len() {
+        return Err(format!("{label}: {} states vs {}", fast.len(), exact.len()));
+    }
+    let gap = max_abs_diff(fast, exact);
+    if gap > 1e-9 {
+        return Err(format!(
+            "{label}: max |Δ| = {gap:e} > 1e-9\n fast: {fast:?}\n exact: {exact:?}"
+        ));
+    }
+    *worst = worst.max(gap);
+    Ok(())
+}
+
+/// Gate a discrete model's own tree against variable elimination at
+/// 1e-9: `query_posterior` of `target` given `observed`, and
+/// `shifted_posterior` of `D` (the last node in both families' layouts)
+/// with `service` following `shifted_values`. Returns the worst gap.
+fn check_model_tree<M: ResponseTimeModel>(
+    label: &str,
+    model: &M,
+    observed: &[(usize, f64)],
+    target: usize,
+    service: usize,
+    shifted_values: &[f64],
+) -> Result<f64, String> {
+    let network = model.network();
+    let disc = model
+        .discretizer()
+        .ok_or_else(|| format!("{label}: not a discrete model"))?;
+    let d_node = network.len() - 1;
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut worst = 0.0_f64;
+
+    let ev: ve::Evidence = observed
+        .iter()
+        .map(|&(node, value)| (node, disc.column(node).state(value)))
+        .collect();
+    let exact = ve::posterior_marginal(network, target, &ev)
+        .map_err(|e| format!("{label} VE posterior: {e}"))?;
+    let tree = query_posterior(model, observed, target, McOptions::default(), &mut rng)
+        .map_err(|e| format!("{label} query_posterior: {e}"))?;
+    check_gap(
+        &format!("{label} query_posterior vs VE"),
+        discrete_probs(&tree)?,
+        &exact,
+        &mut worst,
+    )?;
+
+    let exact = shifted_posterior_oracle(network, disc, service, shifted_values, d_node)
+        .map_err(|e| format!("{label} shifted oracle: {e}"))?;
+    let tree = shifted_posterior(model, service, shifted_values, d_node)
+        .map_err(|e| format!("{label} shifted_posterior: {e}"))?;
+    check_gap(
+        &format!("{label} shifted_posterior vs VE mixture"),
+        discrete_probs(&tree)?,
+        &exact,
+        &mut worst,
+    )?;
+    Ok(worst)
+}
+
+/// The shifted distribution both model-tree gates use: every bin
+/// representative of `service` once, plus `extra` (so the weights are
+/// not uniform).
+fn shifted_values(disc: &Discretizer, service: usize, extra: f64) -> Vec<f64> {
+    let mut values = disc.column(service).midpoints.clone();
+    values.push(extra);
+    values
+}
+
 /// Sweep `instances` exactly-solvable KERT instances from `seed`. For each:
 ///
-/// * dComp posteriors (prior + conditioned) through the pinned
-///   Gaussian-conditioning engine *and* the automatic dispatch, vs the
-///   structural-equation oracle, at ≤1e-9 relative error on means;
-/// * pAccel projections and the Eq.-5 violation probability likewise;
+/// * dComp posteriors (prior + conditioned) through the production
+///   `dcomp_all` on the continuous model vs the structural-equation
+///   oracle, at ≤1e-9 relative error on means;
+/// * pAccel projections (`paccel_candidates`) and the Eq.-5 violation
+///   probability (`assess_violation_sweep`) likewise;
 /// * the compiled junction tree on the discrete companion model against
-///   the enumeration oracle at ≤1e-9 absolute probability gap.
+///   the enumeration oracle at ≤1e-9 absolute probability gap, and its
+///   `query_posterior`/`shifted_posterior` against variable elimination
+///   at the same bound.
 pub fn run_continuous_differential(
     seed: u64,
     instances: usize,
@@ -218,23 +337,22 @@ pub fn run_continuous_differential(
         let (exact_prior, exact_post) = oracle
             .dcomp(&observed, target)
             .map_err(|e| format!("instance {i}: {e}"))?;
-        for engine in [Engine::GaussianConditioning, Engine::Auto] {
-            let label = format!("instance {i} dComp via {engine:?}");
-            let outcome = dcomp_via(network, None, &observed, target, engine, mc, &mut rng)
-                .map_err(|e| format!("{label}: {e}"))?;
-            check_moments(
-                &label,
-                gaussian_moments(&outcome.prior)?,
-                exact_prior,
-                &mut worst,
-            )?;
-            check_moments(
-                &label,
-                gaussian_moments(&outcome.posterior)?,
-                exact_post,
-                &mut worst,
-            )?;
-        }
+        let label = format!("instance {i} dComp");
+        let outcome = dcomp_all(&inst.continuous, &observed, &[target], mc, &mut rng)
+            .map_err(|e| format!("{label}: {e}"))?
+            .remove(0);
+        check_moments(
+            &label,
+            gaussian_moments(&outcome.prior)?,
+            exact_prior,
+            &mut worst,
+        )?;
+        check_moments(
+            &label,
+            gaussian_moments(&outcome.posterior)?,
+            exact_post,
+            &mut worst,
+        )?;
 
         // pAccel: accelerate the slowest service to 85% of its probe value.
         let service = 1usize.min(inst.n_services - 1);
@@ -243,17 +361,9 @@ pub fn run_continuous_differential(
             .paccel(d_node, service, predicted)
             .map_err(|e| format!("instance {i}: {e}"))?;
         let label = format!("instance {i} pAccel");
-        let outcome = paccel_via(
-            network,
-            None,
-            d_node,
-            service,
-            predicted,
-            Engine::GaussianConditioning,
-            mc,
-            &mut rng,
-        )
-        .map_err(|e| format!("{label}: {e}"))?;
+        let outcome = paccel_candidates(&inst.continuous, &[(service, predicted)], mc, &mut rng)
+            .map_err(|e| format!("{label}: {e}"))?
+            .remove(0);
         check_moments(
             &label,
             gaussian_moments(&outcome.prior_d)?,
@@ -269,17 +379,15 @@ pub fn run_continuous_differential(
 
         // Eq. 5: violation probability at the prior mean of D.
         let threshold = exact_prior_d.0;
-        let fast_p = violation_probability_via(
-            network,
-            None,
+        let fast_p = assess_violation_sweep(
+            &inst.continuous,
             &[(service, predicted)],
-            d_node,
-            threshold,
-            Engine::GaussianConditioning,
+            &[threshold],
             mc,
             &mut rng,
         )
-        .map_err(|e| format!("instance {i} violation: {e}"))?;
+        .map_err(|e| format!("instance {i} violation: {e}"))?[0]
+            .probability;
         let exact_p = oracle
             .violation_probability(&[(service, predicted)], d_node, threshold)
             .map_err(|e| format!("instance {i}: {e}"))?;
@@ -328,11 +436,66 @@ pub fn run_continuous_differential(
             ));
         }
         worst = worst.max(jt_gap);
+
+        // The same tree through the single-query entry points, against VE.
+        let shifted = shifted_values(disc, service, predicted);
+        let gap = check_model_tree(
+            &format!("instance {i} (seed {inst_seed}) discrete KERT-BN"),
+            &inst.discrete,
+            &observed,
+            target,
+            service,
+            &shifted,
+        )?;
+        worst = worst.max(gap);
     }
     Ok(ContinuousReport {
         instances,
         worst_rel_err: worst,
     })
+}
+
+/// An NRT-BN answers off its own junction tree too: build one discrete
+/// NRT-BN (K2 on a sequential environment, 3 bins, so its moral graph is
+/// whatever K2 learned), then gate its `query_posterior` of `D` given
+/// every service, and `shifted_posterior` of `D` with a service `D` is
+/// adjacent to shifted, against variable elimination at 1e-9. Returns
+/// the worst gap.
+pub fn check_nrt_tree(seed: u64) -> Result<f64, String> {
+    let options = ScenarioOptions {
+        gen: GenOptions::sequential_only(),
+        ..ScenarioOptions::default()
+    };
+    let mut env = Environment::random(4, options, seed);
+    let (train, probe) = env.datasets(200, 1, seed ^ 0x4e72);
+    let model = NrtBn::build_discrete(
+        &train,
+        NrtOptions {
+            bins: 3,
+            ..NrtOptions::default()
+        },
+        &mut StdRng::seed_from_u64(seed),
+    )
+    .map_err(|e| format!("NRT-BN build: {e}"))?;
+    let probe = probe.row(0);
+    let d_node = model.d_node();
+    let dag = model.network().dag();
+    // K2 keeps only the edges the data support; shifting a service that
+    // `D` is not adjacent to could leave the mixture at `D`'s prior.
+    let service = (0..d_node)
+        .find(|&s| dag.has_edge(s, d_node) || dag.has_edge(d_node, s))
+        .ok_or_else(|| format!("NRT-BN (seed {seed}) learned no edge at D"))?;
+    let observed: Vec<(usize, f64)> = (0..d_node).map(|c| (c, probe[c])).collect();
+    let disc = model.discretizer().expect("discrete NRT-BN");
+    let shifted = shifted_values(disc, service, 0.85 * probe[service]);
+    check_model_tree(
+        &format!("NRT-BN (seed {seed})"),
+        &model,
+        &observed,
+        d_node,
+        service,
+        &shifted,
+    )
 }
 
 /// Degraded-mode conformance: bootstrap a sequential environment, crash

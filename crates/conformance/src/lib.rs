@@ -19,9 +19,11 @@
 //!   KERT environments (sequential workflows → linear-Gaussian networks)
 //!   and random small discrete networks with strictly positive CPTs.
 //! * [`differential`] — the runner: drive every fast path through the
-//!   public [`kert_core::query_posterior_via`] entry points and compare
-//!   against the matching oracle; a CPD-perturbation hook proving the
-//!   gate is live.
+//!   public production entry points (`dcomp_all`, `paccel_candidates`,
+//!   `assess_violation_sweep`, `query_posterior`, `shifted_posterior`)
+//!   and compare against the matching oracle — enumeration, the Gaussian
+//!   oracle, or variable elimination, which production no longer runs;
+//!   a CPD-perturbation hook proving the gate is live.
 //! * [`tolerance`] — the comparison vocabulary shared by the whole test
 //!   suite: [`assert_close!`] and [`assert_dist_close!`].
 
@@ -32,8 +34,9 @@ pub mod gen;
 pub mod tolerance;
 
 pub use differential::{
-    check_degraded_compensation, check_discrete_instance, perturb_tabular_cpd,
-    run_continuous_differential, run_discrete_differential, ContinuousReport, DiscreteReport,
+    check_degraded_compensation, check_discrete_instance, check_nrt_tree, perturb_tabular_cpd,
+    run_continuous_differential, run_discrete_differential, shifted_posterior_oracle,
+    ContinuousReport, DiscreteReport,
 };
 pub use enumeration::EnumerationOracle;
 pub use gaussian::GaussianOracle;

@@ -5,7 +5,8 @@
 //! fan the same suite out over several seeds without recompiling.
 
 use kert_conformance::{
-    check_degraded_compensation, run_continuous_differential, run_discrete_differential,
+    check_degraded_compensation, check_nrt_tree, run_continuous_differential,
+    run_discrete_differential,
 };
 
 fn conf_seed() -> u64 {
@@ -29,12 +30,14 @@ fn discrete_fast_paths_match_enumeration_oracle() {
     );
 }
 
-/// The Cholesky joint-conditioning engine (pinned and auto-dispatched),
-/// dComp, pAccel, and the Eq.-5 violation probability agree with the
-/// structural-equation Gaussian oracle to ≤1e-9 relative error on 100
-/// random exactly-solvable instances; each instance's discrete companion
-/// also gates the compiled junction tree (≤1e-9), through `dcomp_all`'s
-/// one-shot serve path, against the enumeration oracle.
+/// dComp, pAccel, and the Eq.-5 violation probability, through the
+/// production entry points on continuous models (the Cholesky
+/// joint-conditioning path), agree with the structural-equation Gaussian
+/// oracle to ≤1e-9 relative error on 100 random exactly-solvable
+/// instances; each instance's discrete companion also gates the compiled
+/// junction tree (≤1e-9), through `dcomp_all`'s one-shot serve path,
+/// against the enumeration oracle, and its `query_posterior` and
+/// `shifted_posterior` against variable elimination.
 #[test]
 fn continuous_fast_paths_match_gaussian_oracle_on_100_instances() {
     let report = run_continuous_differential(conf_seed(), 100).unwrap_or_else(|e| panic!("{e}"));
@@ -44,6 +47,14 @@ fn continuous_fast_paths_match_gaussian_oracle_on_100_instances() {
         "worst posterior-mean relative error {:e}",
         report.worst_rel_err
     );
+}
+
+/// A discrete NRT-BN answers `query_posterior` and `shifted_posterior`
+/// off its own junction tree within 1e-9 of variable elimination.
+#[test]
+fn nrt_tree_matches_variable_elimination() {
+    let worst = check_nrt_tree(conf_seed()).unwrap_or_else(|e| panic!("{e}"));
+    assert!(worst <= 1e-9, "worst probability gap {worst:e}");
 }
 
 /// Degraded-mode compensation (crashed agent, resilient rebuild) matches

@@ -8,13 +8,14 @@
 //! available): `p(Y | 𝕆 = E(o))`. The paper's Figure 6 shows the posterior
 //! shifting from an obsolete prior toward the true value while narrowing —
 //! both properties are asserted by this module's tests.
+//!
+//! [`dcomp_all`] is the one entry point (a single hidden service is a batch
+//! of one); a discrete model answers it off its own junction tree.
 
-use kert_bayes::discretize::Discretizer;
-use kert_bayes::BayesianNetwork;
 use rand::Rng;
 
 use crate::kert::KertBn;
-use crate::posterior::{query_posterior_via, Engine, McOptions, Posterior};
+use crate::posterior::{continuous_posterior, McOptions, Posterior};
 use crate::serve;
 use crate::Result;
 
@@ -44,36 +45,15 @@ impl DCompOutcome {
     }
 }
 
-/// Run dComp: posterior of `target` given observed measurement means.
+/// Run dComp: prior and posterior of every `target` under one shared
+/// evidence set.
 ///
 /// `observed` holds `(node, current mean)` pairs — typically every
 /// *observable* service plus the end-to-end response time node. Raw values
-/// are passed; discrete models bin them internally.
-pub fn dcomp<R: Rng + ?Sized>(
-    network: &BayesianNetwork,
-    discretizer: Option<&Discretizer>,
-    observed: &[(usize, f64)],
-    target: usize,
-    mc: McOptions,
-    rng: &mut R,
-) -> Result<DCompOutcome> {
-    dcomp_via(
-        network,
-        discretizer,
-        observed,
-        target,
-        Engine::Auto,
-        mc,
-        rng,
-    )
-}
-
-/// Batched dComp: prior and posterior of every `target` under one shared
-/// evidence set. Discrete models answer every query off the model's
-/// junction tree, compiled once per model version (the same verb a
-/// [`crate::serve::Session`] runs); continuous models fall back to one
-/// [`dcomp`] per target, preserving that path's semantics (and RNG
-/// stream) exactly.
+/// are passed; discrete models bin them internally. Discrete models answer
+/// every query off the model's junction tree, compiled once per model
+/// version (the same verb a [`crate::serve::Session`] runs); continuous
+/// models run a prior and a posterior query per target, in that order.
 pub fn dcomp_all<R: Rng + ?Sized>(
     model: &KertBn,
     observed: &[(usize, f64)],
@@ -86,45 +66,23 @@ pub fn dcomp_all<R: Rng + ?Sized>(
             serve::dcomp(model, tree, st, observed, targets)
         });
     }
+    let network = model.network();
     targets
         .iter()
         .map(|&target| {
-            dcomp(
-                model.network(),
-                model.discretizer(),
-                observed,
+            Ok(DCompOutcome {
                 target,
-                mc,
-                rng,
-            )
+                prior: continuous_posterior(network, &[], target, mc, rng)?,
+                posterior: continuous_posterior(network, observed, target, mc, rng)?,
+            })
         })
         .collect()
-}
-
-/// [`dcomp`] with the inference engine pinned — the oracle-comparable
-/// entry point the conformance crate drives each fast path through.
-pub fn dcomp_via<R: Rng + ?Sized>(
-    network: &BayesianNetwork,
-    discretizer: Option<&Discretizer>,
-    observed: &[(usize, f64)],
-    target: usize,
-    engine: Engine,
-    mc: McOptions,
-    rng: &mut R,
-) -> Result<DCompOutcome> {
-    let prior = query_posterior_via(network, discretizer, &[], target, engine, mc, rng)?;
-    let posterior = query_posterior_via(network, discretizer, observed, target, engine, mc, rng)?;
-    Ok(DCompOutcome {
-        target,
-        prior,
-        posterior,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kert::{DiscreteKertOptions, KertBn};
+    use crate::kert::DiscreteKertOptions;
     use kert_bayes::Dataset;
     use kert_sim::{Dist, ServiceConfig, SimOptions, SimSystem};
     use kert_workflow::{derive_structure, ediamond_workflow, ResourceMap, WorkflowKnowledge};
@@ -178,15 +136,9 @@ mod tests {
                 .filter(|&c| c != target)
                 .map(|c| (c, row[c]))
                 .collect();
-            let outcome = dcomp(
-                model.network(),
-                model.discretizer(),
-                &observed,
-                target,
-                McOptions::default(),
-                &mut rng,
-            )
-            .unwrap();
+            let outcome = dcomp_all(&model, &observed, &[target], McOptions::default(), &mut rng)
+                .unwrap()
+                .remove(0);
             prior_abs_err += (outcome.prior.mean() - row[target]).abs();
             post_abs_err += (outcome.posterior.mean() - row[target]).abs();
             if outcome.narrowed() {
@@ -209,15 +161,9 @@ mod tests {
         let model =
             KertBn::build_discrete(&knowledge, &data, DiscreteKertOptions::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let outcome = dcomp(
-            model.network(),
-            model.discretizer(),
-            &[],
-            2,
-            McOptions::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let outcome = dcomp_all(&model, &[], &[2], McOptions::default(), &mut rng)
+            .unwrap()
+            .remove(0);
         assert!((outcome.prior.mean() - outcome.posterior.mean()).abs() < 1e-9);
     }
 

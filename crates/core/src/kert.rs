@@ -31,6 +31,8 @@ use kert_bayes::learn::mle::ParamOptions;
 use kert_bayes::{BayesianNetwork, Dag, Dataset, Variable};
 use kert_workflow::WorkflowKnowledge;
 
+use crate::posterior::sealed::Compiled;
+use crate::posterior::{compile_once, ResponseTimeModel};
 use crate::report::BuildReport;
 use crate::{CoreError, Result};
 
@@ -131,7 +133,7 @@ pub struct KertBn {
     /// Per-node CPD provenance; all-fresh for conventional builds.
     health: ModelHealth,
     /// The junction tree of the current network, compiled on first use
-    /// ([`KertBn::compiled_tree`]) and dropped by [`KertBn::network_mut`].
+    /// and dropped by [`KertBn::network_mut`].
     tree: OnceLock<JunctionTree>,
 }
 
@@ -458,26 +460,6 @@ impl KertBn {
         &mut self.network
     }
 
-    /// The junction tree of the current network, compiled on first use and
-    /// shared by every later query until the network changes: the one-shot
-    /// verbs and [`crate::serve::SharedKert`] all read this one. Requires
-    /// a discrete model (propagation runs over tabular factors);
-    /// continuous models get `BadRequest`.
-    pub(crate) fn compiled_tree(&self) -> Result<&JunctionTree> {
-        if self.discretizer.is_none() {
-            return Err(CoreError::BadRequest(
-                "junction-tree compilation requires a discrete model".into(),
-            ));
-        }
-        if let Some(tree) = self.tree.get() {
-            return Ok(tree);
-        }
-        // Two racing first uses may both compile; one tree is kept, and
-        // the two are identical.
-        let tree = JunctionTree::compile(&self.network)?;
-        Ok(self.tree.get_or_init(|| tree))
-    }
-
     /// Record that every learned CPD was just refitted over `rows` rows
     /// (streaming refresh keeps provenance honest without a rebuild).
     pub(crate) fn mark_refreshed(&mut self, rows: usize) {
@@ -545,6 +527,24 @@ impl KertBn {
             }
             None => Ok(self.network.log10_likelihood(test)?),
         }
+    }
+}
+
+impl ResponseTimeModel for KertBn {
+    fn network(&self) -> &BayesianNetwork {
+        &self.network
+    }
+
+    fn discretizer(&self) -> Option<&Discretizer> {
+        self.discretizer.as_ref()
+    }
+}
+
+/// The tree of the current network, shared by the one-shot verbs and
+/// [`crate::serve::SharedKert`] until a refresh changes the network.
+impl Compiled for KertBn {
+    fn compiled_tree(&self) -> Result<&JunctionTree> {
+        compile_once(&self.tree, &self.network, self.discretizer.as_ref())
     }
 }
 

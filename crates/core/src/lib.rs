@@ -14,13 +14,17 @@
 //!   learning (optionally with random-order restarts) plus full parameter
 //!   learning.
 //! * [`posterior`] — unified posterior queries over either model family
-//!   (exact Gaussian conditioning, discrete variable elimination, or
-//!   likelihood weighting for nonlinear continuous nets).
+//!   (the model's own compiled junction tree for discrete models, exact
+//!   Gaussian conditioning or likelihood weighting for continuous ones).
 //! * [`serve`] — the discrete query facade: one calibrated junction tree
-//!   compiled once, many concurrent [`serve::Session`]s, each with its
-//!   own propagation state, answering dComp/pAccel/violation queries by
-//!   incremental evidence propagation (what the `kertd` daemon is built
-//!   on; each of its workers holds one session).
+//!   compiled once per model, many concurrent [`serve::Session`]s, each
+//!   with its own propagation state, answering dComp/pAccel/violation
+//!   queries by incremental evidence propagation (what the `kertd` daemon
+//!   is built on; each of its workers holds one session). Every discrete
+//!   answer, one-shot or session, comes off a model's tree.
+//! * [`oracle`] — per-query variable elimination, kept only as the exact
+//!   reference tests and the repository benchmark compare the tree
+//!   against; production never calls it.
 //! * [`dcomp`] — **dComp**: estimate an unobservable service's elapsed-time
 //!   distribution from the observable services (§5.1).
 //! * [`paccel`] — **pAccel**: project the end-to-end response-time
@@ -37,6 +41,7 @@ pub mod autonomic;
 pub mod dcomp;
 pub mod kert;
 pub mod nrt;
+pub mod oracle;
 pub mod paccel;
 pub mod persist;
 pub mod posterior;
@@ -46,20 +51,21 @@ pub mod streaming;
 pub mod violation;
 
 pub use autonomic::{compensate_degraded, Compensation};
-pub use dcomp::{dcomp, dcomp_all, dcomp_via, DCompOutcome};
+pub use dcomp::{dcomp_all, DCompOutcome};
 pub use kert::{
     ContinuousKertOptions, DiscreteKertOptions, KertBn, ParamLearning, ResilientKertOptions,
 };
 pub use nrt::{NrtBn, NrtOptions};
-pub use paccel::{paccel, paccel_candidates, paccel_model, paccel_via, PAccelOutcome};
+pub use oracle::{dcomp_via, paccel_via, violation_probability_via, Engine};
+pub use paccel::{paccel_candidates, PAccelOutcome};
 pub use persist::{ModelKind, SavedModel};
-pub use posterior::{query_posterior, query_posterior_via, shifted_posterior, Engine, Posterior};
+pub use posterior::{query_posterior, shifted_posterior, Posterior, ResponseTimeModel};
 pub use report::BuildReport;
 pub use serve::{Session, SharedKert};
 pub use streaming::{CpdUpdate, RefreshOutcome, RefreshSummary, StreamingWindow};
 pub use violation::{
-    assess_violation, assess_violation_sweep, empirical_violation_probability,
-    relative_violation_error, violation_probability_via, ViolationAssessment,
+    assess_violation_sweep, empirical_violation_probability, relative_violation_error,
+    ViolationAssessment,
 };
 
 /// Errors from model construction and application routines.

@@ -8,8 +8,10 @@
 //! the response node's CPD must be learned like any other — both costs
 //! KERT-BN avoids.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
+use kert_bayes::compile::JunctionTree;
 use kert_bayes::discretize::{BinStrategy, Discretizer};
 use kert_bayes::learn::k2::{k2_search, k2_with_random_restarts, K2Options, K2Result};
 use kert_bayes::learn::mle::{fit_all_parameters, ParamOptions};
@@ -17,6 +19,8 @@ use kert_bayes::learn::score::FamilyScore;
 use kert_bayes::{BayesianNetwork, Dataset, Variable};
 use rand::Rng;
 
+use crate::posterior::sealed::Compiled;
+use crate::posterior::{compile_once, ResponseTimeModel};
 use crate::report::BuildReport;
 use crate::{CoreError, Result};
 
@@ -55,6 +59,10 @@ pub struct NrtBn {
     d_node: usize,
     discretizer: Option<Discretizer>,
     report: BuildReport,
+    /// The junction tree of the network, compiled on first use. Nothing
+    /// changes an NRT-BN's network after construction, so it is never
+    /// dropped.
+    tree: OnceLock<JunctionTree>,
 }
 
 impl NrtBn {
@@ -106,6 +114,7 @@ impl NrtBn {
                 score_evaluations: k2.evaluations,
                 node_parameter_times: Vec::new(),
             },
+            tree: OnceLock::new(),
         })
     }
 
@@ -163,6 +172,7 @@ impl NrtBn {
                 score_evaluations: k2.evaluations,
                 node_parameter_times: Vec::new(),
             },
+            tree: OnceLock::new(),
         })
     }
 
@@ -218,6 +228,7 @@ impl NrtBn {
                 score_evaluations: 0,
                 node_parameter_times: Vec::new(),
             },
+            tree: OnceLock::new(),
         })
     }
 
@@ -232,6 +243,7 @@ impl NrtBn {
             d_node,
             discretizer,
             report: BuildReport::default(),
+            tree: OnceLock::new(),
         }
     }
 
@@ -264,6 +276,22 @@ impl NrtBn {
             }
             None => Ok(self.network.log10_likelihood(test)?),
         }
+    }
+}
+
+impl ResponseTimeModel for NrtBn {
+    fn network(&self) -> &BayesianNetwork {
+        &self.network
+    }
+
+    fn discretizer(&self) -> Option<&Discretizer> {
+        self.discretizer.as_ref()
+    }
+}
+
+impl Compiled for NrtBn {
+    fn compiled_tree(&self) -> Result<&JunctionTree> {
+        compile_once(&self.tree, &self.network, self.discretizer.as_ref())
     }
 }
 

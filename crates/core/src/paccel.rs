@@ -8,12 +8,14 @@
 //! mean after a local resource action). The difference between prior and
 //! projected distributions gauges the action's worth and guides autonomic
 //! decisions.
+//!
+//! [`paccel_candidates`] is the one entry point (a single action is a batch
+//! of one); a discrete model answers it off its own junction tree.
 
-use kert_bayes::discretize::Discretizer;
-use kert_bayes::BayesianNetwork;
 use rand::Rng;
 
-use crate::posterior::{query_posterior_via, Engine, McOptions, Posterior};
+use crate::kert::KertBn;
+use crate::posterior::{continuous_posterior, McOptions, Posterior};
 use crate::serve;
 use crate::Result;
 
@@ -29,7 +31,7 @@ pub struct PAccelOutcome {
     /// Projected response-time distribution given the acceleration.
     pub projected_d: Posterior,
     /// True when the projection rests on a degraded model (stale/prior
-    /// CPDs) — set by [`paccel_model`], always false from raw [`paccel`].
+    /// CPDs), from the model's health report.
     pub degraded: bool,
 }
 
@@ -45,91 +47,16 @@ impl PAccelOutcome {
     }
 }
 
-/// Run pAccel: project `D`'s distribution with `service`'s elapsed time
-/// pinned to `predicted_elapsed`.
-pub fn paccel<R: Rng + ?Sized>(
-    network: &BayesianNetwork,
-    discretizer: Option<&Discretizer>,
-    d_node: usize,
-    service: usize,
-    predicted_elapsed: f64,
-    mc: McOptions,
-    rng: &mut R,
-) -> Result<PAccelOutcome> {
-    paccel_via(
-        network,
-        discretizer,
-        d_node,
-        service,
-        predicted_elapsed,
-        Engine::Auto,
-        mc,
-        rng,
-    )
-}
-
-/// [`paccel`] with the inference engine pinned — the oracle-comparable
-/// entry point the conformance crate drives each fast path through.
-#[allow(clippy::too_many_arguments)]
-pub fn paccel_via<R: Rng + ?Sized>(
-    network: &BayesianNetwork,
-    discretizer: Option<&Discretizer>,
-    d_node: usize,
-    service: usize,
-    predicted_elapsed: f64,
-    engine: Engine,
-    mc: McOptions,
-    rng: &mut R,
-) -> Result<PAccelOutcome> {
-    let prior_d = query_posterior_via(network, discretizer, &[], d_node, engine, mc, rng)?;
-    let projected_d = query_posterior_via(
-        network,
-        discretizer,
-        &[(service, predicted_elapsed)],
-        d_node,
-        engine,
-        mc,
-        rng,
-    )?;
-    Ok(PAccelOutcome {
-        service,
-        predicted_elapsed,
-        prior_d,
-        projected_d,
-        degraded: false,
-    })
-}
-
-/// [`paccel`] against a [`KertBn`], propagating its degraded-mode flag so
-/// autonomic decisions know when the what-if rests on stale/prior CPDs.
-pub fn paccel_model<R: Rng + ?Sized>(
-    model: &crate::kert::KertBn,
-    service: usize,
-    predicted_elapsed: f64,
-    mc: McOptions,
-    rng: &mut R,
-) -> Result<PAccelOutcome> {
-    let mut outcome = paccel(
-        model.network(),
-        model.discretizer(),
-        model.d_node(),
-        service,
-        predicted_elapsed,
-        mc,
-        rng,
-    )?;
-    outcome.degraded = model.is_degraded();
-    Ok(outcome)
-}
-
-/// Batched pAccel: one projection per `(service, predicted_elapsed)`
-/// candidate — the form the autonomic planner consumes when ranking
-/// acceleration actions. Discrete models run all candidates over one
-/// compiled junction tree (the same verb a [`crate::serve::Session`]
-/// runs), sharing the prior and re-propagating only each candidate's pin;
-/// continuous models fall back to one [`paccel_model`] call per candidate.
+/// Run pAccel: one projection of `D`'s distribution per
+/// `(service, predicted_elapsed)` candidate, with that service's elapsed
+/// time pinned — the form the autonomic planner consumes when ranking
+/// acceleration actions. Each outcome carries the model's degraded flag.
+/// Discrete models run all candidates over the model's junction tree (the
+/// same verb a [`crate::serve::Session`] runs), sharing the prior and
+/// re-propagating only each candidate's pin; continuous models run a
+/// prior and a projection query per candidate, in that order.
 pub fn paccel_candidates<R: Rng + ?Sized>(
-    model: &crate::kert::KertBn,
+    model: &KertBn,
     candidates: &[(usize, f64)],
     mc: McOptions,
     rng: &mut R,
@@ -137,16 +64,31 @@ pub fn paccel_candidates<R: Rng + ?Sized>(
     if model.discretizer().is_some() {
         return serve::answer_once(model, |tree, st| serve::paccel(model, tree, st, candidates));
     }
+    let (network, d_node) = (model.network(), model.d_node());
     candidates
         .iter()
-        .map(|&(service, predicted)| paccel_model(model, service, predicted, mc, rng))
+        .map(|&(service, predicted_elapsed)| {
+            Ok(PAccelOutcome {
+                service,
+                predicted_elapsed,
+                prior_d: continuous_posterior(network, &[], d_node, mc, rng)?,
+                projected_d: continuous_posterior(
+                    network,
+                    &[(service, predicted_elapsed)],
+                    d_node,
+                    mc,
+                    rng,
+                )?,
+                degraded: model.is_degraded(),
+            })
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kert::{DiscreteKertOptions, KertBn};
+    use crate::kert::DiscreteKertOptions;
     use kert_bayes::Dataset;
     use kert_sim::{Dist, ServiceConfig, SimOptions, SimSystem, Trace};
     use kert_workflow::{derive_structure, ediamond_workflow, ResourceMap, WorkflowKnowledge};
@@ -188,16 +130,14 @@ mod tests {
         let x4_col = data.column(3);
         let x4_mean = kert_linalg::stats::mean(&x4_col);
         let mut rng = StdRng::seed_from_u64(5);
-        let outcome = paccel(
-            model.network(),
-            model.discretizer(),
-            6,
-            3,
-            0.9 * x4_mean,
+        let outcome = paccel_candidates(
+            &model,
+            &[(3, 0.9 * x4_mean)],
             McOptions::default(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
 
         // Ground truth: rerun the simulator with the remote locator's
         // service time reduced to 90%.
@@ -228,29 +168,25 @@ mod tests {
         // Accelerate the *local* locator (node 2, far off the critical
         // path) by 50%.
         let x3_mean = kert_linalg::stats::mean(&data.column(2));
-        let local = paccel(
-            model.network(),
-            model.discretizer(),
-            6,
-            2,
-            0.5 * x3_mean,
+        let local = paccel_candidates(
+            &model,
+            &[(2, 0.5 * x3_mean)],
             McOptions::default(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
 
         // Accelerate the remote locator (node 3, the bottleneck) by 50%.
         let x4_mean = kert_linalg::stats::mean(&data.column(3));
-        let remote = paccel(
-            model.network(),
-            model.discretizer(),
-            6,
-            3,
-            0.5 * x4_mean,
+        let remote = paccel_candidates(
+            &model,
+            &[(3, 0.5 * x4_mean)],
             McOptions::default(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
 
         assert!(
             remote.mean_improvement() > local.mean_improvement() + 0.01,
@@ -267,16 +203,14 @@ mod tests {
             KertBn::build_discrete(&knowledge, &data, DiscreteKertOptions::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let x4_mean = kert_linalg::stats::mean(&data.column(3));
-        let outcome = paccel(
-            model.network(),
-            model.discretizer(),
-            6,
-            3,
-            0.8 * x4_mean,
+        let outcome = paccel_candidates(
+            &model,
+            &[(3, 0.8 * x4_mean)],
             McOptions::default(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         let d_mean = outcome.prior_d.mean();
         // Reducing X4 should reduce the violation probability around the
         // centre of D's distribution.

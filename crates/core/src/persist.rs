@@ -217,8 +217,7 @@ mod tests {
         let mut rng1 = StdRng::seed_from_u64(1);
         let mut rng2 = StdRng::seed_from_u64(1);
         let a = query_posterior(
-            kert.network(),
-            kert.discretizer(),
+            &kert,
             &[(3, 0.2)],
             kert.d_node(),
             McOptions::default(),
@@ -226,8 +225,7 @@ mod tests {
         )
         .unwrap();
         let b = query_posterior(
-            loaded.network(),
-            loaded.discretizer(),
+            &loaded,
             &[(3, 0.2)],
             loaded.d_node(),
             McOptions::default(),

@@ -5,9 +5,10 @@
 //! daemon asks them on behalf of many clients at once, each with
 //! *different* evidence. Both run through this module:
 //!
-//! * a discrete [`KertBn`] owns its calibrated [`JunctionTree`], compiled
-//!   on first use and dropped when a refresh changes the network, so each
-//!   model version compiles **once** whichever entry point asks first;
+//! * a discrete model ([`KertBn`] or [`crate::NrtBn`]) owns its calibrated
+//!   [`JunctionTree`], compiled on first use (and, for a [`KertBn`],
+//!   dropped when a refresh changes the network), so each model version
+//!   compiles **once** whichever entry point asks first;
 //! * [`SharedKert`] owns a model whose tree it compiles up front and then
 //!   reads without locks;
 //! * a [`Session`] is one caller's mutable slice — its own [`JtState`]
@@ -18,7 +19,8 @@
 //!   request once, then enters the evidence through one
 //!   [`JunctionTree::set_evidence`] call that replaces whatever the state
 //!   held, so no evidence outlives a call. Sessions run the verbs on
-//!   their own state; the one-shot entry points [`crate::dcomp_all`],
+//!   their own state; the one-shot entry points [`crate::query_posterior`],
+//!   [`crate::shifted_posterior`], [`crate::dcomp_all`],
 //!   [`crate::paccel_candidates`] and [`crate::assess_violation_sweep`]
 //!   run them on the model's tree with one fresh state each, so a
 //!   control tick's three questions after a refresh share one compile.
@@ -37,24 +39,27 @@ use crate::dcomp::DCompOutcome;
 use crate::kert::KertBn;
 use crate::paccel::PAccelOutcome;
 use crate::persist::SavedModel;
-use crate::posterior::{check_evidence_value, discrete_posterior, duplicate_node, Posterior};
+use crate::posterior::sealed::Compiled;
+use crate::posterior::{
+    check_evidence_value, discrete_posterior, duplicate_node, Posterior, ResponseTimeModel,
+};
 use crate::{CoreError, Result};
 
 static OBS_SESSIONS: kert_obs::Counter = kert_obs::Counter::new("core.serve.sessions");
 static OBS_QUERIES: kert_obs::Counter = kert_obs::Counter::new("core.serve.queries");
 
-fn disc(model: &KertBn) -> &Discretizer {
+fn disc<M: ResponseTimeModel>(model: &M) -> &Discretizer {
     model
         .discretizer()
         .expect("discrete model checked at compile")
 }
 
 /// Answer one verb on the model's compiled tree with a single fresh
-/// state: the discrete branch of the one-shot batch entry points. The
-/// tree is compiled once per model version, so the control loop's three
-/// questions after a refresh share one compile.
-pub(crate) fn answer_once<T>(
-    model: &KertBn,
+/// state: the discrete branch of the one-shot entry points. The tree is
+/// compiled once per model version, so the control loop's three questions
+/// after a refresh share one compile.
+pub(crate) fn answer_once<M: ResponseTimeModel, T>(
+    model: &M,
     verb: impl FnOnce(&JunctionTree, &mut JtState) -> Result<T>,
 ) -> Result<T> {
     let tree = model.compiled_tree()?;
@@ -67,7 +72,10 @@ pub(crate) fn answer_once<T>(
 /// propagate identically. Unknown nodes and non-finite values are
 /// refused (the discretizer would otherwise clamp them into an edge bin),
 /// and so is a node listed twice.
-fn bin_evidence(model: &KertBn, evidence: &[(usize, f64)]) -> Result<Vec<(usize, usize)>> {
+fn bin_evidence<M: ResponseTimeModel>(
+    model: &M,
+    evidence: &[(usize, f64)],
+) -> Result<Vec<(usize, usize)>> {
     let disc = disc(model);
     let mut pins: Vec<(usize, usize)> = evidence
         .iter()
@@ -89,8 +97,8 @@ fn bin_evidence(model: &KertBn, evidence: &[(usize, f64)]) -> Result<Vec<(usize,
 /// A verb's one validation pass, before anything is entered: bin
 /// `evidence`, then refuse a target that does not exist or that the
 /// evidence observes.
-fn checked_pins(
-    model: &KertBn,
+fn checked_pins<M: ResponseTimeModel>(
+    model: &M,
     evidence: &[(usize, f64)],
     targets: &[usize],
 ) -> Result<Vec<(usize, usize)>> {
@@ -112,8 +120,8 @@ fn checked_pins(
 }
 
 /// Posterior of a checked `target` under the evidence entered on `st`.
-fn marginal(
-    model: &KertBn,
+fn marginal<M: ResponseTimeModel>(
+    model: &M,
     tree: &JunctionTree,
     st: &mut JtState,
     target: usize,
@@ -126,8 +134,8 @@ fn marginal(
 /// Replace all evidence on `st` with checked `pins` once, then answer
 /// every target with one marginal read against the now-cached messages:
 /// `k` targets cost one evidence propagation plus `k` collect passes.
-fn read_group(
-    model: &KertBn,
+fn read_group<M: ResponseTimeModel>(
+    model: &M,
     tree: &JunctionTree,
     st: &mut JtState,
     pins: &[(usize, usize)],
@@ -141,6 +149,19 @@ fn read_group(
         .iter()
         .map(|&t| marginal(model, tree, st, t))
         .collect()
+}
+
+/// Posteriors of every target under one shared evidence set: the
+/// evidence is entered once, then each target is one marginal read.
+pub(crate) fn posterior_group<M: ResponseTimeModel>(
+    model: &M,
+    tree: &JunctionTree,
+    st: &mut JtState,
+    evidence: &[(usize, f64)],
+    targets: &[usize],
+) -> Result<Vec<Posterior>> {
+    let pins = checked_pins(model, evidence, targets)?;
+    read_group(model, tree, st, &pins, targets)
 }
 
 /// dComp: prior and posterior of every target given one shared evidence
@@ -299,8 +320,7 @@ impl<'k> Session<'k> {
         targets: &[usize],
     ) -> Result<Vec<Posterior>> {
         let (model, tree, st) = self.parts();
-        let pins = checked_pins(model, evidence, targets)?;
-        read_group(model, tree, st, &pins, targets)
+        posterior_group(model, tree, st, evidence, targets)
     }
 
     /// dComp for every target given one shared evidence set: prior and
@@ -335,11 +355,13 @@ impl<'k> Session<'k> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcomp::{dcomp as dcomp_query, dcomp_all};
+    use crate::dcomp::dcomp_all;
     use crate::kert::{ContinuousKertOptions, DiscreteKertOptions};
-    use crate::paccel::{paccel_candidates, paccel_model};
+    use crate::oracle::{dcomp_via, paccel_via, violation_probability_via, Engine};
+    use crate::paccel::paccel_candidates;
     use crate::posterior::{query_posterior, McOptions};
-    use crate::violation::{assess_violation, assess_violation_sweep};
+    use crate::violation::assess_violation_sweep;
+    use kert_bayes::infer::EliminationHeuristic;
     use kert_sim::{Dist, ServiceConfig, SimOptions, SimSystem};
     use kert_workflow::{derive_structure, ediamond_workflow, ResourceMap, WorkflowKnowledge};
     use rand::rngs::StdRng;
@@ -367,6 +389,8 @@ mod tests {
         (knowledge, trace.to_dataset(None))
     }
 
+    const VE: Engine = Engine::VariableElimination(EliminationHeuristic::MinFill);
+
     fn discrete_model() -> KertBn {
         let (knowledge, data) = setup(600, 61);
         KertBn::build_discrete(&knowledge, &data, DiscreteKertOptions::default()).unwrap()
@@ -384,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn session_dcomp_matches_per_query_dcomp() {
+    fn session_dcomp_matches_ve_oracle() {
         let model = discrete_model();
         let observed = vec![(0usize, 0.05), (1, 0.06), (6, 0.6)];
         let targets = [2usize, 3, 4];
@@ -396,11 +420,12 @@ mod tests {
         assert_eq!(batch.len(), targets.len());
         let mut rng = StdRng::seed_from_u64(5);
         for out in &batch {
-            let single = dcomp_query(
+            let single = dcomp_via(
                 model.network(),
                 model.discretizer(),
                 &observed,
                 out.target,
+                VE,
                 McOptions::default(),
                 &mut rng,
             )
@@ -412,15 +437,24 @@ mod tests {
     }
 
     #[test]
-    fn session_paccel_matches_paccel_model() {
+    fn session_paccel_matches_ve_oracle() {
         let model = discrete_model();
         let shared = SharedKert::new(discrete_model()).unwrap();
         let candidates = vec![(3usize, 0.3), (0, 0.04), (3, 0.2)];
         let batch = shared.session().paccel(&candidates).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         for (out, &(service, pred)) in batch.iter().zip(&candidates) {
-            let single =
-                paccel_model(&model, service, pred, McOptions::default(), &mut rng).unwrap();
+            let single = paccel_via(
+                model.network(),
+                model.discretizer(),
+                model.d_node(),
+                service,
+                pred,
+                VE,
+                McOptions::default(),
+                &mut rng,
+            )
+            .unwrap();
             assert_eq!(out.service, service);
             assert!((out.prior_d.mean() - single.prior_d.mean()).abs() < 1e-9);
             assert!((out.projected_d.mean() - single.projected_d.mean()).abs() < 1e-9);
@@ -429,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn session_violation_sweep_matches_assess_violation() {
+    fn session_violation_sweep_matches_ve_oracle() {
         let model = discrete_model();
         let shared = SharedKert::new(discrete_model()).unwrap();
         let evidence = vec![(3usize, 0.4)];
@@ -440,9 +474,18 @@ mod tests {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         for (&h, &p) in thresholds.iter().zip(&probs) {
-            let single =
-                assess_violation(&model, &evidence, h, McOptions::default(), &mut rng).unwrap();
-            assert!((p - single.probability).abs() < 1e-9, "h={h}");
+            let single = violation_probability_via(
+                model.network(),
+                model.discretizer(),
+                &evidence,
+                model.d_node(),
+                h,
+                VE,
+                McOptions::default(),
+                &mut rng,
+            )
+            .unwrap();
+            assert!((p - single).abs() < 1e-9, "h={h}");
         }
     }
 
@@ -465,15 +508,7 @@ mod tests {
         // No evidence restores the prior.
         let prior = posterior(&mut session, &[], 6);
         let mut rng = StdRng::seed_from_u64(8);
-        let fresh = query_posterior(
-            model.network(),
-            model.discretizer(),
-            &[],
-            6,
-            McOptions::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let fresh = query_posterior(&model, &[], 6, McOptions::default(), &mut rng).unwrap();
         assert!((prior.mean() - fresh.mean()).abs() < 1e-9);
     }
 
@@ -551,6 +586,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
 
         let observed = vec![(0usize, 0.05), (1, 0.06), (6, 0.6)];
+        for target in [2usize, 6] {
+            let a = query_posterior(&model, &observed[..2], target, mc, &mut rng).unwrap();
+            let b = session.posterior_group(&observed[..2], &[target]).unwrap();
+            assert_eq!(dbits(&a), dbits(&b[0]));
+        }
+
         let targets = [2usize, 3, 4, 5];
         let a = dcomp_all(&model, &observed, &targets, mc, &mut rng).unwrap();
         let b = session.dcomp(&observed, &targets).unwrap();

@@ -13,7 +13,7 @@
 use rand::Rng;
 
 use crate::kert::KertBn;
-use crate::posterior::{query_posterior, query_posterior_via, Engine, McOptions, Posterior};
+use crate::posterior::{continuous_posterior, McOptions};
 use crate::serve;
 use crate::{CoreError, Result};
 
@@ -34,37 +34,11 @@ pub struct ViolationAssessment {
     pub degraded_services: Vec<usize>,
 }
 
-/// Assess `P(D > threshold | evidence)` under `model`, flagging degraded
-/// mode from the model's health report.
-pub fn assess_violation<R: Rng + ?Sized>(
-    model: &KertBn,
-    evidence: &[(usize, f64)],
-    threshold: f64,
-    mc: McOptions,
-    rng: &mut R,
-) -> Result<ViolationAssessment> {
-    let probability = violation_probability_via(
-        model.network(),
-        model.discretizer(),
-        evidence,
-        model.d_node(),
-        threshold,
-        Engine::Auto,
-        mc,
-        rng,
-    )?;
-    Ok(ViolationAssessment {
-        threshold,
-        probability,
-        degraded: model.is_degraded(),
-        degraded_services: model.degraded_services(),
-    })
-}
-
-/// [`assess_violation`] across a whole threshold sweep with one posterior
-/// query. Discrete models answer through a compiled junction tree (the
-/// same verb a [`crate::serve::Session`] runs); continuous models run one
-/// [`query_posterior`] and read every threshold's exceedance off it.
+/// Assess `P(D > h | evidence)` under `model` for every threshold `h`,
+/// flagging degraded mode from the model's health report. One posterior
+/// serves the whole sweep: discrete models read it off the model's
+/// junction tree (the same verb a [`crate::serve::Session`] runs);
+/// continuous models run one posterior query.
 pub fn assess_violation_sweep<R: Rng + ?Sized>(
     model: &KertBn,
     evidence: &[(usize, f64)],
@@ -77,14 +51,7 @@ pub fn assess_violation_sweep<R: Rng + ?Sized>(
             serve::violation_sweep(model, tree, st, evidence, thresholds)
         })?
     } else {
-        let posterior = query_posterior(
-            model.network(),
-            model.discretizer(),
-            evidence,
-            model.d_node(),
-            mc,
-            rng,
-        )?;
+        let posterior = continuous_posterior(model.network(), evidence, model.d_node(), mc, rng)?;
         thresholds
             .iter()
             .map(|&h| posterior.exceedance(h))
@@ -102,25 +69,6 @@ pub fn assess_violation_sweep<R: Rng + ?Sized>(
             degraded_services: degraded_services.clone(),
         })
         .collect())
-}
-
-/// `P(target > threshold | evidence)` with the inference engine pinned —
-/// the oracle-comparable entry point the conformance crate drives each
-/// fast path through. Unlike [`assess_violation`] it takes the network
-/// parts directly, so it also serves models without a [`KertBn`] wrapper.
-#[allow(clippy::too_many_arguments)]
-pub fn violation_probability_via<R: Rng + ?Sized>(
-    network: &kert_bayes::BayesianNetwork,
-    discretizer: Option<&kert_bayes::discretize::Discretizer>,
-    evidence: &[(usize, f64)],
-    target: usize,
-    threshold: f64,
-    engine: Engine,
-    mc: McOptions,
-    rng: &mut R,
-) -> Result<f64> {
-    let posterior = query_posterior_via(network, discretizer, evidence, target, engine, mc, rng)?;
-    Ok(posterior.exceedance(threshold))
 }
 
 /// Empirical `P(D > h)` from observed response times.
@@ -142,27 +90,6 @@ pub fn relative_violation_error(p_model: f64, p_real: f64) -> Result<f64> {
         ));
     }
     Ok((p_model - p_real).abs() / p_real)
-}
-
-/// ε across a threshold sweep: pairs each model posterior exceedance with
-/// the empirical probability from `real_d`. Thresholds with zero empirical
-/// mass are skipped (returned as `None`), mirroring Eq. 5's domain.
-pub fn violation_error_sweep(
-    posterior_d: &Posterior,
-    real_d: &[f64],
-    thresholds: &[f64],
-) -> Vec<Option<f64>> {
-    thresholds
-        .iter()
-        .map(|&h| {
-            let p_real = empirical_violation_probability(real_d, h);
-            if p_real <= 0.0 {
-                None
-            } else {
-                Some((posterior_d.exceedance(h) - p_real).abs() / p_real)
-            }
-        })
-        .collect()
 }
 
 /// Evenly spaced thresholds covering the central mass of observed response
@@ -198,32 +125,6 @@ mod tests {
         assert!((relative_violation_error(0.12, 0.10).unwrap() - 0.2).abs() < 1e-12);
         kert_conformance::assert_close!(relative_violation_error(0.10, 0.10).unwrap(), 0.0, 1e-12);
         assert!(relative_violation_error(0.1, 0.0).is_err());
-    }
-
-    #[test]
-    fn sweep_skips_zero_mass_thresholds() {
-        let post = Posterior::Gaussian {
-            mean: 2.0,
-            variance: 1.0,
-        };
-        let real = [1.0, 2.0, 3.0];
-        let errors = violation_error_sweep(&post, &real, &[0.0, 2.5, 10.0]);
-        assert!(errors[0].is_some());
-        assert!(errors[1].is_some());
-        assert!(errors[2].is_none()); // nothing exceeds 10
-    }
-
-    #[test]
-    fn perfect_model_has_zero_error_on_matching_distribution() {
-        // Discrete posterior exactly matching the empirical histogram.
-        let real = [1.0, 1.0, 3.0, 3.0];
-        let post = Posterior::Discrete {
-            support: vec![1.0, 3.0],
-            probs: vec![0.5, 0.5],
-            bounds: None,
-        };
-        let errs = violation_error_sweep(&post, &real, &[2.0]);
-        assert_eq!(errs[0], Some(0.0));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example autonomic_paccel`
 
 use kert_bn::model::posterior::McOptions;
-use kert_bn::model::{paccel, DiscreteKertOptions};
+use kert_bn::model::{paccel_candidates, DiscreteKertOptions};
 use kert_bn::prelude::*;
 use kert_bn::workflow::EDIAMOND_SERVICES;
 use rand::rngs::StdRng;
@@ -51,16 +51,14 @@ fn main() {
     #[allow(clippy::needless_range_loop)] // s indexes train columns, names, and means alike
     for s in 0..6 {
         let mean_s = kert_linalg::stats::mean(&train.column(s));
-        let outcome = paccel(
-            model.network(),
-            model.discretizer(),
-            model.d_node(),
-            s,
-            0.8 * mean_s,
+        let outcome = paccel_candidates(
+            &model,
+            &[(s, 0.8 * mean_s)],
             McOptions::default(),
             &mut q_rng,
         )
-        .expect("pAccel runs");
+        .expect("pAccel runs")
+        .remove(0);
         let gain = outcome.mean_improvement();
         println!(
             "  {:<24} {:>10.4} s {:>16.3}",

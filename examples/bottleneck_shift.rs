@@ -89,24 +89,8 @@ fn main() {
     // The stale model misjudges the new regime; the reconstructed one
     // tracks it — the reason the paper rebuilds models every T_CON.
     let mut q_rng = StdRng::seed_from_u64(4);
-    let stale = query_posterior(
-        calm_model.network(),
-        calm_model.discretizer(),
-        &[],
-        6,
-        McOptions::default(),
-        &mut q_rng,
-    )
-    .unwrap();
-    let fresh = query_posterior(
-        surge_model.network(),
-        surge_model.discretizer(),
-        &[],
-        6,
-        McOptions::default(),
-        &mut q_rng,
-    )
-    .unwrap();
+    let stale = query_posterior(&calm_model, &[], 6, McOptions::default(), &mut q_rng).unwrap();
+    let fresh = query_posterior(&surge_model, &[], 6, McOptions::default(), &mut q_rng).unwrap();
     println!(
         "\nExpected D under the surge: actual {d_surge:.3} s — stale model says {:.3} s, \
          reconstructed model says {:.3} s.",

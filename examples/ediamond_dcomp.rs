@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example ediamond_dcomp`
 
 use kert_bn::model::posterior::McOptions;
-use kert_bn::model::{dcomp, DiscreteKertOptions};
+use kert_bn::model::{dcomp_all, DiscreteKertOptions};
 use kert_bn::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,15 +59,15 @@ fn main() {
     let actual = kert_linalg::stats::mean(&current.column(HIDDEN));
 
     let mut q_rng = StdRng::seed_from_u64(5);
-    let outcome = dcomp(
-        model.network(),
-        model.discretizer(),
+    let outcome = dcomp_all(
+        &model,
         &observed,
-        HIDDEN,
+        &[HIDDEN],
         McOptions::default(),
         &mut q_rng,
     )
-    .expect("dComp runs");
+    .expect("dComp runs")
+    .remove(0);
 
     println!("Service gone silent: image_locator_remote (X4)");
     println!("  evidence: current means of the 5 observable services + D");

@@ -71,8 +71,7 @@ fn main() {
     // breach at 1 second?"
     let mut q_rng = StdRng::seed_from_u64(1);
     let d_posterior = query_posterior(
-        model.network(),
-        model.discretizer(),
+        &model,
         &[],
         model.d_node(),
         McOptions::default(),
@@ -92,8 +91,7 @@ fn main() {
     // "If the remote locator's elapsed time rises to 0.5 s, what happens
     // end-to-end?" (conditioning, the dComp/pAccel building block)
     let what_if = query_posterior(
-        model.network(),
-        model.discretizer(),
+        &model,
         &[(3, 0.5)],
         model.d_node(),
         McOptions::default(),

@@ -83,8 +83,7 @@ fn main() {
 
     let mut q_rng = StdRng::seed_from_u64(9);
     let without = query_posterior(
-        model.network(),
-        model.discretizer(),
+        &model,
         &service_evidence,
         HIDDEN,
         McOptions::default(),
@@ -92,8 +91,7 @@ fn main() {
     )
     .expect("inference runs");
     let with = query_posterior(
-        model.network(),
-        model.discretizer(),
+        &model,
         &full_evidence,
         HIDDEN,
         McOptions::default(),

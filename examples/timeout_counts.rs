@@ -85,8 +85,7 @@ fn main() {
     let bad_t4 = kert_linalg::stats::quantile(&t4, 0.95);
     let mut q_rng = StdRng::seed_from_u64(12);
     let baseline = query_posterior(
-        model.network(),
-        model.discretizer(),
+        &model,
         &[],
         model.d_node(),
         McOptions::default(),
@@ -94,8 +93,7 @@ fn main() {
     )
     .unwrap();
     let degraded = query_posterior(
-        model.network(),
-        model.discretizer(),
+        &model,
         &[(3, bad_t4)],
         model.d_node(),
         McOptions::default(),

@@ -21,7 +21,7 @@ use std::process::ExitCode;
 
 use kert_bn::model::posterior::{query_posterior, McOptions};
 use kert_bn::model::{
-    ContinuousKertOptions, DiscreteKertOptions, KertBn, NrtBn, NrtOptions, SavedModel,
+    ContinuousKertOptions, DiscreteKertOptions, KertBn, ModelKind, NrtBn, NrtOptions, SavedModel,
 };
 use kert_bn::prelude::*;
 use kert_bn::workflow::{random_workflow, GenOptions};
@@ -406,20 +406,22 @@ fn parse_evidence(flags: &Flags) -> Result<Vec<(usize, f64)>, String> {
         .collect()
 }
 
+/// One posterior off the saved model: a discrete model answers from its
+/// own junction tree, a continuous one by Gaussian conditioning or
+/// likelihood weighting.
 fn run_query(
     saved: &SavedModel,
     target: usize,
     evidence: &[(usize, f64)],
 ) -> Result<kert_bn::model::Posterior, String> {
-    let mut rng = StdRng::seed_from_u64(7);
-    query_posterior(
-        &saved.network,
-        saved.discretizer.as_ref(),
-        evidence,
-        target,
-        McOptions::default(),
-        &mut rng,
-    )
+    let (mc, mut rng) = (McOptions::default(), StdRng::seed_from_u64(7));
+    let saved = saved.clone();
+    match saved.kind {
+        ModelKind::Kert => KertBn::from_saved(saved)
+            .and_then(|model| query_posterior(&model, evidence, target, mc, &mut rng)),
+        ModelKind::Nrt => NrtBn::from_saved(saved)
+            .and_then(|model| query_posterior(&model, evidence, target, mc, &mut rng)),
+    }
     .map_err(|e| e.to_string())
 }
 

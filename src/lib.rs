@@ -62,9 +62,9 @@ pub mod prelude {
     };
     pub use kert_bayes::{BayesianNetwork, Dataset, Expr};
     pub use kert_core::{
-        assess_violation, compensate_degraded, dcomp, paccel, ContinuousKertOptions,
-        DiscreteKertOptions, KertBn, NrtBn, NrtOptions, ParamLearning, Posterior,
-        ResilientKertOptions,
+        assess_violation_sweep, compensate_degraded, dcomp_all, paccel_candidates,
+        ContinuousKertOptions, DiscreteKertOptions, KertBn, NrtBn, NrtOptions, ParamLearning,
+        Posterior, ResilientKertOptions,
     };
     pub use kert_sim::{
         Dist, FaultInjector, FaultPlan, ServiceConfig, SimOptions, SimSystem, Trace,

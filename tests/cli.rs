@@ -154,6 +154,82 @@ fn random_environment_and_nrt_family() {
     let _ = std::fs::remove_file(&model);
 }
 
+/// A discrete NRT-BN answers `query` and `violation` off its own junction
+/// tree, and a node given twice is refused.
+#[test]
+fn discrete_nrt_family_answers_queries() {
+    let scenario = tmp("nrt-scenario.json");
+    let model = tmp("nrt-model.json");
+    let run = |args: &[&str]| {
+        let out = kertctl(args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (scenario_path, model_path) = (scenario.to_str().unwrap(), model.to_str().unwrap());
+    run(&[
+        "simulate",
+        "--ediamond",
+        "--requests",
+        "400",
+        "--seed",
+        "5",
+        "--out",
+        scenario_path,
+    ]);
+    run(&[
+        "build",
+        "--scenario",
+        scenario_path,
+        "--family",
+        "nrt",
+        "--mode",
+        "discrete",
+        "--out",
+        model_path,
+    ]);
+
+    // Header, mean, sd, then one row per state of D (5 bins).
+    let stdout = run(&[
+        "query", "--model", model_path, "--target", "6", "--given", "0=0.05", "--given", "3=0.4",
+    ]);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(lines[0].starts_with("posterior of D given"), "{stdout}");
+    assert!(lines[1].contains("mean ="), "{stdout}");
+    assert!(lines[2].contains("sd   ="), "{stdout}");
+    assert_eq!(lines.len(), 3 + 5, "{stdout}");
+    let mass: f64 = lines[3..]
+        .iter()
+        .map(|l| l.split_whitespace().nth(1).unwrap().parse::<f64>().unwrap())
+        .sum();
+    assert!((mass - 1.0).abs() < 1e-3, "{stdout}");
+
+    let stdout = run(&[
+        "violation",
+        "--model",
+        model_path,
+        "--threshold",
+        "0.8",
+        "--given",
+        "0=0.05",
+    ]);
+    assert!(stdout.starts_with("P(D > 0.8) = "), "{stdout}");
+    assert!(stdout.contains("(E[D] = "), "{stdout}");
+
+    let out = kertctl(&[
+        "query", "--model", model_path, "--target", "6", "--given", "0=0.05", "--given", "0=0.2",
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("more than once"), "{stderr}");
+
+    let _ = std::fs::remove_file(&scenario);
+    let _ = std::fs::remove_file(&model);
+}
+
 #[test]
 fn errors_are_reported_not_panicked() {
     // Unknown command.

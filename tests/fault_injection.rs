@@ -10,7 +10,8 @@ use kert_bn::agents::runtime::{CpdCache, ResilientOptions};
 use kert_bn::agents::{CpdSource, FaultyFleet, RetryPolicy};
 use kert_bn::model::posterior::McOptions;
 use kert_bn::model::{
-    assess_violation, compensate_degraded, paccel_model, query_posterior, ResilientKertOptions,
+    assess_violation_sweep, compensate_degraded, paccel_candidates, query_posterior,
+    ResilientKertOptions,
 };
 use kert_bn::prelude::*;
 use kert_bn::sim::monitor::agents_from_edges;
@@ -111,11 +112,15 @@ fn all_but_one_agent_crashed_still_yields_a_complete_model() {
     // The autonomic surfaces carry the degradation flag.
     let mc = McOptions::default();
     let mut rng = StdRng::seed_from_u64(seed());
-    let assessment = assess_violation(&model, &[], 1.0, mc, &mut rng).unwrap();
+    let assessment = assess_violation_sweep(&model, &[], &[1.0], mc, &mut rng)
+        .unwrap()
+        .remove(0);
     assert!(assessment.degraded);
     assert_eq!(assessment.degraded_services, (1..N).collect::<Vec<_>>());
     assert!(assessment.probability.is_finite());
-    let pa = paccel_model(&model, 0, 0.01, mc, &mut rng).unwrap();
+    let pa = paccel_candidates(&model, &[(0, 0.01)], mc, &mut rng)
+        .unwrap()
+        .remove(0);
     assert!(pa.degraded);
 }
 
@@ -154,7 +159,7 @@ fn crashed_node_estimates_are_compensated_from_healthy_observables() {
         let col = eval.column(3);
         col.iter().sum::<f64>() / col.len() as f64
     };
-    let marginal = query_posterior(model.network(), model.discretizer(), &[], 3, mc, &mut rng)
+    let marginal = query_posterior(&model, &[], 3, mc, &mut rng)
         .unwrap()
         .mean();
     assert!(

@@ -81,8 +81,7 @@ fn sliding_window_rebuilds_track_an_environment_change() {
     let mut q_rng = StdRng::seed_from_u64(11);
     let predict = |m: &KertBn, rng: &mut StdRng| {
         kert_bn::model::posterior::query_posterior(
-            m.network(),
-            m.discretizer(),
+            m,
             &[],
             6,
             kert_bn::model::posterior::McOptions::default(),
