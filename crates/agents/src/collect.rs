@@ -69,11 +69,6 @@ impl<'a> FaultyFleet<'a> {
             window_starts,
         }
     }
-
-    /// Number of trace windows available.
-    pub fn n_windows(&self) -> usize {
-        self.windows.len()
-    }
 }
 
 impl ReportSource for FaultyFleet<'_> {
@@ -247,7 +242,7 @@ mod tests {
         let windows = demo_windows(2, 3, 4);
         let injector = FaultInjector::healthy(2);
         let mut fleet = FaultyFleet::new(&agents, &windows, &injector);
-        assert_eq!(fleet.n_windows(), 3);
+        assert_eq!(fleet.windows.len(), 3);
         let (report, stats) = collect_report(&mut fleet, 1, 2, &RetryPolicy::default());
         let report = report.expect("healthy delivery");
         assert_eq!(report.row_ids, vec![8, 9, 10, 11]);

@@ -60,9 +60,6 @@ pub struct DecentralizedResult {
     /// `max(node_times)` — the latency of the fleet (each agent on its own
     /// machine).
     pub decentralized_time: Duration,
-    /// Wall-clock time of the pooled run on *this* machine (≥ the fleet
-    /// latency when workers < nodes).
-    pub wall_time: Duration,
 }
 
 /// Outcome of centralized learning.
@@ -125,7 +122,6 @@ pub fn decentralized_learn(
     let next_task = AtomicUsize::new(0);
     let results: Vec<TaskCell> = (0..n).map(|_| Mutex::new(None)).collect();
 
-    let wall_start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -142,7 +138,6 @@ pub fn decentralized_learn(
             });
         }
     });
-    let wall_time = wall_start.elapsed();
 
     let mut cpds = Vec::with_capacity(n);
     let mut node_times = Vec::with_capacity(n);
@@ -165,7 +160,6 @@ pub fn decentralized_learn(
         cpds,
         node_times,
         decentralized_time,
-        wall_time,
     })
 }
 
@@ -236,31 +230,6 @@ impl CpdCache {
             .get(node)
             .and_then(|e| e.as_ref())
             .map(|(cpd, age)| (cpd, *age))
-    }
-
-    /// Number of node slots (occupied or not).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no node has a cached CPD.
-    pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(|e| e.is_none())
-    }
-
-    /// Iterate the occupied slots as `(node, cpd, age)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Cpd, usize)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(node, e)| e.as_ref().map(|(cpd, age)| (node, cpd, *age)))
-    }
-
-    /// Oldest cached age, if anything is cached. Bounded by
-    /// [`Self::MAX_AGE`], so health gauges can never report wrapped or
-    /// precision-mangled staleness.
-    pub fn max_age(&self) -> Option<usize> {
-        self.entries.iter().flatten().map(|(_, age)| *age).max()
     }
 
     /// Advance one window: every cached CPD gets older, saturating at
@@ -584,6 +553,7 @@ mod tests {
 
     #[test]
     fn cache_ages_saturate_at_the_documented_bound() {
+        let max_age = |c: &CpdCache| c.entries.iter().flatten().map(|(_, age)| *age).max();
         let mut cache = CpdCache::new(2);
         cache.store(0, Cpd::LinearGaussian(LinearGaussianCpd::root(0, 1.0, 1.0)));
         cache.store_aged(
@@ -591,14 +561,14 @@ mod tests {
             Cpd::LinearGaussian(LinearGaussianCpd::root(1, 2.0, 1.0)),
             CpdCache::MAX_AGE - 1,
         );
-        assert_eq!(cache.max_age(), Some(CpdCache::MAX_AGE - 1));
+        assert_eq!(max_age(&cache), Some(CpdCache::MAX_AGE - 1));
         cache.tick();
         assert_eq!(cache.get(0).unwrap().1, 1);
         assert_eq!(cache.get(1).unwrap().1, CpdCache::MAX_AGE);
         // Ticking past the bound pins rather than wraps.
         cache.tick();
         assert_eq!(cache.get(1).unwrap().1, CpdCache::MAX_AGE);
-        assert_eq!(cache.max_age(), Some(CpdCache::MAX_AGE));
+        assert_eq!(max_age(&cache), Some(CpdCache::MAX_AGE));
         // Restoring an over-bound age clamps on entry.
         cache.store_aged(
             0,
@@ -606,9 +576,8 @@ mod tests {
             usize::MAX,
         );
         assert_eq!(cache.get(0).unwrap().1, CpdCache::MAX_AGE);
-        assert_eq!(cache.len(), 2);
-        assert!(!cache.is_empty());
-        assert_eq!(cache.iter().count(), 2);
+        assert_eq!(cache.entries.len(), 2);
+        assert_eq!(cache.entries.iter().flatten().count(), 2);
     }
 
     #[test]

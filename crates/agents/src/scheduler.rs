@@ -42,16 +42,6 @@ impl ModelSchedule {
         }
     }
 
-    /// The §5 test-bed setting: `T_DATA = 20 s`, `α = 120` (`T_CON` =
-    /// 20 min), `K = 10`.
-    pub fn testbed_section() -> Self {
-        ModelSchedule {
-            t_data: 20.0,
-            alpha_model: 120,
-            k: 10,
-        }
-    }
-
     /// Validate ranges.
     pub fn validate(&self) -> Result<()> {
         if self.t_data <= 0.0 || !self.t_data.is_finite() {
@@ -111,11 +101,6 @@ impl ReconstructionWindow {
             batches_since_build: 0,
             rebuilds: 0,
         })
-    }
-
-    /// The schedule in force.
-    pub fn schedule(&self) -> &ModelSchedule {
-        &self.schedule
     }
 
     /// Number of reconstructions triggered so far.
@@ -221,7 +206,11 @@ mod tests {
         // 1200 training points. The points figure (K·α = 1200) is consistent,
         // but α·T_DATA is 2400 s = 40 min, not 20 — a small arithmetic slip
         // in the paper. We keep Eq. 2 authoritative.
-        let s = ModelSchedule::testbed_section();
+        let s = ModelSchedule {
+            t_data: 20.0,
+            alpha_model: 120,
+            k: 10,
+        };
         assert_eq!(s.t_con(), 2400.0);
         assert_eq!(s.points_per_window(), 1200);
     }

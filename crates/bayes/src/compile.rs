@@ -142,6 +142,24 @@ fn is_subset(small: &[usize], big: &[usize]) -> bool {
     true
 }
 
+/// Entries of a dense `f64` table over `scope`, or
+/// [`BayesError::TableTooLarge`] when its bytes would pass `isize::MAX`,
+/// the most one allocation can hold. The product is checked: a wrapped one
+/// would fail at allocation or size the table too small.
+fn table_len(scope: &[usize], cards: &[usize]) -> Result<usize> {
+    scope
+        .iter()
+        .try_fold(1usize, |len, &v| len.checked_mul(cards[v]))
+        .filter(|len| {
+            len.checked_mul(std::mem::size_of::<f64>())
+                .is_some_and(|bytes| bytes <= isize::MAX as usize)
+        })
+        .ok_or_else(|| BayesError::TableTooLarge {
+            vars: scope.len(),
+            entries: scope.iter().map(|&v| cards[v] as f64).product(),
+        })
+}
+
 fn intersect(a: &[usize], b: &[usize]) -> Vec<usize> {
     let (mut i, mut j) = (0, 0);
     let mut out = Vec::new();
@@ -181,21 +199,33 @@ impl JunctionTree {
                 "junction-tree compilation requires an all-discrete network".into(),
             ));
         }
-        let factors: Vec<Factor> = network
+        // Triangulate on the family scopes alone: every table is sized
+        // before any is built, so a network too large to tabulate is
+        // refused instead of overflowing an allocation.
+        let families: Vec<Vec<usize>> = network
             .cpds()
             .iter()
-            .map(|c| Factor::from_cpd(c, &cards))
-            .collect::<Result<_>>()?;
+            .map(|c| {
+                let mut scope = c.parents().to_vec();
+                scope.push(c.child());
+                scope.sort_unstable();
+                scope
+            })
+            .collect();
 
         // Triangulate: eliminate every node in min-fill order on the moral
         // graph, recording {v} ∪ live-neighbours(v) as a candidate clique
         // and adding the induced fill edges.
         let all: Vec<usize> = (0..n).collect();
-        let order = elimination_ordering(&factors, &all, EliminationHeuristic::MinFill);
+        let order = elimination_ordering(
+            families.iter().map(Vec::as_slice),
+            &all,
+            EliminationHeuristic::MinFill,
+        );
         let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        for f in &factors {
-            for &a in f.vars() {
-                adj[a].extend(f.vars().iter().copied().filter(|&b| b != a));
+        for scope in &families {
+            for &a in scope {
+                adj[a].extend(scope.iter().copied().filter(|&b| b != a));
             }
         }
         let mut eliminated = vec![false; n];
@@ -223,6 +253,17 @@ impl JunctionTree {
             cliques.retain(|k| !is_subset(k, &c));
             cliques.push(c);
         }
+        // Every family lies inside a clique (below, each factor finds its
+        // home clique), so sizing the cliques sizes every family table too.
+        let clique_lens: Vec<usize> = cliques
+            .iter()
+            .map(|scope| table_len(scope, &cards))
+            .collect::<Result<_>>()?;
+        let factors: Vec<Factor> = network
+            .cpds()
+            .iter()
+            .map(|c| Factor::from_cpd(c, &cards))
+            .collect::<Result<_>>()?;
         let m = cliques.len();
 
         // Max-weight spanning forest over separator sizes (Kruskal with
@@ -271,10 +312,10 @@ impl JunctionTree {
         // allocating one (in `D`'s clique each is a `bins^(n+1)` table).
         let mut base: Vec<Factor> = cliques
             .iter()
-            .map(|scope| {
+            .zip(&clique_lens)
+            .map(|(scope, &len)| {
                 let scope_cards: Vec<usize> = scope.iter().map(|&v| cards[v]).collect();
-                let total: usize = scope_cards.iter().product();
-                Factor::new(scope.clone(), scope_cards, vec![1.0; total])
+                Factor::new(scope.clone(), scope_cards, vec![1.0; len])
             })
             .collect::<Result<_>>()?;
         let mut ws = QueryWorkspace::new();
@@ -324,17 +365,6 @@ impl JunctionTree {
     /// Scope of clique `i` (ascending node indices).
     pub fn clique_scope(&self, i: usize) -> &[usize] {
         &self.cliques[i]
-    }
-
-    /// Number of tree edges (cliques − connected components).
-    pub fn n_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Endpoints and separator of tree edge `e`.
-    pub fn edge(&self, e: usize) -> (usize, usize, &[usize]) {
-        let te = &self.edges[e];
-        (te.a, te.b, &te.separator)
     }
 
     /// Induced width: largest clique size minus one.
@@ -697,9 +727,9 @@ mod tests {
             );
         }
         // Separators are exact intersections.
-        for e in 0..jt.n_edges() {
-            let (a, b, sep) = jt.edge(e);
-            assert_eq!(sep, intersect(jt.clique_scope(a), jt.clique_scope(b)));
+        for edge in &jt.edges {
+            let want = intersect(jt.clique_scope(edge.a), jt.clique_scope(edge.b));
+            assert_eq!(edge.separator, want);
         }
         // Running intersection: the cliques containing each node form a
         // connected subtree (count via edges whose separator holds it).
@@ -707,9 +737,7 @@ mod tests {
             let holding = (0..jt.n_cliques())
                 .filter(|&i| jt.clique_scope(i).contains(&v))
                 .count();
-            let connecting = (0..jt.n_edges())
-                .filter(|&e| jt.edge(e).2.contains(&v))
-                .count();
+            let connecting = jt.edges.iter().filter(|e| e.separator.contains(&v)).count();
             assert_eq!(
                 connecting,
                 holding - 1,

@@ -329,15 +329,6 @@ impl DeterministicCpd {
             }
         }
     }
-
-    /// Free parameters: none are learned from data — that is the point.
-    /// (σ may be *estimated* from residuals as a convenience, counted as 1.)
-    pub fn parameter_count(&self) -> usize {
-        match self.noise {
-            DetNoise::Gaussian { .. } => 1,
-            DetNoise::Discrete { .. } => 1,
-        }
-    }
 }
 
 #[cfg(test)]

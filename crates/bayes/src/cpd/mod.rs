@@ -80,16 +80,6 @@ impl Cpd {
             Cpd::Deterministic(c) => c.sample(rng, parent_values),
         }
     }
-
-    /// Number of free parameters (for BIC-style penalties and the paper's
-    /// "parameter learning cost" accounting).
-    pub fn parameter_count(&self) -> usize {
-        match self {
-            Cpd::Tabular(c) => c.parameter_count(),
-            Cpd::LinearGaussian(c) => c.parameter_count(),
-            Cpd::Deterministic(c) => c.parameter_count(),
-        }
-    }
 }
 
 /// Mixed-radix index of a discrete parent configuration.

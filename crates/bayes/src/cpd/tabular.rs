@@ -216,11 +216,6 @@ impl TabularCpd {
         }
         (self.card - 1) as f64
     }
-
-    /// Free parameters: `(card − 1)` per parent configuration.
-    pub fn parameter_count(&self) -> usize {
-        config_count(&self.parent_cards) * (self.card - 1)
-    }
 }
 
 #[cfg(test)]
@@ -282,12 +277,6 @@ mod tests {
             .count();
         let frac = ones as f64 / n as f64;
         assert!((frac - 0.8).abs() < 0.02, "frac={frac}");
-    }
-
-    #[test]
-    fn parameter_count_matches_formula() {
-        let cpd = TabularCpd::uniform(0, vec![1, 2], 3, vec![4, 5]);
-        assert_eq!(cpd.parameter_count(), 4 * 5 * 2);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! produces exactly that). Rows are observations (one per monitored request
 //! or reporting interval), columns are variables in network node order.
 
-use kert_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::{BayesError, Result};
@@ -89,24 +88,6 @@ impl Dataset {
         (0..self.rows()).map(|r| self.get(r, col)).collect()
     }
 
-    /// Look up a column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Value at `(row, col)` interpreted as a discrete state index.
-    ///
-    /// Fails if the value is not a small non-negative integer.
-    pub fn state(&self, row: usize, col: usize) -> Result<usize> {
-        let v = self.get(row, col);
-        if v < 0.0 || v.fract() != 0.0 || v > (usize::MAX / 2) as f64 {
-            return Err(BayesError::InvalidData(format!(
-                "value {v} at ({row},{col}) is not a discrete state index"
-            )));
-        }
-        Ok(v as usize)
-    }
-
     /// The last `k` rows as a new dataset (the sliding window `W` of the
     /// paper's reconstruction scheme keeps only recent data).
     pub fn tail(&self, k: usize) -> Dataset {
@@ -160,12 +141,6 @@ impl Dataset {
         self.values.extend_from_slice(&other.values);
         Ok(())
     }
-
-    /// View as a `kert_linalg::Matrix` (copies).
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.rows(), self.columns(), self.values.clone())
-            .expect("dataset is rectangular by construction")
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +163,6 @@ mod tests {
         assert_eq!(ds.get(1, 1), 20.0);
         assert_eq!(ds.row(2), &[3.0, 30.0]);
         assert_eq!(ds.column(0), vec![1.0, 2.0, 3.0]);
-        assert_eq!(ds.column_index("b"), Some(1));
-        assert_eq!(ds.column_index("zzz"), None);
     }
 
     #[test]
@@ -197,15 +170,6 @@ mod tests {
         let mut ds = demo();
         assert!(ds.push_row(vec![1.0]).is_err());
         assert_eq!(ds.rows(), 3);
-    }
-
-    #[test]
-    fn state_parses_integers_only() {
-        let ds =
-            Dataset::from_rows(vec!["s".into()], vec![vec![2.0], vec![1.5], vec![-1.0]]).unwrap();
-        assert_eq!(ds.state(0, 0).unwrap(), 2);
-        assert!(ds.state(1, 0).is_err());
-        assert!(ds.state(2, 0).is_err());
     }
 
     #[test]
@@ -240,12 +204,5 @@ mod tests {
         assert_eq!(a.rows(), 6);
         let c = Dataset::new(vec!["x".into(), "b".into()]);
         assert!(a.extend_from(&c).is_err());
-    }
-
-    #[test]
-    fn to_matrix_matches() {
-        let m = demo().to_matrix();
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.get(2, 1), 30.0);
     }
 }

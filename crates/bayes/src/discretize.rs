@@ -2,23 +2,14 @@
 //!
 //! The paper's test-bed section (§5) uses *discrete* KERT-BNs: elapsed-time
 //! measurements are binned into a small number of states. This module
-//! provides equal-width and equal-frequency binning fitted on training
-//! data, plus the bin metadata (interior edges, representative midpoints)
+//! provides equal-frequency binning fitted on training data, plus the bin
+//! metadata (interior edges, representative midpoints)
 //! that the deterministic CPD needs to evaluate `f` on state indices.
 
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::{BayesError, Result};
-
-/// Binning strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BinStrategy {
-    /// Bins of equal value width between the observed min and max.
-    EqualWidth,
-    /// Bins holding (approximately) equal numbers of training points.
-    EqualFrequency,
-}
 
 /// Discretization of a single continuous column into `bins` states.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -41,8 +32,8 @@ pub struct ColumnBins {
 }
 
 impl ColumnBins {
-    /// Fit bins on training values.
-    pub fn fit(values: &[f64], bins: usize, strategy: BinStrategy) -> Result<Self> {
+    /// Fit equal-frequency bins on training values.
+    pub fn fit(values: &[f64], bins: usize) -> Result<Self> {
         if bins < 2 {
             return Err(BayesError::InvalidData(format!(
                 "need at least 2 bins, got {bins}"
@@ -52,25 +43,17 @@ impl ColumnBins {
             return Err(BayesError::InvalidData("cannot fit bins on no data".into()));
         }
         let (lo, hi) = kert_linalg::stats::min_max(values);
-        let span = (hi - lo).max(1e-12);
-        let edges: Vec<f64> = match strategy {
-            BinStrategy::EqualWidth => (1..bins)
-                .map(|k| lo + span * k as f64 / bins as f64)
-                .collect(),
-            BinStrategy::EqualFrequency => {
-                let mut edges: Vec<f64> = (1..bins)
-                    .map(|k| kert_linalg::stats::quantile(values, k as f64 / bins as f64))
-                    .collect();
-                // Quantiles of heavily tied data may repeat; nudge to keep
-                // edges strictly increasing so every state is reachable.
-                for i in 1..edges.len() {
-                    if edges[i] <= edges[i - 1] {
-                        edges[i] = edges[i - 1].next_up();
-                    }
-                }
-                edges
+        // Bins holding (approximately) equal numbers of training points.
+        let mut edges: Vec<f64> = (1..bins)
+            .map(|k| kert_linalg::stats::quantile(values, k as f64 / bins as f64))
+            .collect();
+        // Quantiles of heavily tied data may repeat; nudge to keep edges
+        // strictly increasing so every state is reachable.
+        for i in 1..edges.len() {
+            if edges[i] <= edges[i - 1] {
+                edges[i] = edges[i - 1].next_up();
             }
-        };
+        }
         // Representatives: within-bin training means, geometric centers for
         // empty bins.
         let mut sums = vec![0.0f64; bins];
@@ -142,11 +125,11 @@ pub struct Discretizer {
 }
 
 impl Discretizer {
-    /// Fit per-column bins on a training dataset (same bin count and
-    /// strategy for every column).
-    pub fn fit(data: &Dataset, bins: usize, strategy: BinStrategy) -> Result<Self> {
+    /// Fit per-column bins on a training dataset (same bin count for every
+    /// column).
+    pub fn fit(data: &Dataset, bins: usize) -> Result<Self> {
         let columns = (0..data.columns())
-            .map(|c| ColumnBins::fit(&data.column(c), bins, strategy))
+            .map(|c| ColumnBins::fit(&data.column(c), bins))
             .collect::<Result<Vec<_>>>()?;
         Ok(Discretizer { columns })
     }
@@ -183,12 +166,6 @@ impl Discretizer {
         }
         Ok(out)
     }
-
-    /// Cardinality of every column (uniform by construction, but exposed
-    /// per-column for generality).
-    pub fn cardinalities(&self) -> Vec<usize> {
-        self.columns.iter().map(ColumnBins::bins).collect()
-    }
 }
 
 #[cfg(test)]
@@ -196,9 +173,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn equal_width_bins_partition_the_range() {
+    fn bins_partition_the_range_at_known_quantiles() {
+        // Eleven evenly spaced points: the k/5 quantiles fall exactly on
+        // the points 2, 4, 6 and 8.
         let values: Vec<f64> = (0..=10).map(|i| i as f64).collect();
-        let bins = ColumnBins::fit(&values, 5, BinStrategy::EqualWidth).unwrap();
+        let bins = ColumnBins::fit(&values, 5).unwrap();
         assert_eq!(bins.bins(), 5);
         assert_eq!(bins.edges, vec![2.0, 4.0, 6.0, 8.0]);
         assert_eq!(bins.state(0.0), 0);
@@ -213,7 +192,7 @@ mod tests {
     #[test]
     fn representatives_are_within_bin_means() {
         let values: Vec<f64> = (0..=10).map(|i| i as f64).collect();
-        let bins = ColumnBins::fit(&values, 5, BinStrategy::EqualWidth).unwrap();
+        let bins = ColumnBins::fit(&values, 5).unwrap();
         // Bin 0 holds {0, 1}, bin 1 holds {2, 3}, …, bin 4 holds {8, 9, 10}.
         assert_eq!(bins.midpoints, vec![0.5, 2.5, 4.5, 6.5, 9.0]);
         assert_eq!(bins.midpoint(2), 4.5);
@@ -225,7 +204,7 @@ mod tests {
         // representative must sit on its data, not halfway to the outlier.
         let mut values: Vec<f64> = (0..99).map(|i| i as f64 * 0.01).collect();
         values.push(1000.0);
-        let bins = ColumnBins::fit(&values, 4, BinStrategy::EqualFrequency).unwrap();
+        let bins = ColumnBins::fit(&values, 4).unwrap();
         let top = *bins.midpoints.last().unwrap();
         let lower_sane = bins.midpoints[..3].iter().all(|&m| m < 1.0);
         assert!(lower_sane, "midpoints={:?}", bins.midpoints);
@@ -236,10 +215,11 @@ mod tests {
 
     #[test]
     fn equal_frequency_balances_counts() {
-        // Skewed data: equal-width would cram most points into bin 0.
+        // Skewed data: bins of equal value width would cram most points
+        // into bin 0.
         let mut values: Vec<f64> = (0..90).map(|i| i as f64 * 0.01).collect();
         values.extend((0..10).map(|i| 100.0 + i as f64));
-        let bins = ColumnBins::fit(&values, 4, BinStrategy::EqualFrequency).unwrap();
+        let bins = ColumnBins::fit(&values, 4).unwrap();
         let mut counts = vec![0usize; 4];
         for &v in &values {
             counts[bins.state(v)] += 1;
@@ -252,7 +232,7 @@ mod tests {
     #[test]
     fn ties_do_not_collapse_edges() {
         let values = vec![1.0; 50];
-        let bins = ColumnBins::fit(&values, 4, BinStrategy::EqualFrequency).unwrap();
+        let bins = ColumnBins::fit(&values, 4).unwrap();
         for w in bins.edges.windows(2) {
             assert!(w[1] > w[0]);
         }
@@ -260,8 +240,8 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_rejected() {
-        assert!(ColumnBins::fit(&[], 3, BinStrategy::EqualWidth).is_err());
-        assert!(ColumnBins::fit(&[1.0, 2.0], 1, BinStrategy::EqualWidth).is_err());
+        assert!(ColumnBins::fit(&[], 3).is_err());
+        assert!(ColumnBins::fit(&[1.0, 2.0], 1).is_err());
     }
 
     #[test]
@@ -271,20 +251,20 @@ mod tests {
             vec![vec![0.0, 100.0], vec![5.0, 200.0], vec![10.0, 300.0]],
         )
         .unwrap();
-        let disc = Discretizer::fit(&data, 2, BinStrategy::EqualWidth).unwrap();
+        let disc = Discretizer::fit(&data, 2).unwrap();
         let states = disc.transform(&data).unwrap();
         assert_eq!(states.rows(), 3);
         assert_eq!(states.get(0, 0), 0.0);
         assert_eq!(states.get(2, 0), 1.0);
         assert_eq!(states.get(0, 1), 0.0);
         assert_eq!(states.get(2, 1), 1.0);
-        assert_eq!(disc.cardinalities(), vec![2, 2]);
+        assert!(disc.columns.iter().all(|c| c.bins() == 2));
     }
 
     #[test]
     fn transform_rejects_wrong_width() {
         let data = Dataset::from_rows(vec!["a".into()], vec![vec![1.0], vec![2.0]]).unwrap();
-        let disc = Discretizer::fit(&data, 2, BinStrategy::EqualWidth).unwrap();
+        let disc = Discretizer::fit(&data, 2).unwrap();
         let other = Dataset::new(vec!["a".into(), "b".into()]);
         assert!(disc.transform(&other).is_err());
     }

@@ -3,26 +3,10 @@
 //! Interpretability — "the causal relationships among service elapsed time
 //! and response time … a fundamental strength of BN models" (§4.2) — is
 //! only real if humans can look at the model. This module renders a
-//! network (or a bare DAG) as DOT for `dot -Tsvg`-style tooling.
+//! network as DOT for `dot -Tsvg`-style tooling.
 
-use crate::graph::Dag;
 use crate::network::BayesianNetwork;
 use crate::variable::VariableKind;
-
-/// Render a bare DAG with numeric node labels.
-pub fn dag_to_dot(dag: &Dag, name: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("digraph {} {{\n", sanitize_id(name)));
-    out.push_str("  rankdir=LR;\n  node [shape=ellipse, fontname=\"Helvetica\"];\n");
-    for i in 0..dag.len() {
-        out.push_str(&format!("  n{i} [label=\"{i}\"];\n"));
-    }
-    for (from, to) in dag.edges() {
-        out.push_str(&format!("  n{from} -> n{to};\n"));
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Render a full network: variable names as labels, discrete nodes as
 /// boxes with their cardinality, continuous nodes as ellipses.
@@ -71,19 +55,8 @@ fn escape(label: &str) -> String {
 mod tests {
     use super::*;
     use crate::cpd::{Cpd, LinearGaussianCpd, TabularCpd};
+    use crate::graph::Dag;
     use crate::variable::Variable;
-
-    #[test]
-    fn dag_export_lists_every_edge_once() {
-        let mut dag = Dag::new(3);
-        dag.add_edge(0, 1).unwrap();
-        dag.add_edge(1, 2).unwrap();
-        let dot = dag_to_dot(&dag, "chain");
-        assert!(dot.starts_with("digraph chain {"));
-        assert_eq!(dot.matches("n0 -> n1;").count(), 1);
-        assert_eq!(dot.matches("n1 -> n2;").count(), 1);
-        assert!(dot.ends_with("}\n"));
-    }
 
     #[test]
     fn network_export_shows_names_and_kinds() {

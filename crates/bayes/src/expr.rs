@@ -178,22 +178,22 @@ impl Expr {
     }
 }
 
-/// The paper's running example: `D = X₁ + X₂ + max(X₃+X₅, X₄+X₆)` where node
-/// indices 0..=5 map to X₁..X₆.
-pub fn ediamond_expr() -> Expr {
-    Expr::Add(vec![
-        Expr::Var(0),
-        Expr::Var(1),
-        Expr::Max(vec![
-            Expr::Add(vec![Expr::Var(2), Expr::Var(4)]),
-            Expr::Add(vec![Expr::Var(3), Expr::Var(5)]),
-        ]),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's running example: `D = X₁ + X₂ + max(X₃+X₅, X₄+X₆)` where node
+    /// indices 0..=5 map to X₁..X₆.
+    fn ediamond_expr() -> Expr {
+        Expr::Add(vec![
+            Expr::Var(0),
+            Expr::Var(1),
+            Expr::Max(vec![
+                Expr::Add(vec![Expr::Var(2), Expr::Var(4)]),
+                Expr::Add(vec![Expr::Var(3), Expr::Var(5)]),
+            ]),
+        ])
+    }
 
     #[test]
     fn ediamond_evaluates_like_the_paper() {

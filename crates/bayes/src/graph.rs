@@ -35,19 +35,9 @@ impl Dag {
         self.parents.is_empty()
     }
 
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.parents.iter().map(Vec::len).sum()
-    }
-
     /// Sorted parents of `node`.
     pub fn parents(&self, node: usize) -> &[usize] {
         &self.parents[node]
-    }
-
-    /// Sorted children of `node`.
-    pub fn children(&self, node: usize) -> &[usize] {
-        &self.children[node]
     }
 
     /// True if the edge `from → to` is present.
@@ -80,16 +70,6 @@ impl Dag {
         insert_sorted(&mut self.parents[to], from);
         insert_sorted(&mut self.children[from], to);
         Ok(())
-    }
-
-    /// Remove edge `from → to` if present; returns whether it existed.
-    pub fn remove_edge(&mut self, from: usize, to: usize) -> bool {
-        let existed = self.has_edge(from, to);
-        if existed {
-            remove_sorted(&mut self.parents[to], from);
-            remove_sorted(&mut self.children[from], to);
-        }
-        existed
     }
 
     /// True if `dst` is reachable from `src` following directed edges.
@@ -136,123 +116,6 @@ impl Dag {
         order
     }
 
-    /// All ancestors of `node` (excluding itself), ascending.
-    pub fn ancestors(&self, node: usize) -> Vec<usize> {
-        let mut seen = vec![false; self.len()];
-        let mut stack: Vec<usize> = self.parents[node].to_vec();
-        let mut out = Vec::new();
-        while let Some(u) = stack.pop() {
-            if seen[u] {
-                continue;
-            }
-            seen[u] = true;
-            out.push(u);
-            stack.extend_from_slice(&self.parents[u]);
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The Markov blanket of `node`: parents, children, and the children's
-    /// other parents — the minimal set that renders the node conditionally
-    /// independent of the rest of the network. The unit of locality behind
-    /// decentralized *inference* (the paper's §7 future-work direction).
-    pub fn markov_blanket(&self, node: usize) -> Vec<usize> {
-        let mut blanket: Vec<usize> = self.parents[node].to_vec();
-        for &child in &self.children[node] {
-            blanket.push(child);
-            blanket.extend(self.parents[child].iter().filter(|&&p| p != node));
-        }
-        blanket.sort_unstable();
-        blanket.dedup();
-        blanket
-    }
-
-    /// d-separation: is `x ⊥ y | z` implied by the graph structure?
-    ///
-    /// Uses the reachability formulation (Koller & Friedman alg. 3.1):
-    /// `x` and `y` are d-separated given `z` iff no active trail connects
-    /// them. A trail through node `w` is blocked at a chain/fork if
-    /// `w ∈ z`, and at a collider unless `w` or one of its descendants is
-    /// in `z`. Lets tests state the independence semantics of derived
-    /// KERT-BN structures (e.g. parallel branches are independent given
-    /// their common upstream service).
-    pub fn d_separated(&self, x: usize, y: usize, z: &[usize]) -> bool {
-        if x == y {
-            return false;
-        }
-        let n = self.len();
-        let in_z = {
-            let mut v = vec![false; n];
-            for &i in z {
-                v[i] = true;
-            }
-            v
-        };
-        // Phase 1: ancestors of z (needed for collider activation).
-        let mut z_ancestor = in_z.clone();
-        {
-            let mut stack: Vec<usize> = z.to_vec();
-            while let Some(u) = stack.pop() {
-                for &p in self.parents(u) {
-                    if !z_ancestor[p] {
-                        z_ancestor[p] = true;
-                        stack.push(p);
-                    }
-                }
-            }
-        }
-        // Phase 2: BFS over (node, direction) — direction is how we
-        // *arrived*: `true` = trail came from a child (moving up),
-        // `false` = from a parent (moving down).
-        let mut visited_up = vec![false; n];
-        let mut visited_down = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back((x, true)); // leaving x upward…
-        queue.push_back((x, false)); // …and downward
-        while let Some((u, up)) = queue.pop_front() {
-            let seen = if up {
-                &mut visited_up
-            } else {
-                &mut visited_down
-            };
-            if seen[u] {
-                continue;
-            }
-            seen[u] = true;
-            if u == y && u != x {
-                return false; // active trail reached y
-            }
-            if up {
-                // Arrived from a child: continue up to parents and down to
-                // children, unless u ∈ z blocks (chain / fork).
-                if !in_z[u] {
-                    for &p in self.parents(u) {
-                        queue.push_back((p, true));
-                    }
-                    for &c in self.children(u) {
-                        queue.push_back((c, false));
-                    }
-                }
-            } else {
-                // Arrived from a parent (collider candidate).
-                if !in_z[u] {
-                    // Chain continues downward.
-                    for &c in self.children(u) {
-                        queue.push_back((c, false));
-                    }
-                }
-                if z_ancestor[u] {
-                    // Collider activated: trail can turn upward.
-                    for &p in self.parents(u) {
-                        queue.push_back((p, true));
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Nodes with no parents, ascending.
     pub fn roots(&self) -> Vec<usize> {
         (0..self.len())
@@ -267,27 +130,11 @@ impl Dag {
             .enumerate()
             .flat_map(|(to, ps)| ps.iter().map(move |&from| (from, to)))
     }
-
-    /// Structural Hamming-style distance to another DAG of the same size:
-    /// number of edges present in exactly one of the two graphs (useful for
-    /// comparing learned vs. true structures in tests and ablations).
-    pub fn edge_difference(&self, other: &Dag) -> usize {
-        assert_eq!(self.len(), other.len(), "DAG sizes differ");
-        let mine: std::collections::HashSet<(usize, usize)> = self.edges().collect();
-        let theirs: std::collections::HashSet<(usize, usize)> = other.edges().collect();
-        mine.symmetric_difference(&theirs).count()
-    }
 }
 
 fn insert_sorted(v: &mut Vec<usize>, x: usize) {
     if let Err(pos) = v.binary_search(&x) {
         v.insert(pos, x);
-    }
-}
-
-fn remove_sorted(v: &mut Vec<usize>, x: usize) {
-    if let Ok(pos) = v.binary_search(&x) {
-        v.remove(pos);
     }
 }
 
@@ -308,9 +155,9 @@ mod tests {
     #[test]
     fn edges_and_adjacency() {
         let g = diamond();
-        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.edges().count(), 4);
         assert_eq!(g.parents(3), &[1, 2]);
-        assert_eq!(g.children(0), &[1, 2]);
+        assert_eq!(g.children[0], vec![1, 2]);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
     }
@@ -327,14 +174,14 @@ mod tests {
             Err(BayesError::CycleDetected { .. })
         ));
         // The failed insert must not corrupt the graph.
-        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.edges().count(), 4);
     }
 
     #[test]
     fn duplicate_edge_is_noop() {
         let mut g = diamond();
         g.add_edge(0, 1).unwrap();
-        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.edges().count(), 4);
     }
 
     #[test]
@@ -361,98 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_of_sink() {
-        let g = diamond();
-        assert_eq!(g.ancestors(3), vec![0, 1, 2]);
-        assert_eq!(g.ancestors(0), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn remove_edge_works() {
-        let mut g = diamond();
-        assert!(g.remove_edge(1, 3));
-        assert!(!g.remove_edge(1, 3));
-        assert_eq!(g.parents(3), &[2]);
-        // Removing the blocking path allows a previously cyclic edge.
-        assert!(g.remove_edge(2, 3));
-        g.add_edge(3, 0).unwrap();
-        assert!(g.has_edge(3, 0));
-    }
-
-    #[test]
     fn roots_listed() {
         let g = diamond();
         assert_eq!(g.roots(), vec![0]);
-    }
-
-    #[test]
-    fn edge_difference_counts_symmetric_diff() {
-        let g = diamond();
-        let mut h = Dag::new(4);
-        h.add_edge(0, 1).unwrap();
-        h.add_edge(1, 2).unwrap();
-        // g\h = {(0,2),(1,3),(2,3)}, h\g = {(1,2)} → 4
-        assert_eq!(g.edge_difference(&h), 4);
-        assert_eq!(g.edge_difference(&g), 0);
-    }
-
-    #[test]
-    fn d_separation_chain_fork_collider() {
-        // Chain 0 → 1 → 2.
-        let mut chain = Dag::new(3);
-        chain.add_edge(0, 1).unwrap();
-        chain.add_edge(1, 2).unwrap();
-        assert!(!chain.d_separated(0, 2, &[]));
-        assert!(chain.d_separated(0, 2, &[1]));
-
-        // Fork 1 ← 0 → 2.
-        let mut fork = Dag::new(3);
-        fork.add_edge(0, 1).unwrap();
-        fork.add_edge(0, 2).unwrap();
-        assert!(!fork.d_separated(1, 2, &[]));
-        assert!(fork.d_separated(1, 2, &[0]));
-
-        // Collider 0 → 2 ← 1.
-        let mut coll = Dag::new(3);
-        coll.add_edge(0, 2).unwrap();
-        coll.add_edge(1, 2).unwrap();
-        assert!(coll.d_separated(0, 1, &[]));
-        assert!(!coll.d_separated(0, 1, &[2])); // explaining away
-    }
-
-    #[test]
-    fn d_separation_collider_descendant_activates() {
-        // 0 → 2 ← 1, 2 → 3: conditioning on the collider's descendant
-        // also opens the trail.
-        let mut g = Dag::new(4);
-        g.add_edge(0, 2).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(2, 3).unwrap();
-        assert!(g.d_separated(0, 1, &[]));
-        assert!(!g.d_separated(0, 1, &[3]));
-    }
-
-    #[test]
-    fn d_separation_on_the_diamond() {
-        let g = diamond(); // 0→1, 0→2, 1→3, 2→3
-                           // The two middle nodes are dependent via the fork at 0…
-        assert!(!g.d_separated(1, 2, &[]));
-        // …independent given 0 (the collider at 3 is unobserved)…
-        assert!(g.d_separated(1, 2, &[0]));
-        // …and dependent again when 3 joins the conditioning set.
-        assert!(!g.d_separated(1, 2, &[0, 3]));
-    }
-
-    #[test]
-    fn markov_blanket_contains_coparents() {
-        // 0 → 2 ← 1, 2 → 3: blanket of 0 = {1 (co-parent), 2 (child)}.
-        let mut g = Dag::new(4);
-        g.add_edge(0, 2).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(2, 3).unwrap();
-        assert_eq!(g.markov_blanket(0), vec![1, 2]);
-        assert_eq!(g.markov_blanket(2), vec![0, 1, 3]);
-        assert_eq!(g.markov_blanket(3), vec![2]);
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub mod factor;
 pub mod sampling;
 pub mod ve;
 
-pub use factor::{Factor, QueryWorkspace};
-pub use sampling::{likelihood_weighting, LwOptions, WeightedSamples};
 pub use ve::{
     posterior_marginal, posterior_marginal_pruned, posterior_marginal_pruned_with,
     posterior_marginal_with, EliminationHeuristic, Evidence,

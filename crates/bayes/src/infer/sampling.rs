@@ -41,77 +41,10 @@ pub struct WeightedSamples {
 }
 
 impl WeightedSamples {
-    /// Number of samples drawn.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if no samples were drawn.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Sum of weights (zero means the evidence was impossible under the
     /// model for every draw — increase `samples` or check the evidence).
     pub fn total_weight(&self) -> f64 {
         self.weights.iter().sum()
-    }
-
-    /// Effective sample size `(Σw)²/Σw²`; a diagnostic for weight
-    /// degeneracy (tiny ESS ⇒ posterior estimates are unreliable).
-    pub fn effective_sample_size(&self) -> f64 {
-        let sw = self.total_weight();
-        let sw2: f64 = self.weights.iter().map(|w| w * w).sum();
-        if sw2 <= 0.0 {
-            0.0
-        } else {
-            sw * sw / sw2
-        }
-    }
-
-    /// Posterior mean of node `i`.
-    pub fn mean(&self, node: usize) -> f64 {
-        let z = self.total_weight();
-        if z <= 0.0 {
-            return f64::NAN;
-        }
-        self.values
-            .iter()
-            .zip(self.weights.iter())
-            .map(|(v, &w)| w * v[node])
-            .sum::<f64>()
-            / z
-    }
-
-    /// Posterior variance of node `i` (weighted).
-    pub fn variance(&self, node: usize) -> f64 {
-        let z = self.total_weight();
-        if z <= 0.0 {
-            return f64::NAN;
-        }
-        let m = self.mean(node);
-        self.values
-            .iter()
-            .zip(self.weights.iter())
-            .map(|(v, &w)| w * (v[node] - m) * (v[node] - m))
-            .sum::<f64>()
-            / z
-    }
-
-    /// Posterior probability `P(node > threshold | evidence)` — the
-    /// building block of the paper's threshold-violation metric (Eq. 5).
-    pub fn exceedance_probability(&self, node: usize, threshold: f64) -> f64 {
-        let z = self.total_weight();
-        if z <= 0.0 {
-            return f64::NAN;
-        }
-        self.values
-            .iter()
-            .zip(self.weights.iter())
-            .filter(|(v, _)| v[node] > threshold)
-            .map(|(_, &w)| w)
-            .sum::<f64>()
-            / z
     }
 
     /// Iterate `(value, unnormalized_weight)` pairs for one node.
@@ -120,30 +53,6 @@ impl WeightedSamples {
             .iter()
             .zip(self.weights.iter())
             .map(move |(v, &w)| (v[node], w))
-    }
-
-    /// Weighted histogram of node `i` over `bins` equal-width bins between
-    /// the sample min and max; returns `(bin_centers, normalized_mass)`.
-    pub fn histogram(&self, node: usize, bins: usize) -> (Vec<f64>, Vec<f64>) {
-        assert!(bins >= 1);
-        let vals: Vec<f64> = self.values.iter().map(|v| v[node]).collect();
-        let (lo, hi) = kert_linalg::stats::min_max(&vals);
-        let span = (hi - lo).max(1e-12);
-        let mut mass = vec![0.0; bins];
-        for (v, &w) in vals.iter().zip(self.weights.iter()) {
-            let b = (((v - lo) / span) * bins as f64) as usize;
-            mass[b.min(bins - 1)] += w;
-        }
-        let z: f64 = mass.iter().sum();
-        if z > 0.0 {
-            for m in &mut mass {
-                *m /= z;
-            }
-        }
-        let centers = (0..bins)
-            .map(|b| lo + span * (b as f64 + 0.5) / bins as f64)
-            .collect();
-        (centers, mass)
     }
 }
 
@@ -204,6 +113,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Weighted posterior mean of `node`.
+    fn mean(s: &WeightedSamples, node: usize) -> f64 {
+        s.iter_node(node).map(|(v, w)| w * v).sum::<f64>() / s.total_weight()
+    }
+
+    /// Weighted posterior variance of `node`.
+    fn variance(s: &WeightedSamples, node: usize) -> f64 {
+        let m = mean(s, node);
+        s.iter_node(node)
+            .map(|(v, w)| w * (v - m) * (v - m))
+            .sum::<f64>()
+            / s.total_weight()
+    }
+
     fn two_node_discrete() -> BayesianNetwork {
         let vars = vec![Variable::discrete("a", 2), Variable::discrete("b", 2)];
         let mut dag = Dag::new(2);
@@ -230,7 +153,7 @@ mod tests {
         let samples =
             likelihood_weighting(&bn, &ev, LwOptions { samples: 50_000 }, &mut rng).unwrap();
         // P(A=1 | B=1) from weighted samples.
-        let p1 = samples.mean(0); // states are 0/1, so the mean is P(A=1).
+        let p1 = mean(&samples, 0); // states are 0/1, so the mean is P(A=1).
         assert!((p1 - exact[1]).abs() < 0.01, "{p1} vs {}", exact[1]);
     }
 
@@ -250,9 +173,15 @@ mod tests {
         ev.insert(1, 2.0);
         let mut rng = StdRng::seed_from_u64(4);
         let s = likelihood_weighting(&bn, &ev, LwOptions { samples: 100_000 }, &mut rng).unwrap();
-        assert!((s.mean(0) - 1.0).abs() < 0.02, "mean={}", s.mean(0));
-        assert!((s.variance(0) - 0.5).abs() < 0.02, "var={}", s.variance(0));
-        assert!(s.effective_sample_size() > 1_000.0);
+        assert!((mean(&s, 0) - 1.0).abs() < 0.02, "mean={}", mean(&s, 0));
+        assert!(
+            (variance(&s, 0) - 0.5).abs() < 0.02,
+            "var={}",
+            variance(&s, 0)
+        );
+        // Effective sample size (Σw)²/Σw²: the weights are not degenerate.
+        let sw2: f64 = s.weights.iter().map(|w| w * w).sum();
+        assert!(s.total_weight().powi(2) / sw2 > 1_000.0);
     }
 
     #[test]
@@ -283,41 +212,11 @@ mod tests {
         ev.insert(2, 8.0);
         let mut rng = StdRng::seed_from_u64(12);
         let s = likelihood_weighting(&bn, &ev, LwOptions { samples: 50_000 }, &mut rng).unwrap();
-        assert!(s.mean(0) > 5.0);
-        assert!(s.mean(1) > 5.0);
+        assert!(mean(&s, 0) > 5.0);
+        assert!(mean(&s, 1) > 5.0);
         // At least one parent must be near 8 — check via the max of means
         // being clearly above the prior.
-        assert!(s.mean(0).max(s.mean(1)) > 6.0);
-    }
-
-    #[test]
-    fn exceedance_probability_is_sane() {
-        let vars = vec![Variable::continuous("x")];
-        let dag = Dag::new(1);
-        let cpds = vec![Cpd::LinearGaussian(LinearGaussianCpd::root(0, 0.0, 1.0))];
-        let bn = BayesianNetwork::new(vars, dag, cpds).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        let s = likelihood_weighting(
-            &bn,
-            &HashMap::new(),
-            LwOptions { samples: 50_000 },
-            &mut rng,
-        )
-        .unwrap();
-        let p = s.exceedance_probability(0, 0.0);
-        assert!((p - 0.5).abs() < 0.01, "p={p}");
-        assert!(s.exceedance_probability(0, 10.0) < 0.001);
-    }
-
-    #[test]
-    fn histogram_mass_sums_to_one() {
-        let bn = two_node_discrete();
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = likelihood_weighting(&bn, &HashMap::new(), LwOptions { samples: 5_000 }, &mut rng)
-            .unwrap();
-        let (centers, mass) = s.histogram(0, 4);
-        assert_eq!(centers.len(), 4);
-        assert!((mass.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(mean(&s, 0).max(mean(&s, 1)) > 6.0);
     }
 
     #[test]

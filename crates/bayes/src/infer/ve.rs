@@ -222,9 +222,11 @@ pub fn posterior_marginal_pruned_with(
 /// the order — and therefore every downstream float — is deterministic.
 ///
 /// Crate-visible so the junction-tree compiler ([`crate::compile`]) can
-/// triangulate with the very same heuristic and tie-breaking.
-pub(crate) fn elimination_ordering(
-    factors: &[Factor],
+/// triangulate with the very same heuristic and tie-breaking. It takes the
+/// scopes alone, so the compiler can order a network whose tables it has
+/// not built yet.
+pub(crate) fn elimination_ordering<'a>(
+    scopes: impl IntoIterator<Item = &'a [usize]>,
     to_eliminate: &[usize],
     heuristic: EliminationHeuristic,
 ) -> Vec<usize> {
@@ -234,10 +236,10 @@ pub(crate) fn elimination_ordering(
         return order;
     }
     let mut adj: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for f in factors {
-        for &a in f.vars() {
+    for scope in scopes {
+        for &a in scope {
             let entry = adj.entry(a).or_default();
-            entry.extend(f.vars().iter().copied().filter(|&b| b != a));
+            entry.extend(scope.iter().copied().filter(|&b| b != a));
         }
     }
     let mut remaining: BTreeSet<usize> = to_eliminate.iter().copied().collect();
@@ -302,7 +304,7 @@ fn eliminate_and_normalize(
     heuristic: EliminationHeuristic,
     ws: &mut QueryWorkspace,
 ) -> Result<Vec<f64>> {
-    for var in elimination_ordering(&factors, &to_eliminate, heuristic) {
+    for var in elimination_ordering(factors.iter().map(Factor::vars), &to_eliminate, heuristic) {
         let (with_var, without_var): (Vec<Factor>, Vec<Factor>) =
             factors.into_iter().partition(|f| f.vars().contains(&var));
         factors = without_var;
@@ -618,8 +620,9 @@ mod tests {
             .map(|c| Factor::from_cpd(c, &cards).unwrap())
             .map(|f| f.reduce(3, 1))
             .collect();
-        let a = elimination_ordering(&factors, &[0, 2], EliminationHeuristic::MinFill);
-        let b = elimination_ordering(&factors, &[0, 2], EliminationHeuristic::MinFill);
+        let scopes = || factors.iter().map(Factor::vars);
+        let a = elimination_ordering(scopes(), &[0, 2], EliminationHeuristic::MinFill);
+        let b = elimination_ordering(scopes(), &[0, 2], EliminationHeuristic::MinFill);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
         assert!(a.contains(&0) && a.contains(&2));

@@ -1,7 +1,7 @@
 //! Incremental sliding-window parameter learning.
 //!
 //! The autonomic loop relearns the KERT every `T_CON` from a window
-//! `W = K·T_CON`. Batch relearning ([`super::fit_all_parameters`]) costs
+//! `W = K·T_CON`. Batch relearning ([`super::mle::fit_all_parameters`]) costs
 //! `O(window)` per reconstruction; the [`StreamingLearner`] here maintains
 //! per-family *sufficient statistics* so each reconstruction costs
 //! `O(delta)` — proportional to the rows that entered or left the window,
@@ -12,18 +12,18 @@
 //! * **Discrete families** keep sparse *integer* counts per parent
 //!   configuration. Rebuilding a CPT routes the densified counts through the
 //!   exact same [`TabularCpd::from_counts`] arithmetic as
-//!   [`super::fit_tabular`], so streaming CPTs are **bitwise identical** to
+//!   [`super::mle::fit_tabular`], so streaming CPTs are **bitwise identical** to
 //!   a batch relearn over the same window — and evicting every row of a
 //!   family returns the counts exactly to the prior (integer arithmetic
 //!   cannot drift the way repeated `+1.0 … −1.0` float round-trips can).
 //! * **Linear-Gaussian families** keep the Gram matrix `XᵀX`, the moment
 //!   vector `Xᵀy`, and scalar moments of `y`, updated by add/subtract.
 //!   A refit factors the Gram and solves, exactly the normal equations
-//!   [`super::fit_linear_gaussian`] runs through [`kert_linalg::lstsq()`],
+//!   [`super::mle::fit_linear_gaussian`] runs through [`kert_linalg::lstsq()`],
 //!   ridge fallback for a singular Gram included. With `p = 1 + |parents|`
 //!   this small, one `p×p` factorization per refit costs less than keeping
 //!   a factor current row by row. The rebuilt CPD agrees with
-//!   [`super::fit_linear_gaussian`] to ≤1e-9. One known exception: when a
+//!   [`super::mle::fit_linear_gaussian`] to ≤1e-9. One known exception: when a
 //!   constant parent makes the Gram singular, the ridge splits the
 //!   intercept and that parent's weight by last-ulp rounding, which a
 //!   slide changes; the fitted mean and variance still agree.
@@ -33,7 +33,6 @@ use std::collections::BTreeMap;
 use kert_linalg::{Cholesky, Matrix};
 
 use crate::cpd::{config_count, Cpd, LinearGaussianCpd, TabularCpd};
-use crate::dataset::Dataset;
 use crate::graph::Dag;
 use crate::learn::mle::ParamOptions;
 use crate::variable::{Variable, VariableKind};
@@ -129,16 +128,12 @@ impl DiscreteStats {
             options.dirichlet_alpha,
         )
     }
-
-    fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
 }
 
 /// Sufficient statistics for one linear-Gaussian family.
 ///
 /// For a family with parents the design row is `x = [1, parent values…]`
-/// (matching [`super::fit_linear_gaussian`]); the stats are
+/// (matching [`super::mle::fit_linear_gaussian`]); the stats are
 /// `G = Σ x·xᵀ`, `v = Σ x·y`, `Σy²`, and `Σy`, all maintained by
 /// add/subtract and solved only at refit.
 #[derive(Debug, Clone)]
@@ -163,7 +158,7 @@ impl GaussianStats {
     }
 
     /// Fill `buf` (length `parents.len() + 1`) with the design row
-    /// `[1, parent values…]` matching [`super::fit_linear_gaussian`].
+    /// `[1, parent values…]` matching [`super::mle::fit_linear_gaussian`].
     fn fill_design(buf: &mut [f64], parents: &[usize], row: &[f64]) {
         buf[0] = 1.0;
         for (slot, &p) in buf[1..].iter_mut().zip(parents.iter()) {
@@ -291,7 +286,7 @@ enum FamilyStats {
 /// sliding window of rows.
 ///
 /// Rows are full network-order records (one value per variable, exactly like
-/// [`Dataset`] rows). The learner is a *multiset* over rows: duplicates are
+/// [`crate::Dataset`] rows). The learner is a *multiset* over rows: duplicates are
 /// counted, and every [`Self::evict_row`] must match a previously inserted
 /// row or the statistics error out rather than silently drifting.
 #[derive(Debug, Clone)]
@@ -354,35 +349,6 @@ impl StreamingLearner {
             options,
             families,
             rows: 0,
-        })
-    }
-
-    /// Seed a learner with an initial window.
-    pub fn from_dataset(
-        variables: &[Variable],
-        dag: &Dag,
-        data: &Dataset,
-        options: ParamOptions,
-    ) -> Result<Self> {
-        let mut learner = Self::new(variables, dag, options)?;
-        for r in 0..data.rows() {
-            learner.insert_row(data.row(r))?;
-        }
-        Ok(learner)
-    }
-
-    /// Number of rows currently in the window.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// True when every discrete family has dropped all of its count
-    /// entries — i.e. the window has been fully evicted and the learner is
-    /// structurally identical to a freshly constructed one.
-    pub fn discrete_counts_empty(&self) -> bool {
-        self.families.iter().all(|f| match f {
-            FamilyStats::Discrete(d) => d.is_empty(),
-            FamilyStats::Gaussian(_) => true,
         })
     }
 
@@ -464,7 +430,7 @@ impl StreamingLearner {
     }
 
     /// Rebuild every node's CPD, in node order — the streaming counterpart
-    /// of [`super::fit_all_parameters`].
+    /// of [`super::mle::fit_all_parameters`].
     pub fn fit_all(&self) -> Result<Vec<Cpd>> {
         (0..self.variables.len())
             .map(|i| self.fit_node(i))
@@ -508,6 +474,7 @@ pub fn cpd_movement(old: &Cpd, new: &Cpd) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::learn::mle::{fit_all_parameters, fit_linear_gaussian, fit_tabular};
     use crate::variable::Variable;
 
@@ -540,7 +507,10 @@ mod tests {
         let rows = deterministic_rows(40);
         let data = Dataset::from_rows(vec!["a".into(), "b".into()], rows.clone()).unwrap();
         let opts = ParamOptions::default();
-        let learner = StreamingLearner::from_dataset(&vars, &dag, &data, opts).unwrap();
+        let mut learner = StreamingLearner::new(&vars, &dag, opts).unwrap();
+        for row in &rows {
+            learner.insert_row(row).unwrap();
+        }
         let batch = fit_tabular(1, &[0], &data, &[2, 3], opts).unwrap();
         match learner.fit_node(1).unwrap() {
             Cpd::Tabular(t) => assert_eq!(t.table(), batch.table(), "bitwise CPT mismatch"),
@@ -557,9 +527,11 @@ mod tests {
         let vars = discrete_vars();
         let dag = chain_dag(2);
         let base = deterministic_rows(24);
-        let data = Dataset::from_rows(vec!["a".into(), "b".into()], base).unwrap();
         let opts = ParamOptions::default();
-        let mut learner = StreamingLearner::from_dataset(&vars, &dag, &data, opts).unwrap();
+        let mut learner = StreamingLearner::new(&vars, &dag, opts).unwrap();
+        for row in &base {
+            learner.insert_row(row).unwrap();
+        }
         let before = match learner.fit_node(1).unwrap() {
             Cpd::Tabular(t) => t.table().to_vec(),
             other => panic!("unexpected family {other:?}"),
@@ -591,8 +563,14 @@ mod tests {
         for row in &rows {
             learner.evict_row(row).unwrap();
         }
-        assert_eq!(learner.rows(), 0);
-        assert!(learner.discrete_counts_empty(), "count maps must be empty");
+        assert_eq!(learner.rows, 0);
+        assert!(
+            learner.families.iter().all(|f| match f {
+                FamilyStats::Discrete(d) => d.counts.is_empty(),
+                FamilyStats::Gaussian(_) => true,
+            }),
+            "count maps must be empty"
+        );
         // An empty window fits the pure prior: uniform under smoothing.
         match learner.fit_node(1).unwrap() {
             Cpd::Tabular(t) => {
@@ -613,9 +591,9 @@ mod tests {
         learner.insert_row(&[0.0, 1.0]).unwrap();
         assert!(learner.evict_row(&[1.0, 2.0]).is_err());
         // The failed evict must not have decremented anything.
-        assert_eq!(learner.rows(), 1);
+        assert_eq!(learner.rows, 1);
         learner.evict_row(&[0.0, 1.0]).unwrap();
-        assert_eq!(learner.rows(), 0);
+        assert_eq!(learner.rows, 0);
     }
 
     fn linear_rows(n: usize, offset: usize) -> Vec<Vec<f64>> {

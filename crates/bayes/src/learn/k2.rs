@@ -316,7 +316,7 @@ mod tests {
         assert!(result.dag.has_edge(0, 1), "edges: {:?}", result.dag);
         assert!(result.dag.has_edge(1, 2), "edges: {:?}", result.dag);
         // The chain explains the data; 0 → 2 shouldn't be needed on top.
-        assert!(result.dag.edge_count() <= 3);
+        assert!(result.dag.edges().count() <= 3);
     }
 
     #[test]

@@ -16,8 +16,3 @@ pub mod incremental;
 pub mod k2;
 pub mod mle;
 pub mod score;
-
-pub use incremental::{cpd_movement, StreamingLearner};
-pub use k2::{k2_search, k2_with_random_restarts, K2Options, K2Result};
-pub use mle::{fit_all_parameters, fit_linear_gaussian, fit_tabular, ParamOptions};
-pub use score::{family_score, FamilyScore};

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use crate::dataset::Dataset;
 use crate::learn::mle;
-use crate::special::{ln_factorial, ln_gamma};
+use crate::special::ln_factorial;
 use crate::{BayesError, Result};
 
 /// Which decomposable family score to use.
@@ -25,18 +25,8 @@ use crate::{BayesError, Result};
 pub enum FamilyScore {
     /// Cooper–Herskovits K2 marginal likelihood (discrete data).
     K2,
-    /// BDeu with equivalent sample size (discrete data); `K2` is the
-    /// special case of a flat Dirichlet(1) prior.
-    Bdeu {
-        /// Equivalent sample size ×1000 (integral so the enum stays `Eq`;
-        /// 1000 ⇒ ESS 1.0).
-        ess_milli: u32,
-    },
     /// Linear-Gaussian log-likelihood with BIC penalty (continuous data).
     GaussianBic,
-    /// Multinomial log-likelihood with BIC penalty (discrete data) — the
-    /// frequentist counterpart of `K2`; penalizes `q·(r−1)` parameters.
-    DiscreteBic,
 }
 
 /// Compute the family score of `child` with the given parent set.
@@ -52,43 +42,8 @@ pub fn family_score(
 ) -> Result<f64> {
     match score {
         FamilyScore::K2 => k2_family_score(child, parents, data, cards),
-        FamilyScore::Bdeu { ess_milli } => {
-            bdeu_family_score(child, parents, data, cards, ess_milli as f64 / 1000.0)
-        }
         FamilyScore::GaussianBic => gaussian_bic_family_score(child, parents, data),
-        FamilyScore::DiscreteBic => discrete_bic_family_score(child, parents, data, cards),
     }
-}
-
-/// Discrete BIC: maximized multinomial log-likelihood
-/// `Σⱼₖ Nⱼₖ ln(Nⱼₖ/Nⱼ)` minus `(q·(r−1)/2)·ln N`, with `q` the number of
-/// *observed* parent configurations (matching the sparse counting).
-pub fn discrete_bic_family_score(
-    child: usize,
-    parents: &[usize],
-    data: &Dataset,
-    cards: &[usize],
-) -> Result<f64> {
-    let n = data.rows();
-    if n == 0 {
-        return Err(BayesError::InvalidData("empty dataset".into()));
-    }
-    let (r, counts) = sparse_counts(child, parents, data, cards)?;
-    let mut ll = 0.0;
-    for state_counts in counts.values() {
-        let nj: u32 = state_counts.iter().sum();
-        if nj == 0 {
-            continue;
-        }
-        for &njk in state_counts {
-            if njk > 0 {
-                ll += njk as f64 * (njk as f64 / nj as f64).ln();
-            }
-        }
-    }
-    let q = counts.len().max(1) as f64;
-    let params = q * (r as f64 - 1.0);
-    Ok(ll - 0.5 * params * (n as f64).ln())
 }
 
 /// Sparse per-configuration child-state counts: `config → counts[r]`.
@@ -163,32 +118,6 @@ pub fn k2_family_score(
     Ok(total)
 }
 
-/// BDeu score with equivalent sample size `ess` (flat over configurations).
-///
-/// Uses the *observed* configuration count for the per-configuration prior
-/// split, matching the sparse-counting strategy above.
-pub fn bdeu_family_score(
-    child: usize,
-    parents: &[usize],
-    data: &Dataset,
-    cards: &[usize],
-    ess: f64,
-) -> Result<f64> {
-    let (r, counts) = sparse_counts(child, parents, data, cards)?;
-    let q = counts.len().max(1) as f64;
-    let a_j = ess / q;
-    let a_jk = a_j / r as f64;
-    let mut total = 0.0;
-    for state_counts in counts.values() {
-        let nj: u32 = state_counts.iter().sum();
-        total += ln_gamma(a_j) - ln_gamma(a_j + nj as f64);
-        for &njk in state_counts {
-            total += ln_gamma(a_jk + njk as f64) - ln_gamma(a_jk);
-        }
-    }
-    Ok(total)
-}
-
 /// Gaussian BIC: maximized conditional log-likelihood of `child` given the
 /// parents, penalized by `(params/2)·ln N`.
 pub fn gaussian_bic_family_score(child: usize, parents: &[usize], data: &Dataset) -> Result<f64> {
@@ -251,15 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn bdeu_agrees_in_direction_with_k2() {
-        let data = dependent_data();
-        let cards = [2, 2, 2];
-        let with_p = bdeu_family_score(2, &[0], &data, &cards, 1.0).unwrap();
-        let with_none = bdeu_family_score(2, &[], &data, &cards, 1.0).unwrap();
-        assert!(with_p > with_none);
-    }
-
-    #[test]
     fn gaussian_bic_prefers_true_parent_and_penalizes_noise() {
         // c = 3·p + ripple; q independent.
         let mut rows = Vec::new();
@@ -285,40 +205,7 @@ mod tests {
         let data = dependent_data();
         let cards = [2, 2, 2];
         assert!(family_score(FamilyScore::K2, 2, &[0], &data, &cards).is_ok());
-        assert!(family_score(
-            FamilyScore::Bdeu { ess_milli: 1000 },
-            2,
-            &[0],
-            &data,
-            &cards
-        )
-        .is_ok());
         assert!(family_score(FamilyScore::GaussianBic, 2, &[0], &data, &cards).is_ok());
-    }
-
-    #[test]
-    fn discrete_bic_prefers_the_true_parent_and_penalizes_noise() {
-        let data = dependent_data();
-        let cards = [2, 2, 2];
-        let with_p = discrete_bic_family_score(2, &[0], &data, &cards).unwrap();
-        let with_q = discrete_bic_family_score(2, &[1], &data, &cards).unwrap();
-        let with_none = discrete_bic_family_score(2, &[], &data, &cards).unwrap();
-        assert!(with_p > with_none, "{with_p} vs {with_none}");
-        assert!(with_p > with_q);
-        // The irrelevant parent buys no likelihood but pays the penalty.
-        assert!(with_q < with_none);
-        // Dispatch path works too.
-        assert!(family_score(FamilyScore::DiscreteBic, 2, &[0], &data, &cards).is_ok());
-    }
-
-    #[test]
-    fn discrete_bic_of_deterministic_family_is_penalty_only() {
-        // c copies p exactly: ln-likelihood term is 0, leaving −penalty.
-        let data = dependent_data();
-        let got = discrete_bic_family_score(2, &[0], &data, &[2, 2, 2]).unwrap();
-        let n = data.rows() as f64;
-        let expect = -0.5 * 2.0 * n.ln(); // q = 2 observed configs, r−1 = 1
-        assert!((got - expect).abs() < 1e-9, "{got} vs {expect}");
     }
 
     #[test]

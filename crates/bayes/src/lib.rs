@@ -6,7 +6,7 @@
 //! authors to fall back to discrete models in their test-bed section).
 //!
 //! Contents:
-//! * [`graph`] — DAGs with cycle detection, topological order, ancestry.
+//! * [`graph`] — DAGs with cycle detection and topological order.
 //! * [`variable`] — discrete / continuous variable metadata.
 //! * [`dataset`] — column-labelled datasets, continuous and discrete views.
 //! * [`expr`] — deterministic response-time expressions (`+`, `max`,
@@ -17,11 +17,11 @@
 //!   log-likelihood scoring (the paper's "data-fitting accuracy").
 //! * [`joint`] — exact joint-Gaussian reduction of linear networks.
 //! * [`learn`] — MLE/Bayesian parameter learning, decomposable scores
-//!   (K2 marginal likelihood, BIC, Gaussian BIC), and the K2 structure
+//!   (K2 marginal likelihood, Gaussian BIC), and the K2 structure
 //!   learning algorithm (Cooper & Herskovits 1992) with random restarts.
 //! * [`infer`] — exact discrete inference by variable elimination plus
 //!   Monte-Carlo (likelihood weighting) inference for hybrid networks.
-//! * [`discretize`] — equal-width / equal-frequency discretization.
+//! * [`discretize`] — equal-frequency discretization.
 //! * [`special`] — `ln Γ` and friends.
 //!
 //! Design notes: all randomness flows through caller-supplied
@@ -64,6 +64,15 @@ pub enum BayesError {
     InvalidData(String),
     /// Numerical failure bubbled up from linear algebra.
     Numerical(String),
+    /// A dense table would need more bytes than one allocation can hold
+    /// (`isize::MAX`).
+    TableTooLarge {
+        /// Variables in the table's scope.
+        vars: usize,
+        /// Entries the table would hold (a float: the count can pass
+        /// `usize::MAX`).
+        entries: f64,
+    },
 }
 
 impl std::fmt::Display for BayesError {
@@ -76,6 +85,13 @@ impl std::fmt::Display for BayesError {
             BayesError::InvalidCpd(msg) => write!(f, "invalid CPD: {msg}"),
             BayesError::InvalidData(msg) => write!(f, "invalid data: {msg}"),
             BayesError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
+            BayesError::TableTooLarge { vars, entries } => write!(
+                f,
+                "a table over {vars} variables needs {entries:.3e} entries ({:.3e} bytes); \
+                 one allocation holds at most {} bytes",
+                entries * std::mem::size_of::<f64>() as f64,
+                isize::MAX
+            ),
         }
     }
 }

@@ -210,16 +210,6 @@ impl BayesianNetwork {
         &self.topo
     }
 
-    /// Node index by variable name.
-    pub fn node_by_name(&self, name: &str) -> Option<usize> {
-        self.variables.iter().position(|v| v.name == name)
-    }
-
-    /// Total free parameters across all CPDs.
-    pub fn parameter_count(&self) -> usize {
-        self.cpds.iter().map(Cpd::parameter_count).sum()
-    }
-
     /// Log-likelihood (natural log) of a full-assignment dataset whose
     /// columns are in node order.
     pub fn log_likelihood(&self, data: &Dataset) -> Result<f64> {

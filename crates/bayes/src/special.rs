@@ -44,19 +44,6 @@ pub fn ln_factorial(n: usize) -> f64 {
     ln_gamma(n as f64 + 1.0)
 }
 
-/// Numerically stable `ln(Σ exp(xs))`.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NEG_INFINITY;
-    }
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if m.is_infinite() {
-        return m;
-    }
-    let s: f64 = xs.iter().map(|&x| (x - m).exp()).sum();
-    m + s.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,15 +85,5 @@ mod tests {
     fn ln_factorial_small_values() {
         assert!(ln_factorial(0).abs() < 1e-12);
         assert!((ln_factorial(5) - 120.0_f64.ln()).abs() < 1e-11);
-    }
-
-    #[test]
-    fn log_sum_exp_stability() {
-        // Huge magnitudes must not overflow.
-        let xs = [-1000.0, -1000.0];
-        let got = log_sum_exp(&xs);
-        assert!((got - (-1000.0 + 2.0_f64.ln())).abs() < 1e-12);
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-        assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
     }
 }

@@ -50,16 +50,6 @@ impl Variable {
             VariableKind::Continuous => None,
         }
     }
-
-    /// True if this variable is discrete.
-    pub fn is_discrete(&self) -> bool {
-        matches!(self.kind, VariableKind::Discrete { .. })
-    }
-
-    /// True if this variable is continuous.
-    pub fn is_continuous(&self) -> bool {
-        matches!(self.kind, VariableKind::Continuous)
-    }
 }
 
 #[cfg(test)]
@@ -71,12 +61,11 @@ mod tests {
         let d = Variable::discrete("X1", 5);
         assert_eq!(d.name, "X1");
         assert_eq!(d.cardinality(), Some(5));
-        assert!(d.is_discrete());
-        assert!(!d.is_continuous());
+        assert_eq!(d.kind, VariableKind::Discrete { cardinality: 5 });
 
         let c = Variable::continuous("D");
         assert_eq!(c.cardinality(), None);
-        assert!(c.is_continuous());
+        assert_eq!(c.kind, VariableKind::Continuous);
     }
 
     #[test]

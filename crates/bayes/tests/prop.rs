@@ -4,7 +4,7 @@
 
 use kert_bayes::compile::JunctionTree;
 use kert_bayes::cpd::{config_count, config_index, decode_config, Cpd, TabularCpd};
-use kert_bayes::discretize::{BinStrategy, ColumnBins, Discretizer};
+use kert_bayes::discretize::{ColumnBins, Discretizer};
 use kert_bayes::infer::factor::{naive as naive_factor, Factor, QueryWorkspace};
 use kert_bayes::infer::ve::{
     naive as naive_ve, posterior_marginal, posterior_marginal_pruned, posterior_marginal_with,
@@ -25,14 +25,6 @@ fn prob_row(n: usize) -> impl Strategy<Value = Vec<f64>> {
         }
         v
     })
-}
-
-/// Strategy: either binning strategy.
-fn bin_strategy() -> impl Strategy<Value = BinStrategy> {
-    prop_oneof![
-        Just(BinStrategy::EqualWidth),
-        Just(BinStrategy::EqualFrequency),
-    ]
 }
 
 /// Build a factor over the masked subset of a variable universe, reading
@@ -395,9 +387,8 @@ proptest! {
     fn bin_edges_are_monotone_and_every_point_lands_in_a_bin(
         values in proptest::collection::vec(-50.0f64..50.0, 10..80),
         bins in 2usize..7,
-        strategy in bin_strategy(),
     ) {
-        let cb = ColumnBins::fit(&values, bins, strategy).unwrap();
+        let cb = ColumnBins::fit(&values, bins).unwrap();
         prop_assert_eq!(cb.bins(), bins);
         prop_assert_eq!(cb.edges.len(), bins - 1);
         for w in cb.edges.windows(2) {
@@ -427,13 +418,12 @@ proptest! {
     fn discretize_cpt_likelihood_pipeline_is_deterministic(
         raw in proptest::collection::vec((0.0f64..10.0, 0.0f64..5.0), 30..80),
         bins in 2usize..5,
-        strategy in bin_strategy(),
     ) {
         let rows: Vec<Vec<f64>> = raw.iter().map(|&(a, b)| vec![a, 0.5 * a + b]).collect();
         let run = || {
             let data =
                 Dataset::from_rows(vec!["x".into(), "d".into()], rows.clone()).unwrap();
-            let disc = Discretizer::fit(&data, bins, strategy).unwrap();
+            let disc = Discretizer::fit(&data, bins).unwrap();
             let states = disc.transform(&data).unwrap();
             let cpt = fit_tabular(
                 1,

@@ -14,7 +14,7 @@
 use kert_agents::runtime::{
     centralized_learn, decentralized_learn, slice_local_datasets, LearnOptions,
 };
-use kert_bayes::discretize::{BinStrategy, Discretizer};
+use kert_bayes::discretize::Discretizer;
 use kert_bayes::learn::k2::{k2_search, k2_with_random_restarts, K2Options};
 use kert_bayes::{Dag, Variable};
 use kert_bench::scenario::{Environment, ScenarioOptions};
@@ -49,7 +49,7 @@ fn main() {
     // K2 on the discretized eDiaMoND training set (7 columns, 1200 rows).
     let mut env = Environment::ediamond(ScenarioOptions::default());
     let (train, _) = env.datasets(1200, 1, 3);
-    let disc = Discretizer::fit(&train, 5, BinStrategy::EqualFrequency).unwrap();
+    let disc = Discretizer::fit(&train, 5).unwrap();
     let states = disc.transform(&train).unwrap();
     let cards = vec![5usize; states.columns()];
     let ordering: Vec<usize> = (0..states.columns()).collect();

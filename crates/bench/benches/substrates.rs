@@ -4,7 +4,7 @@
 //! committed `BENCH_perf.json` tracks the kernel-level before/after pairs
 //! from the other bench binaries.
 
-use kert_bayes::discretize::{BinStrategy, Discretizer};
+use kert_bayes::discretize::Discretizer;
 use kert_bayes::learn::score::{gaussian_bic_family_score, k2_family_score};
 use kert_bench::scenario::{Environment, ScenarioOptions};
 use kert_bench::timing::bench;
@@ -46,11 +46,11 @@ fn main() {
     let mut env = Environment::ediamond(ScenarioOptions::default());
     let (train, _) = env.datasets(1200, 1, 3);
     bench("discretize/fit_transform_1200x7", || {
-        let disc = Discretizer::fit(black_box(&train), 5, BinStrategy::EqualFrequency).unwrap();
+        let disc = Discretizer::fit(black_box(&train), 5).unwrap();
         black_box(disc.transform(&train).unwrap())
     });
 
-    let disc = Discretizer::fit(&train, 5, BinStrategy::EqualFrequency).unwrap();
+    let disc = Discretizer::fit(&train, 5).unwrap();
     let states = disc.transform(&train).unwrap();
     let cards = vec![5usize; 7];
     bench("score/k2_family_score_1200_rows", || {

@@ -26,7 +26,7 @@ use kert_agents::runtime::{
 use kert_agents::{ModelHealth, ReportSource};
 use kert_bayes::compile::JunctionTree;
 use kert_bayes::cpd::{Cpd, DetNoise, DeterministicCpd};
-use kert_bayes::discretize::{BinStrategy, Discretizer};
+use kert_bayes::discretize::Discretizer;
 use kert_bayes::learn::mle::ParamOptions;
 use kert_bayes::{BayesianNetwork, Dag, Dataset, Variable};
 use kert_workflow::WorkflowKnowledge;
@@ -77,8 +77,6 @@ impl Default for ContinuousKertOptions {
 pub struct DiscreteKertOptions {
     /// States per variable.
     pub bins: usize,
-    /// Binning strategy.
-    pub strategy: BinStrategy,
     /// Leak probability `l` of Eq. 4.
     pub leak: f64,
     /// Parameter-learning placement.
@@ -91,7 +89,6 @@ impl Default for DiscreteKertOptions {
     fn default() -> Self {
         DiscreteKertOptions {
             bins: 5,
-            strategy: BinStrategy::EqualFrequency,
             leak: 0.05,
             learning: ParamLearning::Centralized,
             params: ParamOptions::default(),
@@ -145,62 +142,15 @@ impl KertBn {
         train: &Dataset,
         options: ContinuousKertOptions,
     ) -> Result<Self> {
-        let expr = knowledge.response_expr.clone();
-        Self::build_continuous_impl(knowledge, &expr, false, train, options)
-    }
-
-    /// Build a continuous KERT-BN whose end-to-end node follows a custom
-    /// metric expression — e.g. the timeout-count metric of §3.3, where
-    /// `f` is [`WorkflowKnowledge::count_expr`] (`D = Σ Xᵢ`) and the data
-    /// columns hold per-service counts.
-    pub fn build_continuous_metric(
-        knowledge: &WorkflowKnowledge,
-        metric_expr: &kert_bayes::Expr,
-        train: &Dataset,
-        options: ContinuousKertOptions,
-    ) -> Result<Self> {
-        Self::build_continuous_impl(knowledge, metric_expr, false, train, options)
-    }
-
-    /// Build a continuous KERT-BN including the resource-sharing nodes of
-    /// §3.2: the dataset must carry one utilization column per resource in
-    /// [`WorkflowKnowledge::resources`] order, between the service columns
-    /// and `D` (the `kert_sim::SimSystem::with_hosts` trace layout). Each
-    /// resource becomes a network node whose parents are the services
-    /// sharing it.
-    pub fn build_continuous_with_resources(
-        knowledge: &WorkflowKnowledge,
-        train: &Dataset,
-        options: ContinuousKertOptions,
-    ) -> Result<Self> {
-        let expr = knowledge.response_expr.clone();
-        Self::build_continuous_impl(knowledge, &expr, true, train, options)
-    }
-
-    fn build_continuous_impl(
-        knowledge: &WorkflowKnowledge,
-        metric_expr: &kert_bayes::Expr,
-        with_resources: bool,
-        train: &Dataset,
-        options: ContinuousKertOptions,
-    ) -> Result<Self> {
         let n = knowledge.n_services;
-        let k = if with_resources {
-            knowledge.resources.len()
-        } else {
-            0
-        };
-        check_dataset(train, n, k)?;
-        if with_resources {
-            check_resource_columns(knowledge, train)?;
-        }
-        let learned_nodes = n + k;
-        let d_node = learned_nodes;
+        check_dataset(train, n, 0)?;
+        let expr = &knowledge.response_expr;
+        let d_node = n;
 
         // Phase 1: structure from knowledge.
         let structure_start = Instant::now();
-        let dag = knowledge_dag(knowledge, metric_expr, with_resources)?;
-        let variables: Vec<Variable> = (0..learned_nodes)
+        let dag = knowledge_dag(knowledge, expr, false)?;
+        let variables: Vec<Variable> = (0..n)
             .map(|i| Variable::continuous(train.names()[i].clone()))
             .chain(std::iter::once(Variable::continuous("D")))
             .collect();
@@ -209,17 +159,17 @@ impl KertBn {
         // Phase 2: generate P(D | X) from the workflow (Eq. 4).
         let sigma = match options.noise_sigma {
             Some(s) => s.max(0.0),
-            None => estimate_noise_sigma(metric_expr, train, d_node),
+            None => estimate_noise_sigma(expr, train, d_node),
         };
         let d_cpd =
-            DeterministicCpd::from_network_expr(d_node, metric_expr, DetNoise::Gaussian { sigma })?;
+            DeterministicCpd::from_network_expr(d_node, expr, DetNoise::Gaussian { sigma })?;
 
-        // Phase 3: learn P(Xᵢ | Φ(Xᵢ)) (and the resource CPDs) only.
-        let learned_vars = &variables[..learned_nodes];
-        let learned_dag = learned_subdag(&dag, learned_nodes);
-        let learned_data = train.project(&(0..learned_nodes).collect::<Vec<_>>())?;
+        // Phase 3: learn P(Xᵢ | Φ(Xᵢ)) only.
+        let learned_vars = &variables[..n];
+        let learned_dag = learned_subdag(&dag, n);
+        let learned_data = train.project(&(0..n).collect::<Vec<_>>())?;
         let locals = slice_local_datasets(&learned_dag, &learned_data)?;
-        let (cpds, parameter_time, node_times) =
+        let (cpds, parameter_time) =
             run_param_learning(learned_vars, &locals, options.learning, options.params)?;
 
         let mut all_cpds = cpds;
@@ -234,9 +184,8 @@ impl KertBn {
                 structure_time,
                 parameter_time,
                 score_evaluations: 0,
-                node_parameter_times: node_times,
             },
-            health: ModelHealth::all_fresh(learned_nodes, train.rows()),
+            health: ModelHealth::all_fresh(n, train.rows()),
             tree: OnceLock::new(),
         })
     }
@@ -304,7 +253,6 @@ impl KertBn {
                 structure_time,
                 parameter_time,
                 score_evaluations: 0,
-                node_parameter_times: Vec::new(),
             },
             health: res.health,
             tree: OnceLock::new(),
@@ -323,7 +271,10 @@ impl KertBn {
         Self::build_discrete_impl(knowledge, &expr, false, train, options)
     }
 
-    /// Discrete variant of [`KertBn::build_continuous_metric`].
+    /// Build a discrete KERT-BN whose end-to-end node follows a custom
+    /// metric expression — e.g. the timeout-count metric of §3.3, where
+    /// `f` is [`WorkflowKnowledge::count_expr`] (`D = Σ Xᵢ`) and the data
+    /// columns hold per-service counts.
     pub fn build_discrete_metric(
         knowledge: &WorkflowKnowledge,
         metric_expr: &kert_bayes::Expr,
@@ -333,7 +284,12 @@ impl KertBn {
         Self::build_discrete_impl(knowledge, metric_expr, false, train, options)
     }
 
-    /// Discrete variant of [`KertBn::build_continuous_with_resources`].
+    /// Build a discrete KERT-BN including the resource-sharing nodes of
+    /// §3.2: the dataset must carry one utilization column per resource in
+    /// [`WorkflowKnowledge::resources`] order, between the service columns
+    /// and `D` (the `kert_sim::SimSystem::with_hosts` trace layout). Each
+    /// resource becomes a network node whose parents are the services
+    /// sharing it.
     pub fn build_discrete_with_resources(
         knowledge: &WorkflowKnowledge,
         train: &Dataset,
@@ -371,7 +327,7 @@ impl KertBn {
 
         // Discretization is part of parameter preparation, timed with it.
         let param_start = Instant::now();
-        let discretizer = Discretizer::fit(train, options.bins, options.strategy)?;
+        let discretizer = Discretizer::fit(train, options.bins)?;
         let states = discretizer.transform(train)?;
         let discretize_time = param_start.elapsed();
 
@@ -406,7 +362,7 @@ impl KertBn {
         let learned_dag = learned_subdag(&dag, learned_nodes);
         let learned_states = states.project(&(0..learned_nodes).collect::<Vec<_>>())?;
         let locals = slice_local_datasets(&learned_dag, &learned_states)?;
-        let (cpds, parameter_time, node_times) =
+        let (cpds, parameter_time) =
             run_param_learning(learned_vars, &locals, options.learning, options.params)?;
 
         let mut all_cpds = cpds;
@@ -421,7 +377,6 @@ impl KertBn {
                 structure_time,
                 parameter_time: parameter_time + discretize_time,
                 score_evaluations: 0,
-                node_parameter_times: node_times,
             },
             health: ModelHealth::all_fresh(learned_nodes, train.rows()),
             tree: OnceLock::new(),
@@ -619,7 +574,7 @@ fn run_param_learning(
     locals: &[kert_agents::LocalDataset],
     learning: ParamLearning,
     params: ParamOptions,
-) -> Result<(Vec<Cpd>, std::time::Duration, Vec<std::time::Duration>)> {
+) -> Result<(Vec<Cpd>, std::time::Duration)> {
     match learning {
         ParamLearning::Centralized => {
             let res = centralized_learn(
@@ -630,11 +585,11 @@ fn run_param_learning(
                     workers: None,
                 },
             )?;
-            Ok((res.cpds, res.centralized_time, res.node_times))
+            Ok((res.cpds, res.centralized_time))
         }
         ParamLearning::Decentralized { workers } => {
             let res = decentralized_learn(variables, locals, LearnOptions { params, workers })?;
-            Ok((res.cpds, res.decentralized_time, res.node_times))
+            Ok((res.cpds, res.decentralized_time))
         }
     }
 }
@@ -828,10 +783,10 @@ mod tests {
         let data = sys.run(500, &mut rng).to_dataset(None);
         assert_eq!(data.columns(), 9); // 6 services + 2 hosts + D
 
-        let model = KertBn::build_continuous_with_resources(
+        let model = KertBn::build_discrete_with_resources(
             &knowledge,
             &data,
-            ContinuousKertOptions::default(),
+            DiscreteKertOptions::default(),
         )
         .unwrap();
         // Layout: services 0..6, resources 6..8, D = 8.
@@ -844,29 +799,20 @@ mod tests {
         assert_eq!(model.network().dag().parents(8), &[0, 1, 2, 3, 4, 5]);
         assert!(model.accuracy(&data).unwrap().is_finite());
 
-        // The discrete variant assembles too.
-        let disc = KertBn::build_discrete_with_resources(
-            &knowledge,
-            &data,
-            DiscreteKertOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(disc.network().len(), 9);
-
         // Misordered resource columns are caught.
         let scrambled = data.project(&[0, 1, 2, 3, 4, 5, 7, 6, 8]).unwrap();
-        assert!(KertBn::build_continuous_with_resources(
+        assert!(KertBn::build_discrete_with_resources(
             &knowledge,
             &scrambled,
-            ContinuousKertOptions::default()
+            DiscreteKertOptions::default()
         )
         .is_err());
     }
 
     #[test]
     fn count_metric_model_uses_the_sum_expression() {
-        // Timeout counts: D = Σ Xᵢ (§3.3). Train a continuous metric model
-        // on count data and check its deterministic CPD predicts the sum.
+        // Timeout counts: D = Σ Xᵢ (§3.3). Train a metric model on count
+        // data and check its deterministic CPD's f is the sum.
         let wf = ediamond_workflow();
         let knowledge = derive_structure(&wf, 6, &ResourceMap::new()).unwrap();
         let stations = (0..6)
@@ -898,11 +844,11 @@ mod tests {
         );
 
         let count_expr = knowledge.count_expr.clone();
-        let model = KertBn::build_continuous_metric(
+        let model = KertBn::build_discrete_metric(
             &knowledge,
             &count_expr,
             &counts,
-            ContinuousKertOptions::default(),
+            DiscreteKertOptions::default(),
         )
         .unwrap();
         let Cpd::Deterministic(d_cpd) = model.network().cpd(6) else {
@@ -912,7 +858,7 @@ mod tests {
         for r in 0..counts.rows().min(50) {
             let row = counts.row(r);
             let parent_vals: Vec<f64> = d_cpd.parents().iter().map(|&p| row[p]).collect();
-            assert!((d_cpd.predict(&parent_vals) - row[6]).abs() < 1e-9);
+            assert!((d_cpd.local_expr().eval(&parent_vals) - row[6]).abs() < 1e-9);
         }
         assert!(model.accuracy(&counts).unwrap().is_finite());
     }

@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use kert_bayes::compile::JunctionTree;
-use kert_bayes::discretize::{BinStrategy, Discretizer};
+use kert_bayes::discretize::Discretizer;
 use kert_bayes::learn::k2::{k2_search, k2_with_random_restarts, K2Options, K2Result};
 use kert_bayes::learn::mle::{fit_all_parameters, ParamOptions};
 use kert_bayes::learn::score::FamilyScore;
@@ -34,8 +34,6 @@ pub struct NrtOptions {
     pub restarts: usize,
     /// Discretization for the discrete variant.
     pub bins: usize,
-    /// Binning strategy for the discrete variant.
-    pub strategy: BinStrategy,
     /// CPT smoothing.
     pub params: ParamOptions,
 }
@@ -46,7 +44,6 @@ impl Default for NrtOptions {
             max_parents: 3,
             restarts: 1,
             bins: 5,
-            strategy: BinStrategy::EqualFrequency,
             params: ParamOptions::default(),
         }
     }
@@ -112,7 +109,6 @@ impl NrtBn {
                 structure_time,
                 parameter_time,
                 score_evaluations: k2.evaluations,
-                node_parameter_times: Vec::new(),
             },
             tree: OnceLock::new(),
         })
@@ -133,7 +129,7 @@ impl NrtBn {
         let n_nodes = train.columns();
 
         let param_prep_start = Instant::now();
-        let discretizer = Discretizer::fit(train, options.bins, options.strategy)?;
+        let discretizer = Discretizer::fit(train, options.bins)?;
         let states = discretizer.transform(train)?;
         let discretize_time = param_prep_start.elapsed();
 
@@ -170,7 +166,6 @@ impl NrtBn {
                 structure_time,
                 parameter_time,
                 score_evaluations: k2.evaluations,
-                node_parameter_times: Vec::new(),
             },
             tree: OnceLock::new(),
         })
@@ -195,7 +190,7 @@ impl NrtBn {
         let d_node = n_nodes - 1;
 
         let param_prep_start = Instant::now();
-        let discretizer = Discretizer::fit(train, options.bins, options.strategy)?;
+        let discretizer = Discretizer::fit(train, options.bins)?;
         let states = discretizer.transform(train)?;
         let discretize_time = param_prep_start.elapsed();
 
@@ -226,7 +221,6 @@ impl NrtBn {
                 structure_time,
                 parameter_time,
                 score_evaluations: 0,
-                node_parameter_times: Vec::new(),
             },
             tree: OnceLock::new(),
         })

@@ -20,8 +20,6 @@ pub struct BuildReport {
     /// Family-score evaluations performed during structure search (0 for
     /// KERT-BN) — the `O(n²)` driver behind Figure 4's superlinear curve.
     pub score_evaluations: usize,
-    /// Per-node parameter-learning times (empty when not tracked).
-    pub node_parameter_times: Vec<Duration>,
 }
 
 impl BuildReport {
@@ -33,21 +31,6 @@ impl BuildReport {
     /// Total in seconds (for plotting).
     pub fn total_secs(&self) -> f64 {
         self.total().as_secs_f64()
-    }
-
-    /// Sum of per-node parameter times — what a centralized learner pays
-    /// regardless of how `parameter_time` was accounted.
-    pub fn centralized_parameter_time(&self) -> Duration {
-        self.node_parameter_times.iter().sum()
-    }
-
-    /// Max of per-node parameter times — the decentralized fleet latency.
-    pub fn decentralized_parameter_time(&self) -> Duration {
-        self.node_parameter_times
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or_default()
     }
 }
 
@@ -61,22 +44,14 @@ mod tests {
             structure_time: Duration::from_millis(30),
             parameter_time: Duration::from_millis(70),
             score_evaluations: 12,
-            node_parameter_times: vec![
-                Duration::from_millis(10),
-                Duration::from_millis(40),
-                Duration::from_millis(20),
-            ],
         };
         assert_eq!(r.total(), Duration::from_millis(100));
         assert!((r.total_secs() - 0.1).abs() < 1e-9);
-        assert_eq!(r.centralized_parameter_time(), Duration::from_millis(70));
-        assert_eq!(r.decentralized_parameter_time(), Duration::from_millis(40));
     }
 
     #[test]
     fn empty_report_is_zero() {
         let r = BuildReport::default();
         assert_eq!(r.total(), Duration::ZERO);
-        assert_eq!(r.decentralized_parameter_time(), Duration::ZERO);
     }
 }

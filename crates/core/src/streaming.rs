@@ -67,10 +67,6 @@ impl RefreshOutcome {
 pub struct RefreshSummary {
     /// Learned nodes whose parameters changed at all.
     pub nodes_moved: usize,
-    /// Largest parameter movement.
-    pub max_movement: f64,
-    /// Rows in the window the refreshed parameters describe.
-    pub window_rows: usize,
 }
 
 /// A sliding window of raw monitoring rows with incrementally maintained
@@ -143,11 +139,6 @@ impl StreamingWindow {
     /// Start offset (in `buf`) of the window row at logical index `r`.
     fn slot_start(&self, r: usize) -> usize {
         ((self.head + r) % self.capacity) * self.columns
-    }
-
-    /// Maximum rows before oldest-first eviction.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The current window contents as a dataset (training layout), for
@@ -320,21 +311,15 @@ impl KertBn {
     pub fn refresh_from_window(&mut self, window: &mut StreamingWindow) -> Result<RefreshSummary> {
         let outcome = window.refresh_outcome(self)?;
         let mut nodes_moved = 0;
-        let mut max_movement = 0.0f64;
         for update in outcome.updates {
             if update.movement > 0.0 {
                 nodes_moved += 1;
-                max_movement = max_movement.max(update.movement);
             }
             self.network_mut().set_cpd(update.node, update.cpd)?;
         }
         OBS_CPDS_MOVED.add(nodes_moved as u64);
         self.mark_refreshed(window.len());
-        Ok(RefreshSummary {
-            nodes_moved,
-            max_movement,
-            window_rows: window.len(),
-        })
+        Ok(RefreshSummary { nodes_moved })
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Gaussian Bayesian-network inference reduces to conditioning multivariate
 //! normals, whose covariance matrices are SPD; Cholesky (`Σ = L·Lᵀ`) gives us
-//! solves, inverses, log-determinants, and the sampling transform, each in
-//! `O(n³/3)` for factorization and `O(n²)` per solve.
+//! solves and log-determinants, in `O(n³/3)` for factorization and `O(n²)`
+//! per solve.
 
 use crate::matrix::{dot, Matrix};
 use crate::{LinalgError, Result, EPS};
@@ -131,11 +131,6 @@ impl Cholesky {
         Ok(out)
     }
 
-    /// Inverse of the factored matrix (used sparingly; prefer `solve`).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
     /// `log |A| = 2 Σ log L[i][i]`; needed by multivariate-normal log-pdfs.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
@@ -157,17 +152,6 @@ impl Cholesky {
             b[i] = (b[i] - s) / self.l.get(i, i);
         }
         Ok(b)
-    }
-
-    /// `L · z` — maps i.i.d. standard normals `z` to correlated samples.
-    pub fn l_mul(&self, z: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        debug_assert_eq!(z.len(), n);
-        let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot(&self.l.row(i)[..=i], &z[..=i]);
-        }
-        out
     }
 }
 
@@ -200,9 +184,12 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_matrix_is_identity() {
+    fn solving_against_the_identity_inverts() {
         let a = spd3();
-        let inv = Cholesky::factor(&a).unwrap().inverse().unwrap();
+        let inv = Cholesky::factor(&a)
+            .unwrap()
+            .solve_matrix(&Matrix::identity(3))
+            .unwrap();
         let eye = a.mul(&inv).unwrap();
         assert!(eye.max_abs_diff(&Matrix::identity(3)) < 1e-12);
     }
@@ -230,18 +217,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
         assert!(Cholesky::factor(&a).is_err());
         assert!(Cholesky::factor_with_jitter(&a).is_ok());
-    }
-
-    #[test]
-    fn l_mul_matches_explicit_product() {
-        let a = spd3();
-        let ch = Cholesky::factor(&a).unwrap();
-        let z = vec![0.3, -1.2, 2.0];
-        let via_kernel = ch.l_mul(&z);
-        let via_matrix = ch.l().mul_vec(&z).unwrap();
-        for (a, b) in via_kernel.iter().zip(via_matrix.iter()) {
-            assert!((a - b).abs() < 1e-14);
-        }
     }
 
     #[test]

@@ -16,10 +16,8 @@ use crate::{LinalgError, Result};
 pub struct LstsqFit {
     /// Coefficient vector `β` (length = number of design columns).
     pub coeffs: Vec<f64>,
-    /// Residual sum of squares `‖y − Xβ‖²`.
-    pub rss: f64,
-    /// Unbiased residual variance `rss / (rows − cols)`, or `rss / rows`
-    /// when the system is (near-)saturated.
+    /// Unbiased residual variance `‖y − Xβ‖² / (rows − cols)`, or
+    /// `‖y − Xβ‖² / rows` when the system is (near-)saturated.
     pub residual_variance: f64,
 }
 
@@ -125,7 +123,6 @@ fn solve_normal_equations(x: &Matrix, y: &[f64], lambda: f64) -> Result<LstsqFit
     };
     Ok(LstsqFit {
         coeffs,
-        rss,
         residual_variance,
     })
 }
@@ -152,7 +149,7 @@ mod tests {
         let fit = lstsq(&design, &y).unwrap();
         assert!((fit.coeffs[0] - 3.0).abs() < 1e-12);
         assert!((fit.coeffs[1] - 2.0).abs() < 1e-12);
-        assert!(fit.rss < 1e-20);
+        assert!(fit.residual_variance < 1e-20);
     }
 
     #[test]

@@ -78,15 +78,6 @@ impl Matrix {
         m
     }
 
-    /// Build a column vector (`n × 1`) from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -141,12 +132,6 @@ impl Matrix {
     /// Copy a column out into a fresh `Vec`.
     pub fn col(&self, c: usize) -> Vec<f64> {
         (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
-    /// The underlying row-major data.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
     }
 
     /// Matrix transpose.
@@ -236,15 +221,6 @@ impl Matrix {
         })
     }
 
-    /// Scale every element by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| x * s).collect(),
-        }
-    }
-
     /// Extract the submatrix with the given row and column index sets
     /// (in the order given; duplicates are allowed).
     pub fn submatrix(&self, row_idx: &[usize], col_idx: &[usize]) -> Matrix {
@@ -297,15 +273,6 @@ impl Matrix {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
-}
-
-/// `y ← y + alpha * x` (the BLAS `axpy`), used by solvers.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
 }
 
 #[cfg(test)]

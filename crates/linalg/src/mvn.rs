@@ -20,7 +20,6 @@
 
 use crate::cholesky::Cholesky;
 use crate::matrix::Matrix;
-use crate::stats;
 use crate::{LinalgError, Result};
 
 const LN_2PI: f64 = 1.8378770664093453; // ln(2π)
@@ -55,14 +54,6 @@ impl MultivariateNormal {
         Ok(MultivariateNormal { mean, cov, chol })
     }
 
-    /// Fit a joint Gaussian to a data matrix (rows = observations) by
-    /// maximum likelihood (sample mean, unbiased sample covariance).
-    pub fn fit(data: &Matrix) -> Result<Self> {
-        let mean = stats::column_means(data);
-        let cov = stats::covariance_matrix(data);
-        Self::new(mean, cov)
-    }
-
     /// Dimension `n`.
     pub fn dim(&self) -> usize {
         self.mean.len()
@@ -76,11 +67,6 @@ impl MultivariateNormal {
     /// Covariance matrix.
     pub fn cov(&self) -> &Matrix {
         &self.cov
-    }
-
-    /// Marginal standard deviation of component `i`.
-    pub fn std_dev(&self, i: usize) -> f64 {
-        self.cov.get(i, i).max(0.0).sqrt()
     }
 
     /// Log-density `ln N(x; μ, Σ)`.
@@ -97,13 +83,6 @@ impl MultivariateNormal {
         let w = self.chol.forward_solve(centered)?;
         let maha: f64 = w.iter().map(|v| v * v).sum();
         Ok(-0.5 * (n as f64 * LN_2PI + self.chol.log_det() + maha))
-    }
-
-    /// Marginal distribution over the given (distinct) component indices.
-    pub fn marginal(&self, idx: &[usize]) -> Result<MultivariateNormal> {
-        let mean = idx.iter().map(|&i| self.mean[i]).collect();
-        let cov = self.cov.submatrix(idx, idx);
-        MultivariateNormal::new(mean, cov)
     }
 
     /// Condition on exact observations: `p(rest | components[obs_idx] = obs_val)`.
@@ -163,27 +142,6 @@ impl MultivariateNormal {
             free_indices: free,
             dist: MultivariateNormal::new(mean, cov)?,
         })
-    }
-
-    /// Map i.i.d. standard normals `z` (length `n`) to a sample `μ + L·z`.
-    pub fn transform_standard_normals(&self, z: &[f64]) -> Vec<f64> {
-        let mut x = self.chol.l_mul(z);
-        for (xi, m) in x.iter_mut().zip(self.mean.iter()) {
-            *xi += m;
-        }
-        x
-    }
-
-    /// Univariate normal CDF helper `P(component_i > threshold)`, computed
-    /// from the marginal mean/variance via the error function.
-    pub fn exceedance_probability(&self, i: usize, threshold: f64) -> f64 {
-        let mu = self.mean[i];
-        let sd = self.std_dev(i);
-        if sd <= 0.0 {
-            return if mu > threshold { 1.0 } else { 0.0 };
-        }
-        let z = (threshold - mu) / (sd * std::f64::consts::SQRT_2);
-        0.5 * erfc(z)
     }
 }
 
@@ -357,37 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn marginal_extracts_components() {
-        let mvn = demo_mvn();
-        let m = mvn.marginal(&[1]).unwrap();
-        assert_eq!(m.dim(), 1);
-        assert_eq!(m.mean()[0], -2.0);
-        assert_eq!(m.cov().get(0, 0), 4.0);
-    }
-
-    #[test]
-    fn transform_standard_normals_has_right_moments() {
-        // z = 0 maps to the mean.
-        let mvn = demo_mvn();
-        assert_eq!(mvn.transform_standard_normals(&[0.0, 0.0]), vec![1.0, -2.0]);
-    }
-
-    #[test]
-    fn fit_recovers_sample_moments() {
-        let data =
-            Matrix::from_rows(&[&[1.0, 10.0], &[2.0, 12.0], &[3.0, 14.0], &[4.0, 15.0]]).unwrap();
-        let mvn = MultivariateNormal::fit(&data).unwrap();
-        assert!((mvn.mean()[0] - 2.5).abs() < 1e-12);
-        assert!((mvn.mean()[1] - 12.75).abs() < 1e-12);
-        assert!((mvn.cov().get(0, 0) - stats::variance(&data.col(0))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exceedance_probability_is_calibrated() {
-        let mvn = MultivariateNormal::new(vec![0.0], Matrix::from_diag(&[1.0])).unwrap();
-        assert!((mvn.exceedance_probability(0, 0.0) - 0.5).abs() < 1e-7);
-        // P(Z > 1.6449) ≈ 0.05
-        assert!((mvn.exceedance_probability(0, 1.6449) - 0.05).abs() < 1e-4);
+    fn erfc_gives_calibrated_normal_tails() {
+        // P(Z > t) = erfc(t / √2) / 2.
+        let tail = |t: f64| 0.5 * erfc(t / std::f64::consts::SQRT_2);
+        assert!((tail(0.0) - 0.5).abs() < 1e-7);
+        assert!((tail(1.6449) - 0.05).abs() < 1e-4);
     }
 
     #[test]

@@ -1,11 +1,6 @@
-//! Descriptive statistics over data matrices (rows = observations,
-//! columns = variables).
-//!
-//! These feed the Gaussian-network learners: joint-Gaussian fitting needs
-//! column means and (co)variances, discretization needs per-column ranges
-//! and quantiles.
-
-use crate::matrix::Matrix;
+//! Descriptive statistics over a slice of observations: moments, ranges,
+//! quantiles and correlation. Discretization needs per-column ranges and
+//! quantiles.
 
 /// Arithmetic mean of a slice; `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -28,63 +23,6 @@ pub fn variance(xs: &[f64]) -> f64 {
 /// Sample standard deviation.
 pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
-}
-
-/// Per-column means of a data matrix.
-pub fn column_means(data: &Matrix) -> Vec<f64> {
-    let n = data.rows();
-    let p = data.cols();
-    let mut means = vec![0.0; p];
-    if n == 0 {
-        return means;
-    }
-    for r in 0..n {
-        for (m, &v) in means.iter_mut().zip(data.row(r)) {
-            *m += v;
-        }
-    }
-    for m in &mut means {
-        *m /= n as f64;
-    }
-    means
-}
-
-/// Unbiased sample covariance matrix (`p × p`) of a data matrix.
-///
-/// With fewer than two rows the zero matrix is returned; callers that need a
-/// usable density then fall back to jittered factorization.
-pub fn covariance_matrix(data: &Matrix) -> Matrix {
-    let n = data.rows();
-    let p = data.cols();
-    let mut cov = Matrix::zeros(p, p);
-    if n < 2 {
-        return cov;
-    }
-    let means = column_means(data);
-    let mut centered = vec![0.0; p];
-    for r in 0..n {
-        for ((c, &v), &m) in centered.iter_mut().zip(data.row(r)).zip(means.iter()) {
-            *c = v - m;
-        }
-        for i in 0..p {
-            let ci = centered[i];
-            if ci == 0.0 {
-                continue;
-            }
-            for j in 0..=i {
-                cov.add_at(i, j, ci * centered[j]);
-            }
-        }
-    }
-    let denom = (n - 1) as f64;
-    for i in 0..p {
-        for j in 0..=i {
-            let v = cov.get(i, j) / denom;
-            cov.set(i, j, v);
-            cov.set(j, i, v);
-        }
-    }
-    cov
 }
 
 /// Minimum and maximum of a slice; `(0, 0)` for an empty slice.
@@ -164,28 +102,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[3.0]), 0.0);
         assert_eq!(correlation(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn covariance_matrix_matches_pairwise() {
-        let data =
-            Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.5], &[3.0, 5.5], &[4.0, 8.5]]).unwrap();
-        let cov = covariance_matrix(&data);
-        let x = data.col(0);
-        let y = data.col(1);
-        assert!((cov.get(0, 0) - variance(&x)).abs() < 1e-12);
-        assert!((cov.get(1, 1) - variance(&y)).abs() < 1e-12);
-        // Cross term by hand.
-        let mx = mean(&x);
-        let my = mean(&y);
-        let sxy: f64 = x
-            .iter()
-            .zip(y.iter())
-            .map(|(&a, &b)| (a - mx) * (b - my))
-            .sum::<f64>()
-            / 3.0;
-        assert!((cov.get(0, 1) - sxy).abs() < 1e-12);
-        assert_eq!(cov.get(0, 1), cov.get(1, 0));
     }
 
     #[test]

@@ -89,24 +89,6 @@ pub fn event(name: &str, value: f64, labels: &[(&str, &str)]) {
     });
 }
 
-/// Like [`event`] but with owned labels, for call sites that only build
-/// the label strings when the stream is active.
-pub fn event_with(name: &str, value: f64, labels: Vec<(String, String)>) {
-    if !crate::jsonl_enabled() {
-        return;
-    }
-    emit(TelemetryEvent {
-        seq: 0,
-        kind: EventKind::Event,
-        name: name.to_string(),
-        span_id: 0,
-        parent_id: crate::span::current_span_id(),
-        elapsed_ns: 0,
-        value: if value.is_finite() { value } else { 0.0 },
-        labels,
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

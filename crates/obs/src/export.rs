@@ -1,10 +1,10 @@
 //! Exporters: the JSONL line sink and the Prometheus-style text snapshot.
 //!
 //! The JSONL sink is a process-global writer. By default the stream goes
-//! to stderr; `KERT_OBS_FILE=<path>` (read at first write) or
-//! [`set_sink_path`] redirect it to a file. Lines are flushed as they are
-//! written — the stream exists for post-mortem and CI validation, not
-//! throughput, and event rates are control-period-scale.
+//! to stderr; `KERT_OBS_FILE=<path>` (read at first write) redirects it
+//! to a file. Lines are flushed as they are written — the stream exists
+//! for post-mortem and CI validation, not throughput, and event rates are
+//! control-period-scale.
 //!
 //! The Prometheus snapshot renders the whole registry in text exposition
 //! format (counters, gauges, and histograms with cumulative `le` buckets).
@@ -50,22 +50,6 @@ pub(crate) fn write_line(line: &str) {
             let _ = writeln!(std::io::stderr().lock(), "{line}");
         }
     }
-}
-
-/// Redirect the JSONL stream to `path` (truncating any existing file).
-pub fn set_sink_path(path: &str) -> std::io::Result<()> {
-    let f = File::create(path)?;
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    sink.init = true;
-    sink.file = Some(f);
-    Ok(())
-}
-
-/// Point the JSONL stream (back) at stderr.
-pub fn set_sink_stderr() {
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    sink.init = true;
-    sink.file = None;
 }
 
 /// Flush the sink (file writes already flush per line; this exists so

@@ -32,13 +32,13 @@
 //! ## Modes
 //!
 //! The `KERT_OBS` environment variable (read once, overridable with
-//! [`set_mode`]) selects:
+//! [`set_mode`], which sets one of the first two) selects:
 //!
 //! | value | mode | behaviour |
 //! |---|---|---|
 //! | unset, `0`, `off` | [`ObsMode::Disabled`] | everything is a no-op |
 //! | `1`, `on`, `metrics` | [`ObsMode::Metrics`] | counters/gauges/histograms/spans accumulate in the registry |
-//! | `jsonl` | [`ObsMode::Jsonl`] | metrics **plus** a JSONL event/span stream (`KERT_OBS_FILE` or stderr) |
+//! | `jsonl` | JSONL | metrics **plus** a JSONL event/span stream (`KERT_OBS_FILE` or stderr) |
 //!
 //! ## Exporters
 //!
@@ -60,22 +60,21 @@ pub mod span;
 pub mod trace;
 
 pub use chrome::{check_chrome_trace, chrome_trace_json, ChromeStats};
-pub use event::{event, event_with, EventKind, TelemetryEvent};
-pub use export::{flush, parse_prometheus, prometheus_snapshot, set_sink_path, set_sink_stderr};
-pub use registry::{set_gauge, set_gauge_labeled, Counter, Gauge, Histogram};
+pub use event::{event, EventKind, TelemetryEvent};
+pub use export::{flush, parse_prometheus, prometheus_snapshot};
+pub use registry::{set_gauge, set_gauge_labeled, Counter, Histogram};
 pub use snapshot::{reset, snapshot, HistogramSnapshot, TelemetrySnapshot};
 pub use span::{span, Span};
 pub use trace::{trace_events, FlightRecorder, SpanLink, SpanRecord, TraceContext, TraceTree};
 
-/// How much telemetry the process records (see the crate docs).
+/// How much telemetry the process records, as [`set_mode`] selects it (the
+/// JSONL stream is selected by `KERT_OBS=jsonl` alone; see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsMode {
     /// Every instrumentation point is a no-op after one relaxed load.
     Disabled,
     /// Counters, gauges, histograms, and spans accumulate in the registry.
     Metrics,
-    /// [`ObsMode::Metrics`] plus the JSONL event/span stream.
-    Jsonl,
 }
 
 const MODE_DISABLED: u8 = 0;
@@ -119,15 +118,6 @@ pub fn jsonl_enabled() -> bool {
     mode_raw() == MODE_JSONL
 }
 
-/// The current mode.
-pub fn mode() -> ObsMode {
-    match mode_raw() {
-        MODE_METRICS => ObsMode::Metrics,
-        MODE_JSONL => ObsMode::Jsonl,
-        _ => ObsMode::Disabled,
-    }
-}
-
 /// Override the mode programmatically (benches toggle between disabled and
 /// enabled runs; tests force [`ObsMode::Metrics`] regardless of the
 /// environment). Takes effect for all subsequent instrumentation calls.
@@ -135,7 +125,6 @@ pub fn set_mode(mode: ObsMode) {
     let m = match mode {
         ObsMode::Disabled => MODE_DISABLED,
         ObsMode::Metrics => MODE_METRICS,
-        ObsMode::Jsonl => MODE_JSONL,
     };
     MODE.store(m, Ordering::Relaxed);
 }
@@ -171,7 +160,7 @@ mod tests {
         C_LIB.add(3);
         C_LIB.incr();
         assert_eq!(C_LIB.value(), before + 4);
-        assert_eq!(mode(), ObsMode::Metrics);
+        assert!(enabled() && !jsonl_enabled());
         set_mode(ObsMode::Disabled);
     }
 }

@@ -167,50 +167,8 @@ impl Counter {
     }
 }
 
-/// A named last-value gauge storing an `f64` (as bits in an `AtomicU64`).
-pub struct Gauge {
-    name: &'static str,
-    cell: OnceLock<&'static AtomicU64>,
-}
-
-impl Gauge {
-    /// A gauge handle for `name` (no registration until first use).
-    pub const fn new(name: &'static str) -> Self {
-        Gauge {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Overwrite the gauge. Non-finite values are dropped (the exporters
-    /// emit plain JSON/Prometheus numbers, which have no NaN).
-    #[inline]
-    pub fn set(&self, value: f64) {
-        if !crate::enabled() || !value.is_finite() {
-            return;
-        }
-        self.cell
-            .get_or_init(|| gauge_handle(self.name))
-            .store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value (0 if never set while enabled).
-    pub fn value(&self) -> f64 {
-        match self.cell.get() {
-            Some(h) => f64::from_bits(h.load(Ordering::Relaxed)),
-            None => with_registry(|r| {
-                r.gauges
-                    .get(self.name)
-                    .map(|h| f64::from_bits(h.load(Ordering::Relaxed)))
-                    .unwrap_or(0.0)
-            }),
-        }
-    }
-}
-
-/// Set a dynamically named gauge (e.g. built per window). Prefer the
-/// `static` [`Gauge`] handle for fixed names — this takes the registry
-/// mutex on every call.
+/// Set a dynamically named gauge (e.g. built per window); this takes the
+/// registry mutex on every call.
 pub fn set_gauge(name: &str, value: f64) {
     if !crate::enabled() || !value.is_finite() {
         return;

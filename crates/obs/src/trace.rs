@@ -207,11 +207,6 @@ impl TraceContext {
         self.trace_id
     }
 
-    /// Spans recorded so far (open and closed).
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-
     /// Open a span under the innermost open span (root if none).
     /// Returns its trace-local id.
     pub fn open(&mut self, name: &str) -> u64 {
@@ -319,16 +314,6 @@ pub fn take() -> Option<TraceContext> {
     ACTIVE.with(|a| a.borrow_mut().take())
 }
 
-/// Is a capturing context installed on this thread?
-pub fn is_active() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
-}
-
-/// Run `f` against the installed context, if any.
-pub fn with_active<R>(f: impl FnOnce(&mut TraceContext) -> R) -> Option<R> {
-    ACTIVE.with(|a| a.borrow_mut().as_mut().map(f))
-}
-
 /// Capture hook for [`crate::span`]: open a mirror span in the installed
 /// context, reusing the span's own clock read (`at`) and its `'static`
 /// name, so a capture allocates nothing and never touches the clock
@@ -404,7 +389,7 @@ impl FlightRecorder {
         self.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// True when nothing has been recorded (or everything was cleared).
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -424,11 +409,6 @@ impl FlightRecorder {
             limit.min(ring.len())
         };
         ring.iter().skip(ring.len() - take).cloned().collect()
-    }
-
-    /// Drop every held trace (the total-recorded count is preserved).
-    pub fn clear(&self) {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }
 
@@ -524,12 +504,12 @@ mod tests {
         let mut ctx = TraceContext::with_virtual_clock(9, 1);
         let root = ctx.open("root");
         assert!(install(ctx).is_none());
-        assert!(is_active());
+        assert!(ACTIVE.with(|a| a.borrow().is_some()));
         let captured = capture_open("inner.work", Instant::now());
         assert_ne!(captured, 0);
         capture_close(captured, Instant::now());
         let mut ctx = take().expect("context still installed");
-        assert!(!is_active());
+        assert!(ACTIVE.with(|a| a.borrow().is_none()));
         ctx.close(root);
         let tree = ctx.finish();
         let inner = tree.find("inner.work").expect("captured span recorded");
@@ -554,9 +534,6 @@ mod tests {
         assert_eq!(ids, vec![2, 3, 4]);
         let ids: Vec<u64> = rec.snapshot(2).iter().map(|t| t.trace_id).collect();
         assert_eq!(ids, vec![3, 4]);
-        rec.clear();
-        assert!(rec.is_empty());
-        assert_eq!(rec.total_recorded(), 5);
     }
 
     #[test]

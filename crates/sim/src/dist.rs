@@ -129,45 +129,6 @@ impl Dist {
             }
         }
     }
-
-    /// Theoretical mean (the truncated normal's clamp bias is ignored —
-    /// negligible for μ ≫ σ, the regime service times live in).
-    pub fn mean(&self) -> f64 {
-        match *self {
-            Dist::Deterministic { value } => value,
-            Dist::Uniform { lo, hi } => 0.5 * (lo + hi),
-            Dist::Exponential { mean } | Dist::Erlang { mean, .. } => mean,
-            Dist::Normal { mean, .. } => mean,
-            Dist::LogNormal { mu, sigma } => (mu + 0.5 * sigma * sigma).exp(),
-            Dist::Weibull { k, lambda } => lambda * gamma_1_plus(1.0 / k),
-            Dist::Pareto { scale, alpha } => scale * alpha / (alpha - 1.0),
-        }
-    }
-}
-
-/// Γ(1 + x) via the Lanczos `ln Γ` in kert-bayes would add a dependency
-/// cycle; a Stirling-series approximation is ample for the Weibull mean
-/// (x ∈ (0, ~5] here, relative error < 1e-6).
-fn gamma_1_plus(x: f64) -> f64 {
-    // Use Γ(1+x) = x·Γ(x) with a Lanczos-lite rational fit on [1, 2].
-    // Shift x+1 into [1, 2) by the recurrence Γ(z+1) = z·Γ(z).
-    let mut z = 1.0 + x;
-    let mut factor = 1.0;
-    while z > 2.0 {
-        z -= 1.0;
-        factor *= z;
-    }
-    // Minimax-style polynomial for Γ(z) on [1, 2] (Abramowitz & Stegun
-    // 6.1.36, |ε| ≤ 3e-7).
-    let t = z - 1.0;
-    let g = 1.0
-        + t * (-0.577191652
-            + t * (0.988205891
-                + t * (-0.897056937
-                    + t * (0.918206857
-                        + t * (-0.756704078
-                            + t * (0.482199394 + t * (-0.193527818 + t * 0.035868343)))))));
-    factor * g
 }
 
 fn box_muller<R: Rng + ?Sized>(rng: &mut R) -> f64 {
@@ -181,6 +142,45 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Theoretical mean of `d` (the truncated normal's clamp bias is ignored —
+    /// negligible for μ ≫ σ, the regime service times live in).
+    fn theoretical_mean(d: Dist) -> f64 {
+        match d {
+            Dist::Deterministic { value } => value,
+            Dist::Uniform { lo, hi } => 0.5 * (lo + hi),
+            Dist::Exponential { mean } | Dist::Erlang { mean, .. } => mean,
+            Dist::Normal { mean, .. } => mean,
+            Dist::LogNormal { mu, sigma } => (mu + 0.5 * sigma * sigma).exp(),
+            Dist::Weibull { k, lambda } => lambda * gamma_1_plus(1.0 / k),
+            Dist::Pareto { scale, alpha } => scale * alpha / (alpha - 1.0),
+        }
+    }
+
+    /// Γ(1 + x) via the Lanczos `ln Γ` in kert-bayes would add a dependency
+    /// cycle; a Stirling-series approximation is ample for the Weibull mean
+    /// (x ∈ (0, ~5] here, relative error < 1e-6).
+    fn gamma_1_plus(x: f64) -> f64 {
+        // Use Γ(1+x) = x·Γ(x) with a Lanczos-lite rational fit on [1, 2].
+        // Shift x+1 into [1, 2) by the recurrence Γ(z+1) = z·Γ(z).
+        let mut z = 1.0 + x;
+        let mut factor = 1.0;
+        while z > 2.0 {
+            z -= 1.0;
+            factor *= z;
+        }
+        // Minimax-style polynomial for Γ(z) on [1, 2] (Abramowitz & Stegun
+        // 6.1.36, |ε| ≤ 3e-7).
+        let t = z - 1.0;
+        let g = 1.0
+            + t * (-0.577191652
+                + t * (0.988205891
+                    + t * (-0.897056937
+                        + t * (0.918206857
+                            + t * (-0.756704078
+                                + t * (0.482199394 + t * (-0.193527818 + t * 0.035868343)))))));
+        factor * g
+    }
 
     fn sample_mean(d: Dist, n: usize, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -213,7 +213,7 @@ mod tests {
         ];
         for (i, d) in cases.into_iter().enumerate() {
             let m = sample_mean(d, 100_000, 100 + i as u64);
-            let want = d.mean();
+            let want = theoretical_mean(d);
             assert!(
                 (m - want).abs() < 0.03 * want.max(1.0),
                 "{d:?}: {m} vs {want}"

@@ -65,11 +65,6 @@ impl<E: PartialEq> EventQueue<E> {
         }
     }
 
-    /// Current simulation time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedule `event` at absolute time `time`.
     ///
     /// Panics if `time` is in the past or NaN — scheduling backwards is
@@ -97,16 +92,6 @@ impl<E: PartialEq> EventQueue<E> {
             (s.time, s.event)
         })
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +106,7 @@ mod tests {
         q.schedule(3.0, "b");
         assert_eq!(q.pop(), Some((1.0, "a")));
         assert_eq!(q.pop(), Some((3.0, "b")));
-        assert_eq!(q.now(), 3.0);
+        assert_eq!(q.now, 3.0);
         assert_eq!(q.pop(), Some((5.0, "c")));
         assert_eq!(q.pop(), None);
     }
@@ -153,16 +138,5 @@ mod tests {
         q.schedule(10.0, ());
         q.pop();
         q.schedule(1.0, ());
-    }
-
-    #[test]
-    fn len_tracks_pending() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(1.0, 0);
-        q.schedule(2.0, 1);
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
     }
 }

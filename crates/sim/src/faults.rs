@@ -126,14 +126,6 @@ impl FaultPlan {
         }
     }
 
-    /// Drop each delivery attempt with probability `p`.
-    pub fn lossy(p: f64) -> Self {
-        FaultPlan {
-            drop_prob: p,
-            ..FaultPlan::healthy()
-        }
-    }
-
     /// Validate probability ranges.
     pub fn validate(&self) -> Result<()> {
         for (name, p) in [
@@ -224,16 +216,6 @@ impl FaultInjector {
             seed: 0,
             plans: vec![FaultPlan::healthy(); n_agents],
         }
-    }
-
-    /// Number of agents covered.
-    pub fn n_agents(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// The plan of one agent.
-    pub fn plan(&self, agent: usize) -> &FaultPlan {
-        &self.plans[agent]
     }
 
     /// Perturb one delivery attempt of `agent`'s report for `window`.
@@ -537,7 +519,11 @@ mod tests {
 
     #[test]
     fn invalid_plans_are_rejected() {
-        assert!(FaultInjector::new(0, vec![FaultPlan::lossy(1.5)]).is_err());
+        let bad_drop = FaultPlan {
+            drop_prob: 1.5,
+            ..FaultPlan::healthy()
+        };
+        assert!(FaultInjector::new(0, vec![bad_drop]).is_err());
         let bad_keep = FaultPlan {
             truncate_keep: -0.1,
             ..FaultPlan::healthy()

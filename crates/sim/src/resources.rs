@@ -79,11 +79,6 @@ impl HostLayout {
         self.hosts.is_empty()
     }
 
-    /// The hosts.
-    pub fn hosts(&self) -> &[Host] {
-        &self.hosts
-    }
-
     /// Host names in order (dataset column names for the resource nodes).
     pub fn names(&self) -> Vec<String> {
         self.hosts.iter().map(|h| h.name.clone()).collect()
@@ -162,7 +157,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(layout.len(), 2);
-        assert_eq!(layout.hosts()[0].services, vec![4, 5]);
+        assert_eq!(layout.hosts[0].services, vec![4, 5]);
         assert_eq!(layout.names(), vec!["db_host", "web_host"]);
         assert_eq!(layout.sizes(), vec![2, 2]);
         let map = layout.host_of(6);

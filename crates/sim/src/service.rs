@@ -53,10 +53,6 @@ pub struct Station {
     config: ServiceConfig,
     busy: usize,
     queue: VecDeque<(JobToken, SimTime)>,
-    /// Cumulative statistics for utilization reporting.
-    completed: u64,
-    total_elapsed: f64,
-    total_wait: f64,
 }
 
 impl Station {
@@ -66,9 +62,6 @@ impl Station {
             config,
             busy: 0,
             queue: VecDeque::new(),
-            completed: 0,
-            total_elapsed: 0.0,
-            total_wait: 0.0,
         }
     }
 
@@ -96,18 +89,9 @@ impl Station {
         }
     }
 
-    /// A job finishes at time `now` after having arrived at `arrived` and
-    /// waited `wait`. Returns the next queued job to start, if any, with its
-    /// accumulated wait time.
-    pub fn complete(
-        &mut self,
-        now: SimTime,
-        arrived: SimTime,
-        wait: SimTime,
-    ) -> Option<(JobToken, SimTime)> {
-        self.completed += 1;
-        self.total_elapsed += now - arrived;
-        self.total_wait += wait;
+    /// A job finishes at time `now`. Returns the next queued job to start,
+    /// if any, with its accumulated wait time.
+    pub fn complete(&mut self, now: SimTime) -> Option<(JobToken, SimTime)> {
         if let Some((job, queued_at)) = self.queue.pop_front() {
             // The freed server is immediately taken; `busy` is unchanged.
             Some((job, now - queued_at))
@@ -117,46 +101,13 @@ impl Station {
         }
     }
 
-    /// Drop all in-flight runtime state (busy servers, queued jobs),
-    /// keeping cumulative statistics. Called at the start of every
+    /// Drop all in-flight runtime state (busy servers, queued jobs).
+    /// Called at the start of every
     /// simulation run: each run begins from an idle system, and jobs from
     /// a previous run's event queue no longer exist.
     pub fn reset_runtime(&mut self) {
         self.busy = 0;
         self.queue.clear();
-    }
-
-    /// Jobs currently executing.
-    pub fn busy(&self) -> usize {
-        self.busy
-    }
-
-    /// Jobs currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Completed-job count.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Mean elapsed (wait + service) time over completed jobs.
-    pub fn mean_elapsed(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.total_elapsed / self.completed as f64
-        }
-    }
-
-    /// Mean wait time over completed jobs.
-    pub fn mean_wait(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.total_wait / self.completed as f64
-        }
     }
 }
 
@@ -177,8 +128,8 @@ mod tests {
         assert_eq!(st.arrive(1, 0.0), Some(1));
         assert_eq!(st.arrive(2, 0.0), Some(2));
         assert_eq!(st.arrive(3, 0.0), None); // queued
-        assert_eq!(st.busy(), 2);
-        assert_eq!(st.queue_len(), 1);
+        assert_eq!(st.busy, 2);
+        assert_eq!(st.queue.len(), 1);
     }
 
     #[test]
@@ -189,10 +140,10 @@ mod tests {
         st.arrive(3, 0.5);
         st.arrive(4, 0.7);
         // Job 1 finishes at t=1: job 3 (queued first) starts, wait 0.5.
-        let next = st.complete(1.0, 0.0, 0.0);
+        let next = st.complete(1.0);
         assert_eq!(next, Some((3, 0.5)));
-        assert_eq!(st.busy(), 2);
-        let (job, wait) = st.complete(1.0, 0.0, 0.0).unwrap();
+        assert_eq!(st.busy, 2);
+        let (job, wait) = st.complete(1.0).unwrap();
         assert_eq!(job, 4);
         assert!((wait - 0.3).abs() < 1e-12);
     }
@@ -201,20 +152,8 @@ mod tests {
     fn busy_count_drops_when_queue_is_empty() {
         let mut st = Station::new(cfg());
         st.arrive(1, 0.0);
-        assert_eq!(st.complete(1.0, 0.0, 0.0), None);
-        assert_eq!(st.busy(), 0);
-    }
-
-    #[test]
-    fn statistics_accumulate() {
-        let mut st = Station::new(cfg());
-        st.arrive(1, 0.0);
-        st.complete(2.0, 0.0, 0.5);
-        st.arrive(2, 3.0);
-        st.complete(4.0, 3.0, 0.0);
-        assert_eq!(st.completed(), 2);
-        assert!((st.mean_elapsed() - 1.5).abs() < 1e-12);
-        assert!((st.mean_wait() - 0.25).abs() < 1e-12);
+        assert_eq!(st.complete(1.0), None);
+        assert_eq!(st.busy, 0);
     }
 
     #[test]

@@ -50,8 +50,6 @@ enum Event {
         node: usize,
         /// When the job arrived at the station (queue entry).
         station_arrived: SimTime,
-        /// Time spent queued before service started.
-        wait: SimTime,
     },
 }
 
@@ -130,16 +128,6 @@ impl SimSystem {
         })
     }
 
-    /// The shared-resource layout.
-    pub fn layout(&self) -> &HostLayout {
-        &self.layout
-    }
-
-    /// Number of services.
-    pub fn n_services(&self) -> usize {
-        self.n_services
-    }
-
     /// Replace a service's processing-time distribution (models a resource
     /// action, e.g. pAccel's "reduce X₄ to 90%").
     pub fn set_service_time(&mut self, service: usize, dist: Dist) -> Result<()> {
@@ -149,12 +137,6 @@ impl SimSystem {
             .ok_or_else(|| SimError::BadConfig(format!("no service {service}")))?
             .set_service_time(dist);
         Ok(())
-    }
-
-    /// Mean station elapsed time observed so far (wait + service), per
-    /// service — a utilization diagnostic.
-    pub fn mean_station_elapsed(&self) -> Vec<f64> {
-        self.stations.iter().map(Station::mean_elapsed).collect()
     }
 
     /// Run until `n_requests` requests have *completed after warm-up*,
@@ -204,7 +186,6 @@ impl SimSystem {
                     req,
                     node,
                     station_arrived,
-                    wait,
                 } => {
                     let svc = self.plan.service_of(node);
                     // The finishing task releases its host slot.
@@ -212,9 +193,7 @@ impl SimSystem {
                         self.host_busy[h] -= 1;
                     }
                     // Free the server; maybe promote a queued job.
-                    if let Some((token, q_wait)) =
-                        self.stations[svc].complete(now, station_arrived, wait)
-                    {
+                    if let Some((token, q_wait)) = self.stations[svc].complete(now) {
                         let (q_req, q_node) = decode(token);
                         // The promoted job starts executing right now.
                         self.observe_task_start(q_req, svc, &mut inflight);
@@ -225,7 +204,6 @@ impl SimSystem {
                                 req: q_req,
                                 node: q_node,
                                 station_arrived: now - q_wait,
-                                wait: q_wait,
                             },
                         );
                     }
@@ -277,7 +255,6 @@ impl SimSystem {
                     req,
                     node,
                     station_arrived: now,
-                    wait: 0.0,
                 },
             );
         }
@@ -464,7 +441,11 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(77);
         let trace = sys.run(400, &mut rng);
-        assert_eq!(trace.resource_names(), &["local_host", "remote_host"]);
+        let names = trace.to_dataset(None).names().to_vec();
+        assert_eq!(
+            &names[names.len() - 3..],
+            &["local_host", "remote_host", "D"]
+        );
         for row in trace.rows() {
             assert_eq!(row.resources.len(), 2);
             for &u in &row.resources {

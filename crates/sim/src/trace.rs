@@ -57,16 +57,6 @@ impl Trace {
         }
     }
 
-    /// Names of the resource columns (between the service columns and `D`).
-    pub fn resource_names(&self) -> &[String] {
-        &self.resource_names
-    }
-
-    /// Number of services.
-    pub fn n_services(&self) -> usize {
-        self.n_services
-    }
-
     /// Append a row (rows must arrive in completion order).
     pub fn push(&mut self, row: TraceRow) {
         debug_assert_eq!(row.elapsed.len(), self.n_services);
@@ -97,11 +87,6 @@ impl Trace {
     /// Response-time column.
     pub fn response_times(&self) -> Vec<f64> {
         self.rows.iter().map(|r| r.response_time).collect()
-    }
-
-    /// Elapsed-time column of one service.
-    pub fn elapsed_of(&self, service: usize) -> Vec<f64> {
-        self.rows.iter().map(|r| r.elapsed[service]).collect()
     }
 
     /// Thin the trace to the monitoring cadence: keep the *last* completed
@@ -275,7 +260,8 @@ mod tests {
         let t = demo();
         assert_eq!(t.len(), 4);
         assert_eq!(t.response_times(), vec![0.3, 0.5, 0.4, 1.0]);
-        assert_eq!(t.elapsed_of(1), vec![0.2, 0.3, 0.1, 0.5]);
+        let elapsed_1: Vec<f64> = t.rows().iter().map(|r| r.elapsed[1]).collect();
+        assert_eq!(elapsed_1, vec![0.2, 0.3, 0.1, 0.5]);
     }
 
     #[test]

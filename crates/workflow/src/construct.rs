@@ -65,14 +65,6 @@ impl Workflow {
         Ok(Workflow::Seq(parts))
     }
 
-    /// Parallel constructor (validating non-emptiness).
-    pub fn par(branches: Vec<Workflow>) -> Result<Workflow> {
-        if branches.is_empty() {
-            return Err(WorkflowError::EmptyConstruct("parallel"));
-        }
-        Ok(Workflow::Par(branches))
-    }
-
     /// Choice constructor (validating the probability vector).
     pub fn choice(branches: Vec<(f64, Workflow)>) -> Result<Workflow> {
         if branches.is_empty() {
@@ -214,20 +206,6 @@ impl Workflow {
         }
         walk(self, false)
     }
-
-    /// Nesting depth (a `Task` has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            Workflow::Task(_) => 1,
-            Workflow::Seq(parts) | Workflow::Par(parts) => {
-                1 + parts.iter().map(Workflow::depth).max().unwrap_or(0)
-            }
-            Workflow::Choice(branches) => {
-                1 + branches.iter().map(|(_, b)| b.depth()).max().unwrap_or(0)
-            }
-            Workflow::Loop { body, .. } => 1 + body.depth(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +215,6 @@ mod tests {
     #[test]
     fn checked_constructors_validate() {
         assert!(Workflow::seq(vec![]).is_err());
-        assert!(Workflow::par(vec![]).is_err());
         assert!(Workflow::choice(vec![]).is_err());
         assert!(Workflow::choice(vec![(0.5, Workflow::Task(0))]).is_err());
         assert!(
@@ -273,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn depth_and_counts() {
+    fn loop_bodies_count_once() {
         let wf = Workflow::Seq(vec![
             Workflow::Task(0),
             Workflow::Loop {
@@ -281,7 +258,6 @@ mod tests {
                 spec: LoopSpec::Count(4),
             },
         ]);
-        assert_eq!(wf.depth(), 3);
         assert_eq!(wf.task_count(), 2);
     }
 

@@ -48,17 +48,6 @@ impl GenOptions {
             max_branches: 4,
         }
     }
-
-    /// Sequence/parallel mix without choices or loops — small instances
-    /// whose expectation the simulator identity still pins down exactly,
-    /// exercising the `max` (nonlinear) path.
-    pub fn seq_par_only() -> Self {
-        GenOptions {
-            choice_prob: 0.0,
-            loop_prob: 0.0,
-            ..GenOptions::default()
-        }
-    }
 }
 
 /// Generate a random workflow using services `0..n` exactly once each.

@@ -52,32 +52,20 @@ fn accumulate_visits(workflow: &Workflow, weight: f64, visits: &mut [f64]) {
     }
 }
 
-/// Per-service *criticality*: how much the expected response time drops
-/// when service `s` is accelerated by `factor` (e.g. `0.9` = 10% faster),
-/// everything else fixed. This is the analytical ancestor of the paper's
-/// pAccel application — useful to pre-rank candidates before the
-/// BN-powered what-if analysis.
-pub fn acceleration_impact(workflow: &Workflow, means: &[f64], s: usize, factor: f64) -> f64 {
-    let baseline = expected_response_time(workflow, means);
-    let mut scaled = means.to_vec();
-    scaled[s] *= factor;
-    baseline - expected_response_time(workflow, &scaled)
-}
-
-/// Rank all services by [`acceleration_impact`], best first. Ties broken by
-/// service index for determinism.
-pub fn rank_by_impact(workflow: &Workflow, means: &[f64], factor: f64) -> Vec<(usize, f64)> {
-    let mut impacts: Vec<(usize, f64)> = (0..means.len())
-        .map(|s| (s, acceleration_impact(workflow, means, s, factor)))
-        .collect();
-    impacts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    impacts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ediamond::ediamond_workflow;
+
+    /// How much the expected response time drops when service `s` is
+    /// accelerated by `factor` (e.g. `0.9` = 10% faster), everything else
+    /// fixed.
+    fn acceleration_impact(workflow: &Workflow, means: &[f64], s: usize, factor: f64) -> f64 {
+        let baseline = expected_response_time(workflow, means);
+        let mut scaled = means.to_vec();
+        scaled[s] *= factor;
+        baseline - expected_response_time(workflow, &scaled)
+    }
 
     #[test]
     fn expected_response_time_of_ediamond() {
@@ -123,21 +111,5 @@ mod tests {
         // eDiaMoND: every service exactly once.
         let e = expected_visits(&ediamond_workflow(), 6);
         assert_eq!(e, vec![1.0; 6]);
-    }
-
-    #[test]
-    fn ranking_puts_bottleneck_first() {
-        let wf = ediamond_workflow();
-        let means = [1.0, 1.0, 1.0, 10.0, 1.0, 10.0]; // remote path huge
-        let ranked = rank_by_impact(&wf, &means, 0.5);
-        // Either remote service tops the list.
-        assert!(ranked[0].0 == 3 || ranked[0].0 == 5);
-        // Local-path services contribute nothing.
-        let local_entries: Vec<f64> = ranked
-            .iter()
-            .filter(|(s, _)| *s == 2 || *s == 4)
-            .map(|(_, v)| *v)
-            .collect();
-        assert!(local_entries.iter().all(|&v| v == 0.0));
     }
 }

@@ -2,13 +2,39 @@
 //! info/query/violation, driving the real binary.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn kertctl(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_kertctl"))
         .args(args)
         .output()
         .expect("kertctl binary runs")
+}
+
+/// Run `kertctl`, killing it if it is still running after `secs`.
+fn kertctl_within(args: &[&str], secs: u64) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_kertctl"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("kertctl binary runs");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child
+        .try_wait()
+        .expect("kertctl can be waited on")
+        .is_none()
+    {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child
+        .wait_with_output()
+        .expect("kertctl output is readable")
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -251,6 +277,62 @@ fn errors_are_reported_not_panicked() {
     let out = kertctl(&["help"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+}
+
+#[test]
+fn oversized_discrete_models_are_refused_not_panicked() {
+    // 30 services in 5 bins: the response node's family alone spans 5³¹
+    // configurations, more than a `usize` counts, so every table is sized
+    // before any is built and the model is refused (exit 1, not a panic).
+    let scenario = tmp("oversized-scenario.json");
+    let model = tmp("oversized-model.json");
+    let out = kertctl(&[
+        "simulate",
+        "--services",
+        "30",
+        "--out",
+        scenario.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = kertctl(&[
+        "build",
+        "--scenario",
+        scenario.to_str().unwrap(),
+        "--family",
+        "kert",
+        "--mode",
+        "discrete",
+        "--out",
+        model.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // `serve` compiles before it binds; the deadline only guards against
+    // a daemon that starts instead of refusing.
+    for args in [
+        vec!["query", "--model", model.to_str().unwrap(), "--target", "0"],
+        vec!["serve", "--model", model.to_str().unwrap()],
+    ] {
+        let out = kertctl_within(&args, 60);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", args[0]);
+        assert!(
+            stderr.contains("a table over 31 variables needs 4.657e21 entries"),
+            "{}: {stderr}",
+            args[0]
+        );
+    }
+
+    let _ = std::fs::remove_file(&scenario);
+    let _ = std::fs::remove_file(&model);
 }
 
 #[test]
