@@ -8,8 +8,15 @@
 //! satisfying the running-intersection property — and then answers every
 //! node marginal by Shafer-Shenoy message passing at O(clique) cost.
 //!
-//! Two properties make the compiled engine fast in steady state:
+//! Three properties make the compiled engine fast in steady state:
 //!
+//! * **Eq. 4 stays a lookup.** A discrete deterministic-with-leak CPD
+//!   whose child is a sink (each KERT-BN's `D`) is never tabulated: its
+//!   parents triangulate together, its child is in no clique, and the
+//!   first clique covering the parents keeps the CPD's predicted-state
+//!   index plus its two leak masses (a `Functional`). On a KERT-BN of `n`
+//!   services in `b` bins the tree is then one `bⁿ`-entry clique instead
+//!   of `bⁿ⁺¹`; evidence on `D` and a read of `D` go through the index.
 //! * **Incremental evidence as slices.** [`JunctionTree::set_evidence`]
 //!   replaces a state's whole evidence set in one call and rebuilds each
 //!   clique holding a changed pin once, as its evidence-free base
@@ -29,8 +36,10 @@
 //! so the immutable tree can be shared across threads.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use crate::infer::factor::{Factor, QueryWorkspace};
+use crate::cpd::Cpd;
+use crate::infer::factor::{strides, Factor, QueryWorkspace};
 use crate::infer::ve::{elimination_ordering, EliminationHeuristic};
 use crate::network::BayesianNetwork;
 use crate::{BayesError, Result};
@@ -68,6 +77,88 @@ struct Neighbor {
     edge: usize,
 }
 
+/// Eq. 4 kept as a lookup instead of a dense table: a discrete
+/// deterministic-with-leak CPD whose child `node` is a sink. `node` is in
+/// no clique; its parents all lie in `home`, the first clique covering
+/// them, and the three operations that touch `node` go through the index:
+///
+/// * evidence `node = d` multiplies the home's (sliced) potential by `hit`
+///   where the predicted state is `d` and by `miss` elsewhere;
+/// * a read of `node` bucket-sums the calibrated home belief `B` by
+///   predicted state: `P(d) ∝ miss·Z + (hit − miss)·B[d]`;
+/// * with `node` unobserved nothing is multiplied: every Eq. 4 row sums to
+///   the same `hit + (card − 1)·miss`, which normalization cancels. (A
+///   tabular sink's rows sum to 1 only within 1e-6, so it stays in its
+///   clique.)
+struct Functional {
+    node: usize,
+    /// Ascending; every one is in `home`'s scope.
+    parents: Vec<usize>,
+    /// Row-major strides of `predicted` over `parents`.
+    strides: Vec<usize>,
+    /// The CPD's own predicted-state index, shared rather than copied.
+    predicted: Arc<[u32]>,
+    hit: f64,
+    miss: f64,
+    home: usize,
+}
+
+impl Functional {
+    /// The lookup position the pinned parents fix. Every clique holding a
+    /// pinned variable is sliced, so the parents left in a home potential's
+    /// scope are exactly the unpinned ones.
+    fn offset(&self, evidence: &[Option<usize>]) -> usize {
+        self.parents
+            .iter()
+            .zip(&self.strides)
+            .filter_map(|(&p, &stride)| evidence[p].map(|s| s * stride))
+            .sum()
+    }
+
+    /// Enter `node = state` into the home potential `pot`.
+    fn enter(
+        &self,
+        pot: &mut Factor,
+        state: usize,
+        evidence: &[Option<usize>],
+        ws: &mut QueryWorkspace,
+    ) {
+        let offset = self.offset(evidence);
+        pot.runs_along_ws(&self.parents, &self.strides, offset, ws, |run, start| {
+            let predicted = &self.predicted[start..start + run.len()];
+            for (v, &s) in run.iter_mut().zip(predicted) {
+                *v *= if s as usize == state {
+                    self.hit
+                } else {
+                    self.miss
+                };
+            }
+        });
+    }
+
+    /// `P(node)` up to a constant, from the calibrated home `belief`, into
+    /// `out` (one zeroed slot per state of `node`).
+    fn read(
+        &self,
+        belief: &mut Factor,
+        evidence: &[Option<usize>],
+        ws: &mut QueryWorkspace,
+        out: &mut [f64],
+    ) {
+        let offset = self.offset(evidence);
+        belief.runs_along_ws(&self.parents, &self.strides, offset, ws, |run, start| {
+            let predicted = &self.predicted[start..start + run.len()];
+            for (&v, &s) in run.iter().zip(predicted) {
+                out[s as usize] += v;
+            }
+        });
+        let z: f64 = out.iter().sum();
+        for b in out.iter_mut() {
+            *b = self.miss * z + (self.hit - self.miss) * *b;
+        }
+    }
+}
+
 /// A compiled clique tree (junction forest for disconnected networks).
 ///
 /// Immutable after [`JunctionTree::compile`]; all evidence and message
@@ -81,19 +172,23 @@ pub struct JunctionTree {
     edges: Vec<TreeEdge>,
     /// Adjacency list per clique.
     neighbors: Vec<Vec<Neighbor>>,
-    /// Evidence-free clique potentials over the *full* clique scope (a
-    /// ones table multiplied by every CPD factor assigned to the clique).
-    /// The tree keeps these products only, not the CPD factors.
+    /// Evidence-free clique potentials over the *full* clique scope: the
+    /// product of every CPD factor assigned to the clique (the first one
+    /// broadcast over the scope; all ones if none is). The tree keeps
+    /// these products only, not the CPD factors.
     base: Vec<Factor>,
+    /// Eq. 4 on a sink, kept as a lookup on its home clique.
+    functional: Vec<Functional>,
     /// Per node: the smallest-table clique containing it (marginal reads
-    /// for the node route through this clique).
+    /// for the node route through this clique); a functional node's home.
     node_home: Vec<usize>,
     /// Per node: every clique whose scope holds it, ascending (a pin on
-    /// the node slices each of them).
+    /// the node slices each of them); a functional node's home alone (a
+    /// pin multiplies it by the node's Eq. 4 row).
     node_cliques: Vec<Vec<usize>>,
 }
 
-/// The structure only: a clique potential can hold 5⁷ entries, which do not
+/// The structure only: a clique potential can hold 5⁶ entries, which do not
 /// belong in a failure message.
 impl std::fmt::Debug for JunctionTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -184,7 +279,11 @@ impl JunctionTree {
     /// the min-fill elimination order shared with VE (same tie-breaking,
     /// so compilation is deterministic); the tree is the max-weight
     /// spanning forest over separator sizes, which satisfies the running
-    /// intersection property on a triangulated graph.
+    /// intersection property on a triangulated graph. A discrete
+    /// deterministic-with-leak CPD whose child has no children (and at
+    /// least one parent) enters triangulation as its parents alone and is
+    /// kept as a lookup (see the module docs); every other CPD is a factor
+    /// in its family's clique.
     pub fn compile(network: &BayesianNetwork) -> Result<Self> {
         OBS_JT_COMPILES.incr();
         let _span = kert_obs::span("jt.compile");
@@ -199,27 +298,50 @@ impl JunctionTree {
                 "junction-tree compilation requires an all-discrete network".into(),
             ));
         }
-        // Triangulate on the family scopes alone: every table is sized
-        // before any is built, so a network too large to tabulate is
-        // refused instead of overflowing an allocation.
+        // Eq. 4 on a sink stays a lookup: its masses are decided here, its
+        // index is read only once every clique is sized.
+        let mut has_child = vec![false; n];
+        for cpd in network.cpds() {
+            for &p in cpd.parents() {
+                has_child[p] = true;
+            }
+        }
+        let masses: Vec<Option<(f64, f64)>> = network
+            .cpds()
+            .iter()
+            .map(|cpd| match cpd {
+                Cpd::Deterministic(d) if !has_child[d.child()] && !d.parents().is_empty() => {
+                    d.indexed_masses(&cards)
+                }
+                _ => None,
+            })
+            .collect();
+        // Triangulate on the family scopes alone (a lookup's without its
+        // child): every table is sized before any is built, so a network
+        // too large to tabulate is refused instead of overflowing an
+        // allocation.
         let families: Vec<Vec<usize>> = network
             .cpds()
             .iter()
-            .map(|c| {
+            .zip(&masses)
+            .map(|(c, mass)| {
                 let mut scope = c.parents().to_vec();
-                scope.push(c.child());
-                scope.sort_unstable();
+                if mass.is_none() {
+                    scope.push(c.child());
+                    scope.sort_unstable();
+                }
                 scope
             })
             .collect();
 
-        // Triangulate: eliminate every node in min-fill order on the moral
-        // graph, recording {v} ∪ live-neighbours(v) as a candidate clique
-        // and adding the induced fill edges.
-        let all: Vec<usize> = (0..n).collect();
+        // Triangulate: eliminate every node but the lookups' children in
+        // min-fill order on the moral graph, recording {v} ∪
+        // live-neighbours(v) as a candidate clique and adding the induced
+        // fill edges.
+        let tabulated: Vec<usize> = (0..n).filter(|&v| masses[v].is_none()).collect();
         let order = elimination_ordering(
             families.iter().map(Vec::as_slice),
-            &all,
+            &tabulated,
             EliminationHeuristic::MinFill,
         );
         let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
@@ -253,18 +375,40 @@ impl JunctionTree {
             cliques.retain(|k| !is_subset(k, &c));
             cliques.push(c);
         }
-        // Every family lies inside a clique (below, each factor finds its
-        // home clique), so sizing the cliques sizes every family table too.
+        // Every family lies inside a clique, its home, so sizing the
+        // cliques sizes every family table and every lookup index too.
         let clique_lens: Vec<usize> = cliques
             .iter()
             .map(|scope| table_len(scope, &cards))
             .collect::<Result<_>>()?;
-        let factors: Vec<Factor> = network
-            .cpds()
-            .iter()
-            .map(|c| Factor::from_cpd(c, &cards))
-            .collect::<Result<_>>()?;
         let m = cliques.len();
+        let mut assigned: Vec<Vec<Factor>> = vec![Vec::new(); m];
+        let mut functional: Vec<Functional> = Vec::new();
+        for ((cpd, family), mass) in network.cpds().iter().zip(&families).zip(&masses) {
+            let home = (0..m)
+                .find(|&i| is_subset(family, &cliques[i]))
+                .ok_or_else(|| {
+                    BayesError::Numerical(format!("junction tree lost family scope {family:?}"))
+                })?;
+            match (cpd, *mass) {
+                (Cpd::Deterministic(d), Some((hit, miss))) => {
+                    let parent_cards: Vec<usize> = family.iter().map(|&p| cards[p]).collect();
+                    functional.push(Functional {
+                        node: d.child(),
+                        parents: family.clone(),
+                        strides: strides(&parent_cards),
+                        predicted: Arc::clone(
+                            d.predicted_states()
+                                .expect("discrete noise predicts states"),
+                        ),
+                        hit,
+                        miss,
+                        home,
+                    });
+                }
+                _ => assigned[home].push(Factor::from_cpd(cpd, &cards)?),
+            }
+        }
 
         // Max-weight spanning forest over separator sizes (Kruskal with
         // deterministic (-weight, i, j) ordering). On a triangulated graph
@@ -305,44 +449,47 @@ impl JunctionTree {
             });
         }
 
-        // Base potentials: a ones table over the full clique scope times
-        // every CPD factor assigned to (the first clique covering) it. The
-        // home clique covers its factor's scope, so the factor multiplies
-        // in place: the same products as a fresh table per factor, without
-        // allocating one (in `D`'s clique each is a `bins^(n+1)` table).
-        let mut base: Vec<Factor> = cliques
+        // Base potentials: each clique's first factor (in CPD order)
+        // broadcast over its scope, times the rest in place. That is
+        // bitwise the product of a ones table with every factor (`1.0 · x =
+        // x`), one full pass shorter; a clique with no factor stays ones.
+        let mut ws = QueryWorkspace::new();
+        let base: Vec<Factor> = cliques
             .iter()
             .zip(&clique_lens)
-            .map(|(scope, &len)| {
+            .zip(assigned)
+            .map(|((scope, &len), factors)| {
                 let scope_cards: Vec<usize> = scope.iter().map(|&v| cards[v]).collect();
-                Factor::new(scope.clone(), scope_cards, vec![1.0; len])
+                let mut factors = factors.into_iter();
+                let Some(first) = factors.next() else {
+                    return Factor::new(scope.clone(), scope_cards, vec![1.0; len]);
+                };
+                let mut potential = first.broadcast(scope.clone(), scope_cards);
+                for f in factors {
+                    let absorbed = potential.mul_assign_ws(&f, &mut ws);
+                    debug_assert!(absorbed, "the home clique covers its factor's scope");
+                }
+                Ok(potential)
             })
             .collect::<Result<_>>()?;
-        let mut ws = QueryWorkspace::new();
-        for f in &factors {
-            let home = (0..m)
-                .find(|&i| is_subset(f.vars(), &cliques[i]))
-                .ok_or_else(|| {
-                    BayesError::Numerical(format!("junction tree lost factor scope {:?}", f.vars()))
-                })?;
-            let absorbed = base[home].mul_assign_ws(f, &mut ws);
-            debug_assert!(absorbed, "the home clique covers its factor's scope");
-        }
 
-        let node_cliques: Vec<Vec<usize>> = (0..n)
+        let mut node_cliques: Vec<Vec<usize>> = (0..n)
             .map(|v| {
                 (0..m)
                     .filter(|&i| cliques[i].binary_search(&v).is_ok())
                     .collect()
             })
             .collect();
+        for f in &functional {
+            node_cliques[f.node] = vec![f.home];
+        }
         let node_home: Vec<usize> = node_cliques
             .iter()
             .map(|holding| {
                 *holding
                     .iter()
                     .min_by_key(|&&i| (base[i].values().len(), i))
-                    .expect("every node appears in its own elimination clique")
+                    .expect("every node appears in its own elimination clique or is a lookup")
             })
             .collect();
 
@@ -352,6 +499,7 @@ impl JunctionTree {
             edges,
             neighbors,
             base,
+            functional,
             node_home,
             node_cliques,
         })
@@ -443,7 +591,8 @@ impl JunctionTree {
 
     /// Rebuild clique `c`'s potential as its base restricted to every
     /// pinned variable in its scope (one contiguous-run copy per pin, each
-    /// on the previous slice) and invalidate the outgoing message subtree.
+    /// on the previous slice), times the Eq. 4 row of each pinned lookup
+    /// homed here, and invalidate the outgoing message subtree.
     /// Every clique holding a pinned variable is sliced, so messages carry
     /// the separator minus the evidence and always meet a potential over
     /// the same reduced scope. The answers are bit-for-bit those of
@@ -464,6 +613,12 @@ impl JunctionTree {
                 if let Some(old) = slice.replace(next) {
                     st.ws.recycle(old);
                 }
+            }
+        }
+        for f in self.functional.iter().filter(|f| f.home == c) {
+            if let Some(state) = st.evidence[f.node] {
+                let pot = slice.get_or_insert_with(|| self.base[c].clone_using(&mut st.ws));
+                f.enter(pot, state, &st.evidence, &mut st.ws);
             }
         }
         st.potentials[c] = slice;
@@ -645,27 +800,36 @@ impl JunctionTree {
                 belief = next;
             }
         }
-        for &v in &self.cliques[home] {
-            if v != target {
-                belief = belief.sum_out_owned_ws(v, &mut st.ws);
+        out.clear();
+        if let Some(f) = self.functional.iter().find(|f| f.node == target) {
+            out.resize(self.cards[target], 0.0);
+            let JtState { evidence, ws, .. } = &mut *st;
+            f.read(&mut belief, evidence, ws, out);
+        } else {
+            for &v in &self.cliques[home] {
+                if v != target {
+                    belief = belief.sum_out_owned_ws(v, &mut st.ws);
+                }
             }
+            if belief.vars() != [target] {
+                return Err(BayesError::Numerical(format!(
+                    "junction-tree read-off left scope {:?}, expected [{target}]",
+                    belief.vars()
+                )));
+            }
+            out.extend_from_slice(belief.values());
         }
-        let z = belief.normalize();
+        st.ws.recycle(belief);
+        // Normalize as `Factor::normalize` does: a sequential sum, then one
+        // multiply by its reciprocal per state.
+        let z: f64 = out.iter().sum();
         if z <= 0.0 {
-            st.ws.recycle(belief);
             return Err(BayesError::Numerical(
                 "evidence has zero probability under the model".into(),
             ));
         }
-        if belief.vars() != [target] {
-            return Err(BayesError::Numerical(format!(
-                "junction-tree read-off left scope {:?}, expected [{target}]",
-                belief.vars()
-            )));
-        }
-        out.clear();
-        out.extend_from_slice(belief.values());
-        st.ws.recycle(belief);
+        let inv = 1.0 / z;
+        out.iter_mut().for_each(|p| *p *= inv);
         Ok(())
     }
 }

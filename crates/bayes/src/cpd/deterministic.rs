@@ -21,13 +21,14 @@
 //!
 //! A discrete child's predicted state depends only on the parent
 //! configuration, so [`DeterministicCpd::predicted_states`] evaluates `f`
-//! once per configuration, the first time a factor is built from the CPD,
+//! once per configuration, the first time the CPD is tabulated or compiled,
 //! and keeps the result: a junction tree recompiled after a refresh (which
 //! replaces only the learned CPDs) reads the index instead of evaluating
-//! `f` again. The index is derived data and is never persisted.
+//! `f` again, and shares it rather than copying it. The index is derived
+//! data and is never persisted.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -77,10 +78,11 @@ pub struct DeterministicCpd {
     predicted: PredictedStates,
 }
 
-/// The lazily filled predicted-state index. Its `Debug` output names only
-/// its length, so a 5⁶-entry table never lands in a failure message.
+/// The lazily filled predicted-state index, shared by every clone of the
+/// CPD and every junction tree compiled from it. Its `Debug` output names
+/// only its length, so a 5⁶-entry table never lands in a failure message.
 #[derive(Clone, Default)]
-struct PredictedStates(OnceLock<Vec<u32>>);
+struct PredictedStates(OnceLock<Arc<[u32]>>);
 
 impl fmt::Debug for PredictedStates {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -89,6 +91,18 @@ impl fmt::Debug for PredictedStates {
             None => f.write_str("<not tabulated>"),
         }
     }
+}
+
+/// Eq. 4's masses for a `card`-state child with leak `leak`: `(hit, miss)`,
+/// the predicted state's and each other state's, both floored at 1e-12 so
+/// every log and every factor entry stays finite and positive. The one
+/// place the leak model is evaluated: [`DeterministicCpd::log_prob`], the
+/// dense factor and the junction tree's lookup form all read it.
+fn leak_masses(leak: f64, card: usize) -> (f64, f64) {
+    (
+        (1.0 - leak).max(1e-12),
+        (leak / (card as f64 - 1.0)).max(1e-12),
+    )
 }
 
 /// The discrete-noise checks shared by construction and load-time
@@ -233,9 +247,10 @@ impl DeterministicCpd {
     /// For a discrete child: the state `f` predicts for every parent
     /// configuration, row-major over the parents' midpoint counts (last
     /// parent fastest). `f` is evaluated on the first call only; later
-    /// calls, on this CPD or a clone made after it, read the index. `None`
-    /// for Gaussian noise.
-    pub fn predicted_states(&self) -> Option<&[u32]> {
+    /// calls, on this CPD or a clone made after it, read the index, and a
+    /// holder that outlives the CPD (a compiled tree) clones the `Arc`
+    /// rather than the states. `None` for Gaussian noise.
+    pub fn predicted_states(&self) -> Option<&Arc<[u32]>> {
         let DetNoise::Discrete {
             child_edges,
             parent_mids,
@@ -264,9 +279,35 @@ impl DeterministicCpd {
                     config[p] = 0;
                 }
             }
-            states
+            states.into()
         });
         Some(states)
+    }
+
+    /// Eq. 4's `(hit, miss)` masses, when the noise is discrete and agrees
+    /// with `cards` (cardinality per network node): the child has `card`
+    /// states and each parent one midpoint per state, so the predicted
+    /// states index the parents' configurations. `None` otherwise. Reads
+    /// no index, so a caller can decide on the lookup form before paying
+    /// for it.
+    pub(crate) fn indexed_masses(&self, cards: &[usize]) -> Option<(f64, f64)> {
+        let DetNoise::Discrete {
+            leak,
+            card,
+            parent_mids,
+            ..
+        } = &self.noise
+        else {
+            return None;
+        };
+        let agrees = cards.get(self.child) == Some(card)
+            && parent_mids.len() == self.parents.len()
+            && self
+                .parents
+                .iter()
+                .zip(parent_mids)
+                .all(|(&p, mids)| cards.get(p) == Some(&mids.len()));
+        agrees.then(|| leak_masses(*leak, *card))
     }
 
     /// For a discrete child: the state `f(X)` lands in.
@@ -292,14 +333,14 @@ impl DeterministicCpd {
                 let predicted = self
                     .predicted_state(parent_values)
                     .expect("discrete noise always predicts a state");
-                let state = child_value as usize;
-                let p = if state == predicted {
-                    1.0 - leak
+                // Leak mass spread uniformly over the other states.
+                let (hit, miss) = leak_masses(*leak, *card);
+                let p = if child_value as usize == predicted {
+                    hit
                 } else {
-                    // Leak mass spread uniformly over the other states.
-                    (leak / (*card as f64 - 1.0)).max(1e-12)
+                    miss
                 };
-                p.max(1e-12).ln()
+                p.ln()
             }
         }
     }
@@ -454,7 +495,10 @@ mod tests {
         assert!(format!("{d:?}").contains("<not tabulated>"));
         let filled = Factor::from_cpd(&cpd, &cards).unwrap();
         assert!(format!("{d:?}").contains("<4 predicted states>"));
-        assert_eq!(d.predicted_states(), Some(&[0, 1, 1, 2][..]));
+        assert_eq!(
+            d.predicted_states().map(|s| &s[..]),
+            Some(&[0, 1, 1, 2][..])
+        );
         let after = serde_json::to_string(&cpd).unwrap();
         assert_eq!(before, after);
         assert!(!after.contains("predicted"), "{after}");

@@ -26,7 +26,7 @@
 //! The original index-arithmetic implementations are kept in [`naive`] as
 //! differential oracles for the property tests and benchmarks.
 
-use crate::cpd::{config_count, Cpd, DetNoise, PROB_FLOOR};
+use crate::cpd::{config_count, Cpd, PROB_FLOOR};
 use crate::{BayesError, Result};
 
 // Kernel-level telemetry (`kert-obs`): per-query factor work and workspace
@@ -427,11 +427,12 @@ impl Factor {
     /// `exp` roundtrip); for discrete deterministic CPDs the child row of
     /// each *parent* configuration is filled from the leak model around
     /// the CPD's predicted state ([`DeterministicCpd::predicted_states`],
-    /// which evaluates the workflow expression on the first build only) —
-    /// still exponential in the parent count, so only sensible for small
-    /// networks (documented limitation; the continuous path avoids it
-    /// entirely). Any other CPD family falls back to the generic per-entry
-    /// [`naive::from_cpd`].
+    /// which evaluates the workflow expression on the first build only).
+    /// That dense Eq. 4 table has `binsⁿ⁺¹` entries for `n` parents, so
+    /// only variable elimination — the oracle — builds it: the junction
+    /// tree keeps a deterministic sink as the index plus its two leak
+    /// masses ([`crate::compile`]). Any other CPD family falls back to the
+    /// generic per-entry [`naive::from_cpd`].
     ///
     /// [`DeterministicCpd::predicted_states`]: crate::cpd::DeterministicCpd::predicted_states
     pub fn from_cpd(cpd: &Cpd, cards: &[usize]) -> Result<Self> {
@@ -492,19 +493,8 @@ impl Factor {
                 }
                 Factor::new(vars, scope_cards, values)
             }
-            Cpd::Deterministic(d) => match d.noise() {
-                DetNoise::Discrete {
-                    leak,
-                    card,
-                    parent_mids,
-                    ..
-                } if scope_cards[child_pos] == *card
-                    && parent_mids.len() == parents.len()
-                    && parents
-                        .iter()
-                        .zip(parent_mids)
-                        .all(|(&p, m)| cards[p] == m.len()) =>
-                {
+            Cpd::Deterministic(d) => match d.indexed_masses(cards) {
+                Some((hit, miss)) => {
                     // One predicted state per parent configuration, from
                     // the CPD's index (`f` is evaluated on the first build
                     // only, and each parent's states are its midpoints):
@@ -523,15 +513,14 @@ impl Factor {
                         .predicted_states()
                         .expect("discrete noise predicts states");
                     let child_stride = scope_strides[child_pos];
-                    let hit = (1.0 - leak).max(1e-12);
-                    let miss = (leak / (*card as f64 - 1.0)).max(1e-12);
+                    let card = scope_cards[child_pos];
                     let mut values = vec![0.0; total];
                     let mut counters = vec![0usize; pcards.len()];
                     let mut odo = Odometer::new(&pcards, &mut counters);
                     let mut idx = [0usize];
                     for &state in predicted.iter() {
                         let base = idx[0];
-                        for k in 0..*card {
+                        for k in 0..card {
                             values[base + k * child_stride] =
                                 if k == state as usize { hit } else { miss };
                         }
@@ -539,7 +528,7 @@ impl Factor {
                     }
                     Factor::new(vars, scope_cards, values)
                 }
-                _ => naive::from_cpd(cpd, cards),
+                None => naive::from_cpd(cpd, cards),
             },
             _ => naive::from_cpd(cpd, cards),
         }
@@ -835,6 +824,84 @@ impl Factor {
         }
     }
 
+    /// This factor broadcast over the ascending `vars` (cardinalities
+    /// `cards`), a superset of its scope: each entry is the entry of its
+    /// projection, one slice copy or fill per contiguous run. Nothing is
+    /// multiplied, so the result is bitwise the product of a ones table
+    /// with this factor (`1.0 · x = x`) — how the junction tree seeds a
+    /// clique's base with its first factor instead of filling ones.
+    pub(crate) fn broadcast(&self, vars: Vec<usize>, cards: Vec<usize>) -> Factor {
+        debug_assert!(self.vars.iter().all(|v| vars.binary_search(v).is_ok()));
+        let own = strides(&self.cards);
+        let stride_self: Vec<usize> = vars
+            .iter()
+            .map(|v| self.vars.binary_search(v).map_or(0, |p| own[p]))
+            .collect();
+        // The output is the left operand, contiguous over its own scope.
+        let (split, inner, mode) = inner_run(&cards, &strides(&cards), &stride_self);
+        let total = config_count(&cards);
+        let mut values = Vec::with_capacity(total);
+        let mut counters = vec![0usize; split];
+        let mut odo = Odometer::new(&cards[..split], &mut counters);
+        let mut idx = [0usize];
+        for _ in 0..total / inner {
+            let at = idx[0];
+            match mode {
+                RunMode::Both => values.extend_from_slice(&self.values[at..at + inner]),
+                RunMode::Left => values.resize(values.len() + inner, self.values[at]),
+                RunMode::Right => unreachable!("the output spans its own trailing scope"),
+            }
+            odo.advance(&[&stride_self[..split]], &mut idx);
+        }
+        Factor {
+            vars,
+            cards,
+            values,
+        }
+    }
+
+    /// Walk the table alongside a row-major lookup table over the ascending
+    /// `index_vars` (its strides `index_strides`), whose variables outside
+    /// this scope are fixed at the lookup position `offset`: `visit(run,
+    /// start)` gets each stretch of entries over which the lookup position
+    /// advances one for one, and the position of its first entry. This is
+    /// how the junction tree applies and reads Eq. 4's predicted-state
+    /// index against a clique potential without tabulating it.
+    pub(crate) fn runs_along_ws(
+        &mut self,
+        index_vars: &[usize],
+        index_strides: &[usize],
+        offset: usize,
+        ws: &mut QueryWorkspace,
+        mut visit: impl FnMut(&mut [f64], usize),
+    ) {
+        let mut stride = ws.take_usize();
+        stride.extend(
+            self.vars
+                .iter()
+                .map(|v| index_vars.binary_search(v).map_or(0, |k| index_strides[k])),
+        );
+        // The trailing positions over which the lookup moves in step with
+        // the table; the odometer walks the rest.
+        let (mut split, mut run) = (self.vars.len(), 1);
+        while split > 0 && stride[split - 1] == run {
+            split -= 1;
+            run *= self.cards[split];
+        }
+        let mut counters = ws.take_usize();
+        counters.resize(split, 0);
+        {
+            let mut odo = Odometer::new(&self.cards[..split], &mut counters);
+            let mut idx = [offset];
+            for chunk in self.values.chunks_exact_mut(run) {
+                visit(chunk, idx[0]);
+                odo.advance(&[&stride[..split]], &mut idx);
+            }
+        }
+        ws.put_usize(stride);
+        ws.put_usize(counters);
+    }
+
     /// Normalize to sum 1 (returns the normalization constant; a zero sum
     /// leaves the factor unchanged and returns 0). The sum is sequential
     /// on purpose: normalization constants feed conformance gates that
@@ -999,7 +1066,7 @@ pub mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpd::TabularCpd;
+    use crate::cpd::{DetNoise, TabularCpd};
 
     fn f_ab() -> Factor {
         // φ(A, B) over binary A=0, B=1.
@@ -1073,6 +1140,77 @@ mod tests {
         let mut got = f.clone();
         assert!(!got.mul_assign_ws(&other, &mut ws));
         assert_eq!(got.values(), f.values());
+    }
+
+    /// Broadcasting is the product with a ones table, bit for bit, for a
+    /// sub-scope at every position (including none and all of it).
+    #[test]
+    fn broadcast_is_the_product_with_ones() {
+        let (vars, cards) = (vec![1, 4, 7], vec![2, 3, 4]);
+        let ones = Factor::new(vars.clone(), cards.clone(), vec![1.0; 24]).unwrap();
+        let subs = vec![
+            Factor::new(vec![], vec![], vec![0.3]).unwrap(),
+            Factor::new(vec![1], vec![2], vec![0.1, 0.7]).unwrap(),
+            Factor::new(vec![4], vec![3], vec![0.2, 0.3, 0.5]).unwrap(),
+            Factor::new(vec![7], vec![4], vec![0.2, 0.3, 0.5, 0.7]).unwrap(),
+            Factor::new(
+                vec![1, 7],
+                vec![2, 4],
+                (1..=8).map(|i| i as f64 / 9.0).collect(),
+            )
+            .unwrap(),
+            Factor::new(
+                vars.clone(),
+                cards.clone(),
+                (0..24).map(|i| i as f64 / 7.0).collect(),
+            )
+            .unwrap(),
+        ];
+        for g in subs {
+            let want = ones.product(&g);
+            let got = g.broadcast(vars.clone(), cards.clone());
+            assert_eq!(got.vars(), want.vars());
+            assert_eq!(got.cards(), want.cards());
+            let bits = |f: &Factor| f.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "scope {:?}", g.vars());
+        }
+    }
+
+    /// Every entry meets the lookup position of its configuration: the
+    /// lookup is over (1, 5, 7) and this table over (1, 4, 7), with 5
+    /// fixed through the offset.
+    #[test]
+    fn runs_along_visit_each_entry_at_its_lookup_position() {
+        let (lvars, lcards) = ([1usize, 5, 7], [2usize, 3, 4]);
+        let lstrides = strides(&lcards);
+        let mut f = Factor::new(vec![1, 4, 7], vec![2, 3, 4], vec![0.0; 24]).unwrap();
+        let mut ws = QueryWorkspace::new();
+        for fixed in 0..3 {
+            let mut seen = Vec::new();
+            f.runs_along_ws(
+                &lvars,
+                &lstrides,
+                fixed * lstrides[1],
+                &mut ws,
+                |run, start| {
+                    seen.extend((0..run.len()).map(|j| start + j));
+                },
+            );
+            let mut states = [0usize; 3];
+            for (entry, &at) in seen.iter().enumerate() {
+                crate::cpd::decode_config(entry, &[2, 3, 4], &mut states);
+                let want = crate::cpd::config_index(&[states[0], fixed, states[2]], &lcards);
+                assert_eq!(at, want, "entry {entry}");
+            }
+            assert_eq!(seen.len(), 24);
+        }
+        // A lookup over the table's trailing scope is one run.
+        let mut runs = 0;
+        f.runs_along_ws(&[4, 7], &strides(&[3, 4]), 0, &mut ws, |run, _| {
+            runs += 1;
+            assert_eq!(run.len(), 12);
+        });
+        assert_eq!(runs, 2);
     }
 
     #[test]

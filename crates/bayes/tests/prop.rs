@@ -3,7 +3,9 @@
 #![allow(clippy::needless_range_loop)] // index loops over coupled structures
 
 use kert_bayes::compile::JunctionTree;
-use kert_bayes::cpd::{config_count, config_index, decode_config, Cpd, TabularCpd};
+use kert_bayes::cpd::{
+    config_count, config_index, decode_config, Cpd, DetNoise, DeterministicCpd, TabularCpd,
+};
 use kert_bayes::discretize::{ColumnBins, Discretizer};
 use kert_bayes::infer::factor::{naive as naive_factor, Factor, QueryWorkspace};
 use kert_bayes::infer::ve::{
@@ -61,6 +63,78 @@ fn expr(n_vars: usize) -> impl Strategy<Value = Expr> {
             proptest::collection::vec((0.1f64..2.0, inner), 1..4).prop_map(Expr::Weighted),
         ]
     })
+}
+
+/// Discrete Eq. 4 over the network nodes `parents`: `f` is `e` (over
+/// parent positions) plus the sum of the parents, so each parent is read;
+/// parent `p`'s states stand for the midpoints `0.5, 1.5, …`, and the
+/// child's `card` states split the range at the integers `1, 2, …`.
+fn eq4(child: usize, parents: &[usize], e: &Expr, leak: f64, card: usize, cards: &[usize]) -> Cpd {
+    let f = Expr::Add(vec![
+        e.remap(&|i| parents[i % parents.len()]),
+        Expr::sum_of_vars(parents),
+    ]);
+    let noise = DetNoise::Discrete {
+        leak,
+        card,
+        child_edges: (1..card).map(|k| k as f64).collect(),
+        parent_mids: parents
+            .iter()
+            .map(|&p| (0..cards[p]).map(|s| s as f64 + 0.5).collect())
+            .collect(),
+    };
+    Cpd::Deterministic(DeterministicCpd::from_network_expr(child, &f, noise).unwrap())
+}
+
+/// `kert_conformance::gen::random_discrete_network(seed)` plus a discrete
+/// deterministic-with-leak sink over the nodes `mask` picks (at least one).
+/// With `inner`, a deterministic node with a tabular child comes first
+/// (both among the sink's candidate parents), so a deterministic CPD that
+/// is not a sink shares the tree. Returns the network and the sink.
+fn with_eq4_sink(
+    seed: u64,
+    mask: &[bool],
+    e: &Expr,
+    leak: f64,
+    inner: bool,
+) -> (BayesianNetwork, usize) {
+    let base = kert_conformance::gen::random_discrete_network(seed);
+    let n = base.len();
+    let mut vars = base.variables().to_vec();
+    let mut cpds = base.cpds().to_vec();
+    let mut cards: Vec<usize> = vars.iter().map(|v| v.cardinality().unwrap()).collect();
+    if inner {
+        let parents = [0, n - 1];
+        cpds.push(eq4(n, &parents, e, 0.1, 3, &cards));
+        vars.push(Variable::discrete("inner", 3));
+        cards.push(3);
+        cpds.push(Cpd::Tabular(
+            TabularCpd::new(
+                n + 1,
+                vec![n],
+                2,
+                vec![3],
+                vec![0.7, 0.3, 0.4, 0.6, 0.2, 0.8],
+            )
+            .unwrap(),
+        ));
+        vars.push(Variable::discrete("inner_child", 2));
+        cards.push(2);
+    }
+    let sink = vars.len();
+    let mut parents: Vec<usize> = (0..sink).filter(|&v| mask[v % mask.len()]).collect();
+    if parents.is_empty() {
+        parents.push(sink - 1);
+    }
+    cpds.push(eq4(sink, &parents, e, leak, 4, &cards));
+    vars.push(Variable::discrete("sink", 4));
+    let mut dag = Dag::new(vars.len());
+    for cpd in &cpds {
+        for &p in cpd.parents() {
+            dag.add_edge(p, cpd.child()).unwrap();
+        }
+    }
+    (BayesianNetwork::new(vars, dag, cpds).unwrap(), sink)
 }
 
 proptest! {
@@ -376,6 +450,54 @@ proptest! {
                 let inc = jt.marginal(&mut st, t).unwrap();
                 let dir = jt.marginal(&mut fresh, t).unwrap();
                 prop_assert_eq!(inc, dir, "incremental path diverged on target {}", t);
+            }
+        }
+    }
+
+    /// Eq. 4 on a sink is compiled as a lookup, not a clique member: with
+    /// the sink unpinned, pinned, and pinned again after A∪{x} → A →
+    /// A∪{x} (x the sink), every marginal matches pruned VE (which builds
+    /// the dense table) to ≤1e-9 and, bit for bit, a fresh state. A
+    /// deterministic node with a child, when present, stays in a clique.
+    #[test]
+    fn eq4_sinks_match_pruned_ve_as_lookups(
+        net_seed in 0u64..400,
+        query_seed in 0u64..400,
+        mask in proptest::collection::vec(proptest::bool::ANY, 1..10),
+        e in expr(4),
+        leak in prop_oneof![Just(0.0), Just(0.05), Just(0.3)],
+        inner in proptest::bool::ANY,
+        state in 0usize..4,
+    ) {
+        let (bn, sink) = with_eq4_sink(net_seed, &mask, &e, leak, inner);
+        let jt = JunctionTree::compile(&bn).unwrap();
+        let scopes: Vec<&[usize]> = (0..jt.n_cliques()).map(|i| jt.clique_scope(i)).collect();
+        prop_assert!(scopes.iter().all(|c| !c.contains(&sink)), "sink in {:?}", scopes);
+        if inner {
+            let det = sink - 2;
+            prop_assert!(scopes.iter().any(|c| c.contains(&det)), "{det} in no clique");
+        }
+        let (_, mut evidence) = kert_conformance::gen::random_discrete_query(&bn, query_seed);
+        evidence.remove(&sink);
+        let pins: Vec<(usize, usize)> = evidence.iter().map(|(&k, &v)| (k, v)).collect();
+        let pinned = [pins.as_slice(), &[(sink, state)]].concat();
+        let mut st = jt.new_state();
+        for set in [&pins, &pinned, &pins, &pinned] {
+            jt.set_evidence(&mut st, set).unwrap();
+            let ev: Evidence = set.iter().copied().collect();
+            let mut fresh = jt.new_state();
+            jt.set_evidence(&mut fresh, set).unwrap();
+            for t in (0..bn.len()).filter(|t| !ev.contains_key(t)) {
+                let got = jt.marginal(&mut st, t).unwrap();
+                let want = posterior_marginal_pruned(&bn, t, &ev).unwrap();
+                for (&x, &y) in got.iter().zip(&want) {
+                    kert_conformance::assert_close!(x, y, 1e-9);
+                }
+                prop_assert_eq!(
+                    got,
+                    jt.marginal(&mut fresh, t).unwrap(),
+                    "target {} under {:?}: reused state diverged", t, set
+                );
             }
         }
     }

@@ -281,9 +281,11 @@ fn errors_are_reported_not_panicked() {
 
 #[test]
 fn oversized_discrete_models_are_refused_not_panicked() {
-    // 30 services in 5 bins: the response node's family alone spans 5³¹
-    // configurations, more than a `usize` counts, so every table is sized
-    // before any is built and the model is refused (exit 1, not a panic).
+    // 30 services in 5 bins: the response node stays out of the cliques
+    // (Eq. 4 is a lookup), but the services' own clique spans 5³⁰
+    // configurations, more bytes than one allocation holds, so every table
+    // is sized before any is built and the model is refused (exit 1, not a
+    // panic).
     let scenario = tmp("oversized-scenario.json");
     let model = tmp("oversized-model.json");
     let out = kertctl(&[
@@ -325,7 +327,7 @@ fn oversized_discrete_models_are_refused_not_panicked() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{}: {stderr}", args[0]);
         assert!(
-            stderr.contains("a table over 31 variables needs 4.657e21 entries"),
+            stderr.contains("a table over 30 variables needs 9.313e20 entries"),
             "{}: {stderr}",
             args[0]
         );
