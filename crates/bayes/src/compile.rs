@@ -8,7 +8,7 @@
 //! satisfying the running-intersection property — and then answers every
 //! node marginal by Shafer-Shenoy message passing at O(clique) cost.
 //!
-//! Three properties make the compiled engine fast in steady state:
+//! Four properties make the compiled engine fast in steady state:
 //!
 //! * **Eq. 4 stays a lookup.** A discrete deterministic-with-leak CPD
 //!   whose child is a sink (each KERT-BN's `D`) is never tabulated: its
@@ -27,6 +27,14 @@
 //!   messages are recomputed lazily, farthest-first, toward the queried
 //!   clique — so stepping through pAccel candidates, one pin each,
 //!   re-propagates only along the affected subtree.
+//! * **Priors once per tree.** A state with no evidence reads every
+//!   marginal from the tree's own cache, filled on the first such read by
+//!   one pass over each home clique: the home belief is read in place
+//!   when no message enters it, each Eq. 4 lookup there is one bucket
+//!   sum, and the tabulated nodes share their leading sum-outs. Those are
+//!   the additions, in the same order, of a one-node read, so every prior
+//!   keeps its bits. The pass runs on a scratch state of its own and never
+//!   through the cached read, which it would otherwise wait on.
 //! * **Zero-alloc queries.** All factor scratch flows through the
 //!   [`QueryWorkspace`] held by [`JtState`]; once the pools are warm, a
 //!   calibrated marginal read-off allocates nothing.
@@ -36,7 +44,7 @@
 //! so the immutable tree can be shared across threads.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::cpd::Cpd;
 use crate::infer::factor::{strides, Factor, QueryWorkspace};
@@ -60,6 +68,9 @@ static OBS_JT_MSGS_CALIBRATE: kert_obs::Counter =
     kert_obs::Counter::new("bayes.jt.messages.calibrate");
 static OBS_JT_MSGS_INCREMENTAL: kert_obs::Counter =
     kert_obs::Counter::new("bayes.jt.messages.incremental");
+// One per compiled tree that is ever read without evidence: more than one
+// per model version means priors are recomputed somewhere.
+static OBS_JT_PRIOR_PASSES: kert_obs::Counter = kert_obs::Counter::new("bayes.jt.prior_passes");
 
 /// An undirected edge of the clique tree with its separator scope.
 #[derive(Debug, Clone)]
@@ -124,34 +135,56 @@ impl Functional {
         ws: &mut QueryWorkspace,
     ) {
         let offset = self.offset(evidence);
-        pot.runs_along_ws(&self.parents, &self.strides, offset, ws, |run, start| {
-            let predicted = &self.predicted[start..start + run.len()];
-            for (v, &s) in run.iter_mut().zip(predicted) {
-                *v *= if s as usize == state {
-                    self.hit
-                } else {
-                    self.miss
-                };
-            }
-        });
+        pot.runs_along_mut_ws(
+            &self.parents,
+            &self.strides,
+            offset,
+            ws,
+            |run, start, step| {
+                for (k, v) in run.iter_mut().enumerate() {
+                    *v *= if self.predicted[start + k * step] as usize == state {
+                        self.hit
+                    } else {
+                        self.miss
+                    };
+                }
+            },
+        );
     }
 
     /// `P(node)` up to a constant, from the calibrated home `belief`, into
-    /// `out` (one zeroed slot per state of `node`).
+    /// `out` (one zeroed slot per state of `node`). Entries add into their
+    /// predicted state's bucket in table order; while the predicted state
+    /// repeats, the bucket's running sum stays in a local, which is the
+    /// same additions in the same order as `out[s] += v` per entry.
     fn read(
         &self,
-        belief: &mut Factor,
+        belief: &Factor,
         evidence: &[Option<usize>],
         ws: &mut QueryWorkspace,
         out: &mut [f64],
     ) {
         let offset = self.offset(evidence);
-        belief.runs_along_ws(&self.parents, &self.strides, offset, ws, |run, start| {
-            let predicted = &self.predicted[start..start + run.len()];
-            for (&v, &s) in run.iter().zip(predicted) {
-                out[s as usize] += v;
-            }
-        });
+        belief.runs_along_ws(
+            &self.parents,
+            &self.strides,
+            offset,
+            ws,
+            |run, start, step| {
+                let mut bucket = self.predicted[start] as usize;
+                let mut sum = out[bucket];
+                for (k, &v) in run.iter().enumerate() {
+                    let s = self.predicted[start + k * step] as usize;
+                    if s != bucket {
+                        out[bucket] = sum;
+                        bucket = s;
+                        sum = out[s];
+                    }
+                    sum += v;
+                }
+                out[bucket] = sum;
+            },
+        );
         let z: f64 = out.iter().sum();
         for b in out.iter_mut() {
             *b = self.miss * z + (self.hit - self.miss) * *b;
@@ -186,6 +219,9 @@ pub struct JunctionTree {
     /// the node slices each of them); a functional node's home alone (a
     /// pin multiplies it by the node's Eq. 4 row).
     node_cliques: Vec<Vec<usize>>,
+    /// Per node: its evidence-free marginal, filled by one
+    /// [`JunctionTree::prior_pass`] on the first evidence-free read.
+    priors: OnceLock<Vec<Vec<f64>>>,
 }
 
 /// The structure only: a clique potential can hold 5⁶ entries, which do not
@@ -502,6 +538,7 @@ impl JunctionTree {
             functional,
             node_home,
             node_cliques,
+            priors: OnceLock::new(),
         })
     }
 
@@ -755,7 +792,9 @@ impl JunctionTree {
         Ok(out)
     }
 
-    /// [`JunctionTree::marginal`] writing into a caller buffer.
+    /// [`JunctionTree::marginal`] writing into a caller buffer. A state
+    /// with no evidence reads the tree's cached priors; the first such
+    /// read on a tree computes every node's prior in one pass.
     pub fn marginal_into(&self, st: &mut JtState, target: usize, out: &mut Vec<f64>) -> Result<()> {
         OBS_JT_MARGINALS.incr();
         let _span = kert_obs::span("jt.marginal");
@@ -769,6 +808,12 @@ impl JunctionTree {
             out[s] = 1.0;
             return Ok(());
         }
+        if st.evidence.iter().all(Option::is_none) {
+            let priors = self.priors.get_or_init(|| self.prior_pass());
+            out.clear();
+            out.extend_from_slice(&priors[target]);
+            return Ok(());
+        }
         let home = self.node_home[target];
         {
             // The lazy collect pass is where propagation cost actually
@@ -777,61 +822,149 @@ impl JunctionTree {
             let _collect = kert_obs::span("jt.collect");
             self.ensure_messages_into(st, home);
         }
+        self.read_off(st, home, &[target], std::slice::from_mut(out));
+        if normalize(out) {
+            Ok(())
+        } else {
+            Err(BayesError::Numerical(
+                "evidence has zero probability under the model".into(),
+            ))
+        }
+    }
 
-        let mut belief = {
-            let JtState { potentials, ws, .. } = &mut *st;
-            potentials[home]
-                .as_ref()
-                .unwrap_or(&self.base[home])
-                .clone_using(ws)
-        };
-        for &Neighbor { clique: _, edge: e } in &self.neighbors[home] {
-            let inbound = self.msg_id(e, self.other_end(e, home));
-            // Split-borrow: the message is read-only, the workspace mutable.
-            let JtState { messages, ws, .. } = &mut *st;
-            let m = messages[inbound]
-                .as_ref()
-                .expect("collect pass just validated every inbound message");
-            // Separator scopes are subsets of the home clique: absorb in
-            // place (bitwise equal to the product, without the new table).
-            if !belief.mul_assign_ws(m, ws) {
-                let next = belief.product_ws(m, ws);
-                ws.recycle(belief);
-                belief = next;
+    /// Every node's evidence-free marginal: one collect toward, and one
+    /// [`JunctionTree::read_off`] of, each clique that is some node's
+    /// home, all on a scratch state of the pass's own (a multi-clique tree
+    /// calibrates once on it). It must never read through
+    /// [`JunctionTree::marginal_into`], whose evidence-free branch waits
+    /// on this very pass. Each prior is bitwise the one-target read the
+    /// tree would otherwise make, so filling the cache changes no answer.
+    ///
+    /// The pass opens no span: which request pays for it depends on what
+    /// ran on the tree before and on worker scheduling, and a request's
+    /// span tree must depend on neither. Its counter says whether it ran.
+    fn prior_pass(&self) -> Vec<Vec<f64>> {
+        OBS_JT_PRIOR_PASSES.incr();
+        let mut homed: Vec<Vec<usize>> = vec![Vec::new(); self.cliques.len()];
+        for (v, &home) in self.node_home.iter().enumerate() {
+            homed[home].push(v);
+        }
+        let mut st = self.new_state();
+        let mut priors = vec![Vec::new(); self.cards.len()];
+        for (home, targets) in homed.iter().enumerate() {
+            if targets.is_empty() {
+                continue;
+            }
+            self.ensure_messages_into(&mut st, home);
+            let mut outs = vec![Vec::new(); targets.len()];
+            self.read_off(&mut st, home, targets, &mut outs);
+            for (&v, mut prior) in targets.iter().zip(outs) {
+                // `PROB_FLOOR` keeps every evidence-free potential
+                // positive, so no prior has zero mass.
+                let positive = normalize(&mut prior);
+                debug_assert!(positive, "node {v}: zero evidence-free mass");
+                priors[v] = prior;
             }
         }
-        out.clear();
-        if let Some(f) = self.functional.iter().find(|f| f.node == target) {
-            out.resize(self.cards[target], 0.0);
-            let JtState { evidence, ws, .. } = &mut *st;
-            f.read(&mut belief, evidence, ws, out);
-        } else {
-            for &v in &self.cliques[home] {
-                if v != target {
-                    belief = belief.sum_out_owned_ws(v, &mut st.ws);
+        priors
+    }
+
+    /// Read each of `targets` (ascending, unobserved, all homed at
+    /// `home`) off `home`'s calibrated belief on `st`, unnormalized, into
+    /// the matching slot of `outs`. The belief is the home potential read
+    /// in place when no message enters the home, else the potential times
+    /// every inbound message, built once. Each Eq. 4 lookup is one bucket
+    /// sum over it. The tabulated targets share their leading sum-outs:
+    /// with `v₀, v₁, …` the belief's scope, `P₀` is the belief and `P_{i+1}
+    /// = P_i` with `v_i` summed out (always position 0), and a target at
+    /// position `j` sums the trailing variables out of `P_j`. Those are the
+    /// additions, in the same order, that a target read alone makes (fold
+    /// `v₀…v_{j−1}` into a copy of the belief, then sum out the rest), so
+    /// a one-target call is that read, bit for bit, and so is each target
+    /// of a many-target call.
+    fn read_off(&self, st: &mut JtState, home: usize, targets: &[usize], outs: &mut [Vec<f64>]) {
+        let JtState {
+            evidence,
+            potentials,
+            messages,
+            ws,
+            ..
+        } = st;
+        let potential = potentials[home].as_ref().unwrap_or(&self.base[home]);
+        let product = (!self.neighbors[home].is_empty()).then(|| {
+            let mut belief = potential.clone_using(ws);
+            for &Neighbor { clique: _, edge: e } in &self.neighbors[home] {
+                let m = messages[self.msg_id(e, self.other_end(e, home))]
+                    .as_ref()
+                    .expect("the collect pass validated every inbound message");
+                // Separator scopes are subsets of the home clique: absorb
+                // in place (bitwise equal to the product, without the new
+                // table).
+                if !belief.mul_assign_ws(m, ws) {
+                    let next = belief.product_ws(m, ws);
+                    ws.recycle(belief);
+                    belief = next;
                 }
             }
-            if belief.vars() != [target] {
-                return Err(BayesError::Numerical(format!(
-                    "junction-tree read-off left scope {:?}, expected [{target}]",
-                    belief.vars()
-                )));
+            belief
+        });
+        let belief = product.as_ref().unwrap_or(potential);
+        // Pinned variables are sliced out of the belief's scope.
+        let scope = belief.vars();
+        let mut lead: Option<Factor> = None; // P_i for i ≥ 1
+        let mut summed = 0; // i
+        for (&target, out) in targets.iter().zip(outs) {
+            out.clear();
+            if let Some(f) = self.functional.iter().find(|f| f.node == target) {
+                out.resize(self.cards[target], 0.0);
+                f.read(belief, evidence, ws, out);
+                continue;
             }
-            out.extend_from_slice(belief.values());
+            let at = scope
+                .binary_search(&target)
+                .expect("an unobserved node stays in its home's scope");
+            while summed < at {
+                let next = lead
+                    .as_ref()
+                    .unwrap_or(belief)
+                    .sum_out_ws(scope[summed], ws);
+                if let Some(old) = lead.replace(next) {
+                    ws.recycle(old);
+                }
+                summed += 1;
+            }
+            let leading = lead.as_ref().unwrap_or(belief);
+            let mut rest: Option<Factor> = None;
+            for &v in &scope[at + 1..] {
+                let next = rest.as_ref().unwrap_or(leading).sum_out_ws(v, ws);
+                if let Some(old) = rest.replace(next) {
+                    ws.recycle(old);
+                }
+            }
+            let read = rest.as_ref().unwrap_or(leading);
+            debug_assert_eq!(read.vars(), [target]);
+            out.extend_from_slice(read.values());
+            if let Some(r) = rest {
+                ws.recycle(r);
+            }
         }
-        st.ws.recycle(belief);
-        // Normalize as `Factor::normalize` does: a sequential sum, then one
-        // multiply by its reciprocal per state.
-        let z: f64 = out.iter().sum();
-        if z <= 0.0 {
-            return Err(BayesError::Numerical(
-                "evidence has zero probability under the model".into(),
-            ));
+        for f in lead.into_iter().chain(product) {
+            ws.recycle(f);
         }
-        let inv = 1.0 / z;
-        out.iter_mut().for_each(|p| *p *= inv);
-        Ok(())
     }
+}
+
+/// Normalize as `Factor::normalize` does: a sequential sum, then one
+/// multiply by its reciprocal per state. `false`, with `out` unscaled, when
+/// the mass is zero.
+fn normalize(out: &mut [f64]) -> bool {
+    let z: f64 = out.iter().sum();
+    if z <= 0.0 {
+        return false;
+    }
+    let inv = 1.0 / z;
+    out.iter_mut().for_each(|p| *p *= inv);
+    true
 }
 
 #[cfg(test)]
@@ -1062,6 +1195,175 @@ mod tests {
                     tree.marginal(&mut fresh, target).unwrap(),
                     "pins {pins:?}, target {target}: reused state diverged"
                 );
+            }
+        }
+    }
+
+    /// A, B, C and an Eq. 4 sink D over (A, B): one clique {A, B, C}
+    /// homes D, and its innermost variable C is not one of D's parents,
+    /// so D's read walks runs of step 0.
+    fn with_eq4_sink() -> BayesianNetwork {
+        use crate::cpd::{DetNoise, DeterministicCpd};
+        use crate::Expr;
+        let cards = [3, 2, 3, 4];
+        let vars: Vec<Variable> = cards
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| Variable::discrete(format!("x{i}"), c))
+            .collect();
+        let mut dag = Dag::new(4);
+        for (parent, child) in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)] {
+            dag.add_edge(parent, child).unwrap();
+        }
+        let noise = DetNoise::Discrete {
+            leak: 0.05,
+            card: 4,
+            child_edges: vec![1.0, 2.0, 3.0],
+            parent_mids: vec![vec![0.5, 1.5, 2.5], vec![0.5, 1.5]],
+        };
+        let cpds = vec![
+            Cpd::Tabular(TabularCpd::new(0, vec![], 3, vec![], vec![0.5, 0.3, 0.2]).unwrap()),
+            Cpd::Tabular(
+                TabularCpd::new(1, vec![0], 2, vec![3], vec![0.6, 0.4, 0.3, 0.7, 0.9, 0.1])
+                    .unwrap(),
+            ),
+            Cpd::Tabular(
+                TabularCpd::new(
+                    2,
+                    vec![0, 1],
+                    3,
+                    vec![3, 2],
+                    (0..6)
+                        .flat_map(|r| {
+                            let x = 0.1 + 0.1 * r as f64;
+                            [x, 0.3, 0.7 - x]
+                        })
+                        .collect(),
+                )
+                .unwrap(),
+            ),
+            Cpd::Deterministic(
+                DeterministicCpd::from_network_expr(3, &Expr::sum_of_vars(&[0, 1]), noise).unwrap(),
+            ),
+        ];
+        BayesianNetwork::new(vars, dag, cpds).unwrap()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `target`'s evidence-free marginal as the tree read it before priors
+    /// were cached, written out: a copy of its home belief with every
+    /// other variable folded out in scope order, or for an Eq. 4 lookup
+    /// each entry added into its predicted state's bucket in table order.
+    fn read_alone(tree: &JunctionTree, target: usize) -> Vec<f64> {
+        let home = tree.node_home[target];
+        let mut st = tree.new_state();
+        tree.ensure_messages_into(&mut st, home);
+        let mut belief = tree.base[home].clone();
+        for &Neighbor { clique: _, edge: e } in &tree.neighbors[home] {
+            let inbound = tree.msg_id(e, tree.other_end(e, home));
+            belief = belief.product(st.messages[inbound].as_ref().unwrap());
+        }
+        let mut out = match tree.functional.iter().find(|f| f.node == target) {
+            Some(f) => {
+                let mut buckets = vec![0.0; tree.cards[target]];
+                let mut states = vec![0; belief.vars().len()];
+                for (entry, &v) in belief.values().iter().enumerate() {
+                    crate::cpd::decode_config(entry, belief.cards(), &mut states);
+                    let at: usize = f
+                        .parents
+                        .iter()
+                        .zip(&f.strides)
+                        .map(|(p, stride)| states[belief.vars().binary_search(p).unwrap()] * stride)
+                        .sum();
+                    buckets[f.predicted[at] as usize] += v;
+                }
+                let z: f64 = buckets.iter().sum();
+                buckets
+                    .iter()
+                    .map(|&b| f.miss * z + (f.hit - f.miss) * b)
+                    .collect()
+            }
+            None => {
+                for &v in &tree.cliques[home] {
+                    if v != target {
+                        belief = belief.sum_out_owned(v);
+                    }
+                }
+                belief.values().to_vec()
+            }
+        };
+        assert!(normalize(&mut out));
+        out
+    }
+
+    /// The prior pass reads each home once for all the nodes it homes; each
+    /// cached prior is bitwise both the routine's one-node read of the
+    /// same belief and the read the tree made before priors were cached.
+    /// The star's homes hold nodes at several positions, and the Eq. 4
+    /// network reads its sink through step-0 runs.
+    #[test]
+    fn each_cached_prior_is_the_one_node_read_bit_for_bit() {
+        for bn in [sprinkler(), star_of_chains(4, 3), with_eq4_sink()] {
+            let tree = JunctionTree::compile(&bn).unwrap();
+            let mut st = tree.new_state();
+            let cached: Vec<Vec<f64>> = (0..bn.len())
+                .map(|t| tree.marginal(&mut st, t).unwrap())
+                .collect();
+            assert!(
+                tree.priors.get().is_some(),
+                "evidence-free reads fill the cache"
+            );
+            for (t, prior) in cached.iter().enumerate() {
+                let home = tree.node_home[t];
+                let mut scratch = tree.new_state();
+                tree.ensure_messages_into(&mut scratch, home);
+                let mut one = Vec::new();
+                tree.read_off(&mut scratch, home, &[t], std::slice::from_mut(&mut one));
+                assert!(normalize(&mut one));
+                assert_eq!(
+                    bits(prior),
+                    bits(&one),
+                    "node {t}: pass vs one-node read-off"
+                );
+                assert_eq!(bits(prior), bits(&read_alone(&tree, t)), "node {t}");
+                let want = posterior_marginal(&bn, t, &Evidence::new()).unwrap();
+                for (a, b) in prior.iter().zip(&want) {
+                    assert!((a - b).abs() < 1e-9, "node {t}: {prior:?} vs {want:?}");
+                }
+            }
+        }
+    }
+
+    /// Eight threads race the first evidence-free read of one shared tree;
+    /// one fills the cache while the rest wait on it, and every thread
+    /// reads the same bits.
+    #[test]
+    fn racing_first_prior_reads_agree_bitwise() {
+        let bn = star_of_chains(4, 3);
+        let n = bn.len();
+        let tree = JunctionTree::compile(&bn).unwrap();
+        let start = std::sync::Barrier::new(8);
+        let reads: Vec<Vec<Vec<u64>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|k| {
+                    let (tree, start) = (&tree, &start);
+                    s.spawn(move || {
+                        let mut st = tree.new_state();
+                        start.wait();
+                        (0..n)
+                            .map(|i| bits(&tree.marginal(&mut st, (i + k) % n).unwrap()))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (k, read) in reads.iter().enumerate() {
+            for i in 0..n {
+                assert_eq!(read[i], reads[0][(i + k) % n], "thread {k}, read {i}");
             }
         }
     }

@@ -355,6 +355,46 @@ impl<'a> Odometer<'a> {
     }
 }
 
+/// The walker behind [`Factor::runs_along_ws`] over a table's scope `vars`
+/// (cardinalities `cards`): `visit(entries, start, step)` per run. A run
+/// spans every trailing position whose lookup stride continues the
+/// innermost one's progression (`run · step`); the odometer walks the
+/// rest. A slice pinned on the lookup's innermost variable is thus a few
+/// runs of stride `card` instead of one single-entry run per entry.
+fn lookup_runs(
+    vars: &[usize],
+    cards: &[usize],
+    index_vars: &[usize],
+    index_strides: &[usize],
+    offset: usize,
+    ws: &mut QueryWorkspace,
+    mut visit: impl FnMut(std::ops::Range<usize>, usize, usize),
+) {
+    let mut stride = ws.take_usize();
+    stride.extend(
+        vars.iter()
+            .map(|v| index_vars.binary_search(v).map_or(0, |k| index_strides[k])),
+    );
+    let step = stride.last().copied().unwrap_or(0);
+    let (mut split, mut run) = (vars.len(), 1);
+    while split > 0 && stride[split - 1] == run * step {
+        split -= 1;
+        run *= cards[split];
+    }
+    let mut counters = ws.take_usize();
+    counters.resize(split, 0);
+    {
+        let mut odo = Odometer::new(&cards[..split], &mut counters);
+        let mut idx = [offset];
+        for first in (0..config_count(cards)).step_by(run) {
+            visit(first..first + run, idx[0], step);
+            odo.advance(&[&stride[..split]], &mut idx);
+        }
+    }
+    ws.put_usize(stride);
+    ws.put_usize(counters);
+}
+
 /// A factor over a sorted list of discrete variables.
 #[derive(Debug, Clone)]
 pub struct Factor {
@@ -863,43 +903,52 @@ impl Factor {
     /// Walk the table alongside a row-major lookup table over the ascending
     /// `index_vars` (its strides `index_strides`), whose variables outside
     /// this scope are fixed at the lookup position `offset`: `visit(run,
-    /// start)` gets each stretch of entries over which the lookup position
-    /// advances one for one, and the position of its first entry. This is
-    /// how the junction tree applies and reads Eq. 4's predicted-state
-    /// index against a clique potential without tabulating it.
+    /// start, step)` gets each stretch of entries, in table order, over
+    /// which the lookup position advances by the constant `step` (the
+    /// lookup stride of the table's innermost variable, 0 when the lookup
+    /// ignores it), and the position of its first entry. This is how the
+    /// junction tree reads Eq. 4's predicted-state index against a clique
+    /// belief without tabulating it.
     pub(crate) fn runs_along_ws(
+        &self,
+        index_vars: &[usize],
+        index_strides: &[usize],
+        offset: usize,
+        ws: &mut QueryWorkspace,
+        mut visit: impl FnMut(&[f64], usize, usize),
+    ) {
+        lookup_runs(
+            &self.vars,
+            &self.cards,
+            index_vars,
+            index_strides,
+            offset,
+            ws,
+            |entries, start, step| visit(&self.values[entries], start, step),
+        );
+    }
+
+    /// [`Factor::runs_along_ws`] with each run writable: how the junction
+    /// tree applies Eq. 4's row for an observed child to a clique
+    /// potential.
+    pub(crate) fn runs_along_mut_ws(
         &mut self,
         index_vars: &[usize],
         index_strides: &[usize],
         offset: usize,
         ws: &mut QueryWorkspace,
-        mut visit: impl FnMut(&mut [f64], usize),
+        mut visit: impl FnMut(&mut [f64], usize, usize),
     ) {
-        let mut stride = ws.take_usize();
-        stride.extend(
-            self.vars
-                .iter()
-                .map(|v| index_vars.binary_search(v).map_or(0, |k| index_strides[k])),
+        let values = &mut self.values;
+        lookup_runs(
+            &self.vars,
+            &self.cards,
+            index_vars,
+            index_strides,
+            offset,
+            ws,
+            |entries, start, step| visit(&mut values[entries], start, step),
         );
-        // The trailing positions over which the lookup moves in step with
-        // the table; the odometer walks the rest.
-        let (mut split, mut run) = (self.vars.len(), 1);
-        while split > 0 && stride[split - 1] == run {
-            split -= 1;
-            run *= self.cards[split];
-        }
-        let mut counters = ws.take_usize();
-        counters.resize(split, 0);
-        {
-            let mut odo = Odometer::new(&self.cards[..split], &mut counters);
-            let mut idx = [offset];
-            for chunk in self.values.chunks_exact_mut(run) {
-                visit(chunk, idx[0]);
-                odo.advance(&[&stride[..split]], &mut idx);
-            }
-        }
-        ws.put_usize(stride);
-        ws.put_usize(counters);
     }
 
     /// Normalize to sum 1 (returns the normalization constant; a zero sum
@@ -1176,41 +1225,72 @@ mod tests {
         }
     }
 
-    /// Every entry meets the lookup position of its configuration: the
-    /// lookup is over (1, 5, 7) and this table over (1, 4, 7), with 5
-    /// fixed through the offset.
+    /// Every entry meets the lookup position of its configuration, through
+    /// both walks. The lookup is over (1, 5, 7). The first table, over (1,
+    /// 4, 7), fixes 5 through the offset; its innermost variable steps the
+    /// lookup by 1. The second, over (1, 4, 5), fixes 7; its innermost
+    /// variable steps the lookup by 4, and 4 breaks the progression, so
+    /// each run spans exactly the innermost dimension.
     #[test]
     fn runs_along_visit_each_entry_at_its_lookup_position() {
         let (lvars, lcards) = ([1usize, 5, 7], [2usize, 3, 4]);
         let lstrides = strides(&lcards);
-        let mut f = Factor::new(vec![1, 4, 7], vec![2, 3, 4], vec![0.0; 24]).unwrap();
         let mut ws = QueryWorkspace::new();
-        for fixed in 0..3 {
-            let mut seen = Vec::new();
-            f.runs_along_ws(
-                &lvars,
-                &lstrides,
-                fixed * lstrides[1],
-                &mut ws,
-                |run, start| {
-                    seen.extend((0..run.len()).map(|j| start + j));
-                },
-            );
-            let mut states = [0usize; 3];
-            for (entry, &at) in seen.iter().enumerate() {
-                crate::cpd::decode_config(entry, &[2, 3, 4], &mut states);
-                let want = crate::cpd::config_index(&[states[0], fixed, states[2]], &lcards);
-                assert_eq!(at, want, "entry {entry}");
+        // (table scope, its cards, the lookup variable it fixes, the
+        // number of runs per walk)
+        let cases = [
+            (vec![1, 4, 7], vec![2, 3, 4], 1, 6),
+            (vec![1, 4, 5], vec![2, 3, 3], 2, 18 / 3),
+        ];
+        for (vars, cards, fixed_at, want_runs) in cases {
+            let total: usize = cards.iter().product();
+            let mut f = Factor::new(vars.clone(), cards.clone(), vec![0.0; total]).unwrap();
+            for fixed in 0..lcards[fixed_at] {
+                let offset = fixed * lstrides[fixed_at];
+                let mut seen = Vec::new();
+                let mut runs = 0;
+                f.runs_along_ws(&lvars, &lstrides, offset, &mut ws, |run, start, step| {
+                    runs += 1;
+                    seen.extend((0..run.len()).map(|j| start + j * step));
+                });
+                let mut written = Vec::new();
+                f.runs_along_mut_ws(&lvars, &lstrides, offset, &mut ws, |run, start, step| {
+                    written.extend((0..run.len()).map(|j| start + j * step));
+                });
+                assert_eq!(written, seen, "{vars:?}: both walks agree");
+                assert_eq!(runs, want_runs, "{vars:?}");
+                assert_eq!(seen.len(), total);
+                let mut states = vec![0usize; 3];
+                for (entry, &at) in seen.iter().enumerate() {
+                    crate::cpd::decode_config(entry, &cards, &mut states);
+                    let mut config = [0usize; 3];
+                    for (&v, &s) in vars.iter().zip(&states) {
+                        if let Some(k) = lvars.iter().position(|&l| l == v) {
+                            config[k] = s;
+                        }
+                    }
+                    config[fixed_at] = fixed;
+                    let want = crate::cpd::config_index(&config, &lcards);
+                    assert_eq!(at, want, "{vars:?} entry {entry}");
+                }
             }
-            assert_eq!(seen.len(), 24);
         }
-        // A lookup over the table's trailing scope is one run.
+        // A lookup over the table's trailing scope is one run per outer
+        // state, and one whose stride progression spans the whole table
+        // is a single run of step 4.
+        let f = Factor::new(vec![1, 4, 7], vec![2, 3, 4], vec![0.0; 24]).unwrap();
         let mut runs = 0;
-        f.runs_along_ws(&[4, 7], &strides(&[3, 4]), 0, &mut ws, |run, _| {
+        f.runs_along_ws(&[4, 7], &strides(&[3, 4]), 0, &mut ws, |run, _, step| {
             runs += 1;
-            assert_eq!(run.len(), 12);
+            assert_eq!((run.len(), step), (12, 1));
         });
         assert_eq!(runs, 2);
+        let g = Factor::new(vec![1, 5], vec![2, 3], vec![0.0; 6]).unwrap();
+        let mut runs = Vec::new();
+        g.runs_along_ws(&lvars, &lstrides, 0, &mut ws, |run, start, step| {
+            runs.push((run.len(), start, step));
+        });
+        assert_eq!(runs, [(6, 0, 4)]);
     }
 
     #[test]

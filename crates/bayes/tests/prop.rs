@@ -137,6 +137,29 @@ fn with_eq4_sink(
     (BayesianNetwork::new(vars, dag, cpds).unwrap(), sink)
 }
 
+/// `network` plus an isolated binary root, which shares no clique tree with
+/// any other node. Returns the network and the root.
+fn with_isolated_root(network: &BayesianNetwork) -> (BayesianNetwork, usize) {
+    let root = network.len();
+    let mut vars = network.variables().to_vec();
+    vars.push(Variable::discrete("isolated", 2));
+    let mut cpds = network.cpds().to_vec();
+    cpds.push(Cpd::Tabular(
+        TabularCpd::new(root, vec![], 2, vec![], vec![0.35, 0.65]).unwrap(),
+    ));
+    let mut dag = Dag::new(vars.len());
+    for cpd in &cpds {
+        for &p in cpd.parents() {
+            dag.add_edge(p, cpd.child()).unwrap();
+        }
+    }
+    (BayesianNetwork::new(vars, dag, cpds).unwrap(), root)
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -499,6 +522,63 @@ proptest! {
                     "target {} under {:?}: reused state diverged", t, set
                 );
             }
+        }
+    }
+
+    /// A tree computes its priors once, in one pass, and keeps their bits.
+    /// On the networks above plus an isolated root `x`, every
+    /// evidence-free marginal lies within 1e-9 of pruned VE and is bitwise
+    /// the same whether it is the first read of a fresh tree (the read
+    /// that runs the pass), is read after every other node, or is read on
+    /// a reused state after an A → ∅ evidence round trip. It is also
+    /// bitwise the read with only `x` pinned: `x` shares no clique tree
+    /// with any other node, so that read is the prior, computed through
+    /// the evidence path without the cache.
+    #[test]
+    fn priors_are_read_once_and_keep_their_bits(
+        net_seed in 0u64..400,
+        query_seed in 0u64..400,
+        mask in proptest::collection::vec(proptest::bool::ANY, 1..10),
+        e in expr(4),
+        leak in prop_oneof![Just(0.0), Just(0.05), Just(0.3)],
+        inner in proptest::bool::ANY,
+    ) {
+        let (bn, _) = with_eq4_sink(net_seed, &mask, &e, leak, inner);
+        let (bn, x) = with_isolated_root(&bn);
+        let n = bn.len();
+        let first: Vec<Vec<f64>> = (0..n)
+            .map(|t| {
+                let jt = JunctionTree::compile(&bn).unwrap();
+                jt.marginal(&mut jt.new_state(), t).unwrap()
+            })
+            .collect();
+        for (t, prior) in first.iter().enumerate() {
+            let want = posterior_marginal_pruned(&bn, t, &Evidence::new()).unwrap();
+            for (&a, &b) in prior.iter().zip(&want) {
+                kert_conformance::assert_close!(a, b, 1e-9);
+            }
+        }
+        let jt = JunctionTree::compile(&bn).unwrap();
+        let mut st = jt.new_state();
+        for _ in 0..2 {
+            // The second sweep reads each node after every other one.
+            for (t, prior) in first.iter().enumerate() {
+                prop_assert_eq!(bits(&jt.marginal(&mut st, t).unwrap()), bits(prior), "node {}", t);
+            }
+        }
+        let (_, evidence) = kert_conformance::gen::random_discrete_query(&bn, query_seed);
+        let pins: Vec<(usize, usize)> = evidence.iter().map(|(&k, &v)| (k, v)).collect();
+        jt.set_evidence(&mut st, &pins).unwrap();
+        for t in 0..n {
+            jt.marginal(&mut st, t).unwrap();
+        }
+        jt.set_evidence(&mut st, &[]).unwrap();
+        for (t, prior) in first.iter().enumerate() {
+            prop_assert_eq!(bits(&jt.marginal(&mut st, t).unwrap()), bits(prior), "node {} after A → ∅", t);
+        }
+        jt.set_evidence(&mut st, &[(x, 1)]).unwrap();
+        for (t, prior) in first.iter().enumerate().filter(|&(t, _)| t != x) {
+            prop_assert_eq!(bits(&jt.marginal(&mut st, t).unwrap()), bits(prior), "node {} with x pinned", t);
         }
     }
 

@@ -11,8 +11,9 @@
 //!   ordering + naive kernels;
 //! * `junction_tree` — the compiled engine: compilation cost (warm, as a
 //!   refresh pays it, and cold, as a model's first compile pays it),
-//!   steady-state calibrated marginal reads, and a 10-query dComp-style
-//!   batch against re-running per-query VE from scratch.
+//!   steady-state calibrated marginal reads, the prior pass (a fresh
+//!   tree's every prior) against a cached prior read, and a 10-query
+//!   dComp-style batch against re-running per-query VE from scratch.
 
 use kert_bayes::compile::JunctionTree;
 use kert_bayes::infer::factor::{naive as naive_factor, Factor};
@@ -116,6 +117,22 @@ fn main() {
     let jt_marginal = bench("jt/calibrated_marginal", || {
         tree.marginal(black_box(&mut calibrated), 3).unwrap()
     });
+    // A tree's first evidence-free read runs one pass over its home clique
+    // and caches every node's prior; `jt/prior_pass` is a warm compile
+    // plus every node's prior (what a refreshed model's first dComp
+    // pays), `jt/cached_prior` each evidence-free read after it.
+    let jt_prior_pass = bench("jt/prior_pass", || {
+        let fresh = JunctionTree::compile(black_box(bn)).unwrap();
+        let mut st = fresh.new_state();
+        (0..bn.len())
+            .map(|t| fresh.marginal(&mut st, t).unwrap())
+            .collect::<Vec<_>>()
+    });
+    let mut prior_state = tree.new_state();
+    tree.marginal(&mut prior_state, 3).unwrap(); // the pass
+    let jt_cached_prior = bench("jt/cached_prior", || {
+        tree.marginal(black_box(&mut prior_state), 3).unwrap()
+    });
 
     // 10-query dComp-style batch: fresh evidence each control period, then
     // the posterior of every hidden service (round-robin to 10 queries).
@@ -178,6 +195,14 @@ fn main() {
             (
                 "jt_calibrated_marginal_ns".into(),
                 Value::Num(jt_marginal.median_ns),
+            ),
+            (
+                "jt_prior_pass_ns".into(),
+                Value::Num(jt_prior_pass.median_ns),
+            ),
+            (
+                "jt_cached_prior_ns".into(),
+                Value::Num(jt_cached_prior.median_ns),
             ),
             (
                 "jt_batch_dcomp_ns".into(),
